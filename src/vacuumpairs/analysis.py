@@ -105,12 +105,15 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class TotalCount:
-    """Pairs per pulse collected in a forward cone, with quadrature error."""
+    """Pairs per pulse collected in a forward cone, with quadrature error.
+
+    rel_error is None when no refinement ran, so no error was estimated.
+    """
 
     pairs_per_pulse: float
     cone_half_angle_rad: float
     length_m: float
-    rel_error: float
+    rel_error: float | None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -153,6 +156,14 @@ def constraint_density(
     return lam2, _point_density_on_curve(config, lam1, lam2)
 
 
+def _collinear_scan(config: EmissionConfig, lam1, partner_bracket) -> np.ndarray:
+    """constraint_density at every lam1 in one array pass; 0 where it raises."""
+    lam2 = kinematics.solve_partners(
+        lam1, 0.0, math.pi, config.kin, config.material, bracket=partner_bracket
+    )
+    return emission._curve_density(config, lam1, lam2)
+
+
 def find_maximum(
     config: EmissionConfig,
     window: tuple[float, float] = (0.2, 20.0),
@@ -165,6 +176,18 @@ def find_maximum(
     scanned along the constraint curve on a coarse log grid; every lobe
     above half the scan maximum is refined by golden section (fast-light
     media can be multimodal) and the highest lobe wins.  Deterministic.
+
+    The search runs in two stages.  The scan is one array pass: every
+    partner at once from kinematics.solve_partners, and the densities from
+    the array kernel of the collinear grid.  The refinement, and every value
+    it is compared with, call the scalar constraint_density.  It stays
+    scalar because the location of the maximum is ill-conditioned: the
+    density is flat there, so root-solver rounding far below the density's
+    own precision moves the location.  Swapping brentq for toms748 at the
+    same tolerance moved lambda1/lambda2 by 4.9e-8 (the density by 1.5e-13).
+    The scan only selects the lobes and their brackets, which does not
+    depend on such rounding, so the result is that of a scan by
+    constraint_density.
     """
     clear = dispersion.transparency_window(config.material)
     if partner_bracket is None:
@@ -173,15 +196,7 @@ def find_maximum(
     if not window[0] < window[1]:
         raise NoEmissionError("search window lies outside the transparency window")
     lam1_grid = np.geomspace(window[0], window[1], coarse_points)
-    vals = np.zeros(coarse_points)
-    partners = np.full(coarse_points, np.nan)
-    for i, lam1 in enumerate(lam1_grid):
-        try:
-            lam2, rho = constraint_density(config, float(lam1), partner_bracket)
-        except (kinematics.KinematicsError, emission.EmissionError, dispersion.DispersionError):
-            continue
-        vals[i] = rho
-        partners[i] = lam2
+    vals = _collinear_scan(config, lam1_grid, partner_bracket)
     peak = float(np.max(vals))
     if peak <= 0.0:
         raise NoEmissionError(
@@ -189,33 +204,35 @@ def find_maximum(
             f"at beta = {config.kin.beta}"
         )
 
-    def objective(log_lam1: float) -> float:
+    def density_at(lam1: float) -> float:
         try:
-            _, rho = constraint_density(config, math.exp(log_lam1), partner_bracket)
+            _, rho = constraint_density(config, lam1, partner_bracket)
         except (kinematics.KinematicsError, emission.EmissionError, dispersion.DispersionError):
             return 0.0
-        return -rho
+        return rho
 
     # candidate lobes: strict interior local maxima above half the scan peak
-    candidates = [int(np.argmax(vals))]
+    i_max = int(np.argmax(vals))
+    candidates = [i_max]
     for i in range(1, coarse_points - 1):
         if vals[i] > vals[i - 1] and vals[i] > vals[i + 1] and vals[i] >= 0.5 * peak:
             candidates.append(i)
-    best = (peak, float(lam1_grid[int(np.argmax(vals))]))
+    best = (density_at(float(lam1_grid[i_max])), float(lam1_grid[i_max]))
     for i in sorted(set(candidates)):
+        lam1_ref = float(lam1_grid[i])
         if 0 < i < coarse_points - 1:
             a, b, c = (math.log(lam1_grid[i - 1]), math.log(lam1_grid[i]),
                        math.log(lam1_grid[i + 1]))
             try:
                 res = minimize_scalar(
-                    objective, bracket=(a, b, c), method="golden",
-                    options={"xtol": 1e-10},
+                    lambda x: -density_at(math.exp(x)), bracket=(a, b, c),
+                    method="golden", options={"xtol": 1e-10},
                 )
                 lam1_ref, val_ref = math.exp(float(res.x)), -float(res.fun)
             except ValueError:
-                lam1_ref, val_ref = float(lam1_grid[i]), float(vals[i])
+                val_ref = density_at(lam1_ref)
         else:
-            lam1_ref, val_ref = float(lam1_grid[i]), float(vals[i])
+            val_ref = density_at(lam1_ref)
         if val_ref > best[0]:
             best = (val_ref, lam1_ref)
     density_max, lam1_max = best
@@ -276,18 +293,15 @@ def correlation_curve(
 
     lambda2 is None where no partner exists (gap).
     """
-    out: list[tuple[float, float | None]] = []
-    for lam1 in np.geomspace(lambda1_range[0], lambda1_range[1], points):
-        try:
-            lam2 = kinematics.solve_partner(
-                float(lam1), 0.0, math.pi, config.kin, config.material,
-                bracket=partner_bracket,
-            )
-        except kinematics.NoSignChangeError:
-            out.append((float(lam1), None))
-            continue
-        out.append((float(lam1), float(lam2)))
-    return out
+    lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], points)
+    # raises where lambda1 lies outside the model's domain
+    dispersion.refractive_index(config.material, lam1)
+    lam2 = kinematics.solve_partners(
+        lam1, 0.0, math.pi, config.kin, config.material, bracket=partner_bracket
+    )
+    return [
+        (float(l1), None if math.isnan(l2) else float(l2)) for l1, l2 in zip(lam1, lam2)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +454,7 @@ def total_count(
     prev = _total_count_once(
         config, cone_half_angle_rad, lam_window, *res, partner_bracket
     )
-    rel_err = math.inf
+    rel_err = None
     for _ in range(max_refinements):
         res = tuple(2 * (n - 1) + 1 for n in res)
         cur = _total_count_once(
@@ -452,7 +466,8 @@ def total_count(
         if rel_err <= rel_tol:
             break
     if (
-        math.isfinite(rel_err)
+        rel_err is not None
+        and math.isfinite(rel_err)
         and rel_err > rel_tol
         and prev != 0.0
         and raise_on_nonconvergence
@@ -465,7 +480,7 @@ def total_count(
         pairs_per_pulse=prev,
         cone_half_angle_rad=cone_half_angle_rad,
         length_m=config.length_m,
-        rel_error=rel_err if math.isfinite(rel_err) else 0.0,
+        rel_error=rel_err,
     )
 
 

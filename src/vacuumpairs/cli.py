@@ -192,10 +192,11 @@ def cmd_total(args) -> int:
     if "max_refinements" in doc:
         kwargs["max_refinements"] = int(doc["max_refinements"])
     result = analysis.total_count(config, half_angle, window, rel_tol=rel_tol, **kwargs)
-    print(
-        f"pairs per pulse: {result.pairs_per_pulse:.6g} "
-        f"(relative quadrature error {result.rel_error:.2g})"
-    )
+    if result.rel_error is None:
+        error = "quadrature error not estimated"
+    else:
+        error = f"relative quadrature error {result.rel_error:.2g}"
+    print(f"pairs per pulse: {result.pairs_per_pulse:.6g} ({error})")
     if args.out:
         _write_json(
             args.out,

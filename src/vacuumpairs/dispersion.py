@@ -134,12 +134,12 @@ def as_model(model) -> DispersionModel:
 
 def _checked_wavelength(model: DispersionModel, wavelength):
     lam = np.asarray(wavelength, dtype=float)
-    if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
+    if not (np.isfinite(lam) & (lam > 0.0)).all():
         raise NonPositiveError("wavelength must be positive and finite (um)")
     if isinstance(model.base, SellmeierModel):
         lam2 = lam * lam
         for _, l_i in model.base.terms:
-            if np.any(np.abs(lam2 - l_i) <= POLE_GUARD_UM2):
+            if (np.abs(lam2 - l_i) <= POLE_GUARD_UM2).any():
                 raise PoleProximityError(
                     f"wavelength too close to Sellmeier pole at l={l_i} um^2"
                 )
@@ -162,7 +162,7 @@ def refractive_index(model, wavelength):
         rad = np.ones_like(lam)
         for a_i, l_i in base.terms:
             rad = rad + a_i * lam2 / (lam2 - l_i)
-        if np.any(rad < 0.0):
+        if (rad < 0.0).any():
             raise NegativeRadicandError(
                 "Sellmeier bracket is negative; model invalid at this wavelength"
             )
@@ -190,7 +190,7 @@ def index_derivative(model, wavelength):
             rad = rad + a_i * lam2 / denom
             # d/dlam [lam^2/(lam^2 - l)] = -2 lam l / (lam^2 - l)^2
             drad = drad - 2.0 * a_i * lam * l_i / (denom * denom)
-        if np.any(rad < 0.0):
+        if (rad < 0.0).any():
             raise NegativeRadicandError(
                 "Sellmeier bracket is negative; model invalid at this wavelength"
             )
@@ -302,7 +302,7 @@ def sample_group_index(model, wavelength: float) -> GroupIndexSample:
 def wavelength_to_omega(wavelength_um):
     """Angular frequency in rad/s for a vacuum wavelength in um."""
     lam = np.asarray(wavelength_um, dtype=float)
-    if np.any(lam <= 0.0):
+    if (lam <= 0.0).any():
         raise NonPositiveError("wavelength must be positive")
     omega = 2.0 * np.pi * C_UM_S / lam
     return float(omega) if lam.ndim == 0 else omega
@@ -311,7 +311,7 @@ def wavelength_to_omega(wavelength_um):
 def omega_to_wavelength(omega_rad_s):
     """Vacuum wavelength in um for an angular frequency in rad/s."""
     omega = np.asarray(omega_rad_s, dtype=float)
-    if np.any(omega <= 0.0):
+    if (omega <= 0.0).any():
         raise NonPositiveError("frequency must be positive")
     lam = 2.0 * np.pi * C_UM_S / omega
     return float(lam) if omega.ndim == 0 else lam

@@ -376,34 +376,28 @@ class PairDensityGrid:
             fh.write("\n")
 
 
-def _grid_fields(config: EmissionConfig, lam1, lam2):
-    """Vectorized density over broadcast (lambda1, lambda2) arrays.
+def _density_kernel(config: EmissionConfig, lam1, lam2, fields1, fields2, kx, cos_t2):
+    """Calibrated pair density with photon 1 forward (theta1 = 0); array kernel.
 
-    Returns (values, flags).  lam1 is the forward photon (theta1 = 0); the
-    partner angle follows from the constraint at each cell.
+    fields1/fields2 are (n, n_g) of each photon, photon 2 leaves at polar
+    angle arccos(cos_t2) and kx is the summed pair momentum along the axis
+    (um^-1).  Returns (values, csch), where csch marks the tanh cells on the
+    csch^2 pole, evaluated at kx = 1; no cell is masked.
     """
     kin = config.kin
-    model = config.material
     profile = config.profile
-    n1, ng1, bad1 = _index_fields(model, lam1)
-    n2, ng2, bad2 = _index_fields(model, lam2)
-    s_total = (TWO_PI / kin.beta) * (1.0 / lam1 + 1.0 / lam2)  # (w1+w2)/v, um^-1
+    n1, ng1 = fields1
+    n2, ng2 = fields2
     k1 = TWO_PI * n1 / lam1
     k2 = TWO_PI * n2 / lam2
-    k2x = s_total - k1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_t2 = k2x / k2
-    forbidden = np.abs(cos_t2) > 1.0
-    cos_t2 = np.clip(cos_t2, -1.0, 1.0)
     sin_t2 = np.sqrt(np.clip(1.0 - cos_t2 * cos_t2, 0.0, None))
-    kx, ky = s_total, k2 * sin_t2
+    ky = k2 * sin_t2
     if isinstance(profile, GaussianProfile):
+        csch = False
         ff = gaussian_form_factor(profile, kx, ky, 0.0)
-        hole = bad1 | bad2
     else:
-        hole = bad1 | bad2 | (np.abs(kx) < KX_FLOOR)
-        kx_safe = np.where(np.abs(kx) < KX_FLOOR, 1.0, kx)
-        ff = tanh_form_factor(profile, kx_safe, ky, 0.0)
+        csch = np.abs(kx) < KX_FLOOR
+        ff = tanh_form_factor(profile, np.where(csch, 1.0, kx), ky, 0.0)
     w1 = dispersion.wavelength_to_omega(np.asarray(lam1, dtype=float))
     w2 = dispersion.wavelength_to_omega(np.asarray(lam2, dtype=float))
     v_um = kin.v_um_s
@@ -423,11 +417,56 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
         jac = 1.0 / np.hypot(g1, g2)
     weight = 0.5 * (k1 + k2) / TWO_PI
     measure = k1 * k1 * k2 * k2 * jac * weight * (config.length_um / TWO_PI) / TWO_PI**5
-    values = config.calibration * common * ff * measure
+    return config.calibration * common * ff * measure, csch
+
+
+def _grid_fields(config: EmissionConfig, lam1, lam2):
+    """Vectorized density over broadcast (lambda1, lambda2) arrays.
+
+    Returns (values, flags).  lam1 is the forward photon (theta1 = 0); the
+    partner angle follows from the constraint at each cell.
+    """
+    model = config.material
+    n1, ng1, bad1 = _index_fields(model, lam1)
+    n2, ng2, bad2 = _index_fields(model, lam2)
+    s_total = (TWO_PI / config.kin.beta) * (1.0 / lam1 + 1.0 / lam2)  # (w1+w2)/v, um^-1
+    k2x = s_total - TWO_PI * n1 / lam1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_t2 = k2x / (TWO_PI * n2 / lam2)
+    forbidden = np.abs(cos_t2) > 1.0
+    cos_t2 = np.clip(cos_t2, -1.0, 1.0)
+    values, csch = _density_kernel(
+        config, lam1, lam2, (n1, ng1), (n2, ng2), s_total, cos_t2
+    )
+    hole = bad1 | bad2 | csch
     flags = np.where(hole, FLAG_HOLE, np.where(forbidden, FLAG_FORBIDDEN, FLAG_OK))
     values = np.where(flags == FLAG_OK, values, 0.0)
     values = np.where(np.isfinite(values), values, 0.0)
     return values, flags
+
+
+def _curve_density(config: EmissionConfig, lam1, lam2):
+    """Collinear density along the constraint curve (theta1 = 0, theta2 = pi).
+
+    lam2 holds the partner of each lam1, nan where there is none.  Array
+    form of density_gaussian/density_tanh on the curve, and 0 exactly where
+    they raise: no partner, an invalid wavelength or |n_g| below NG_FLOOR,
+    a constraint residual beyond its tolerance, or the tanh csch^2 pole.
+    """
+    model = config.material
+    lam1 = np.asarray(lam1, dtype=float)
+    lam2 = np.asarray(lam2, dtype=float)
+    none = np.isnan(lam2)
+    lam2 = np.where(none, 1.0, lam2)
+    n1, ng1, bad1 = _index_fields(model, lam1)
+    n2, ng2, bad2 = _index_fields(model, lam2)
+    # the residual and kx in the arithmetic of the scalar path, at
+    # cos(theta1) = 1 and cos(theta2) = -1
+    residual = TWO_PI * (n1 / lam1 - n2 / lam2 - (1.0 / lam1 + 1.0 / lam2) / config.kin.beta)
+    violated = np.abs(residual) > kinematics.constraint_tolerance(lam1, lam2, config.kin)
+    kx = TWO_PI * n1 / lam1 - TWO_PI * n2 / lam2
+    values, csch = _density_kernel(config, lam1, lam2, (n1, ng1), (n2, ng2), kx, -1.0)
+    return np.where(none | bad1 | bad2 | violated | csch, 0.0, values)
 
 
 def collinear_grid(

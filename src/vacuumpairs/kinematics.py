@@ -23,6 +23,7 @@ from .dispersion import C_M_S, C_UM_S
 
 TOL_ANGLE = 1e-9  # rad, degenerate-cone classification
 _TOL_DIVERGENCE = 1e-9  # relative, Doppler denominator
+_XTOL, _RTOL = 1e-14, 1e-15  # um and relative, partner-wavelength tolerance
 
 
 class KinematicsError(ValueError):
@@ -173,19 +174,15 @@ def constraint_tolerance(lam1: float, lam2: float, kin: PerturbationKinematics) 
     return 1e-10 * 2.0 * math.pi * (1.0 / lam1 + 1.0 / lam2) / kin.beta
 
 
-def _residual_of_lambda2(lam2, lam1, cos_t1, cos_t2, kin, model):
-    """Vectorized constraint residual as a function of the partner wavelength.
+def _partner_term(lam2, cos_t2, inv_b, model):
+    """The lam2 part (n2 cos(theta2) - 1/beta)/lam2 of the residual over 2 pi.
 
+    The constraint residual separates into a lam1 part plus this part.
     Wavelengths where the dispersion model is invalid evaluate to nan so a
     bracketing scan can simply skip them.
     """
-    n1 = dispersion.refractive_index(model, lam1)
     n2, _, bad = dispersion.index_fields(model, lam2)
-    inv_b = 1.0 / kin.beta
-    res = 2.0 * np.pi * (
-        (n1 * cos_t1 - inv_b) / lam1 + (n2 * cos_t2 - inv_b) / lam2
-    )
-    return np.where(bad, np.nan, res) if np.ndim(res) else (math.nan if bad else float(res))
+    return np.where(bad, np.nan, (n2 * cos_t2 - inv_b) / lam2)
 
 
 def solve_partner(
@@ -211,16 +208,18 @@ def solve_partner(
     if bracket is None:
         bracket = dispersion.transparency_window(model)
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
+    inv_b = 1.0 / kin.beta
+    part1 = (dispersion.refractive_index(model, lam1) * cos_t1 - inv_b) / lam1
     grid = np.geomspace(bracket[0], bracket[1], scan_points)
-    res = _residual_of_lambda2(grid, lam1, cos_t1, cos_t2, kin, model)
+    res = 2.0 * np.pi * (part1 + _partner_term(grid, cos_t2, inv_b, model))
     sign = np.sign(res)
     roots: list[float] = []
     exact = np.nonzero(sign == 0.0)[0]
     roots.extend(float(grid[i]) for i in exact)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    f = lambda l2: _residual_of_lambda2(float(l2), lam1, cos_t1, cos_t2, kin, model)
+    f = lambda l2: float(2.0 * np.pi * (part1 + _partner_term(float(l2), cos_t2, inv_b, model)))
     for i in flips:
-        roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))
+        roots.append(brentq(f, grid[i], grid[i + 1], xtol=_XTOL, rtol=_RTOL))
     if not roots:
         raise NoSignChangeError(
             f"no partner wavelength in [{bracket[0]}, {bracket[1]}] um for "
@@ -234,6 +233,62 @@ def solve_partner(
             stacklevel=2,
         )
     return roots[0]
+
+
+def solve_partners(
+    lam1,
+    theta1: float,
+    theta2: float,
+    kin: PerturbationKinematics,
+    model,
+    bracket: tuple[float, float] | None = None,
+    scan_points: int = 400,
+) -> np.ndarray:
+    """solve_partner for an array of lam1 at once; nan where there is no partner.
+
+    Uses the same log grid over the bracket and the same smallest-root rule:
+    per lam1 the first sign change, or exact zero, along the grid.  The
+    residual is a lam1 part plus a lam2 part, so the dispersion model is
+    evaluated on the grid once for all lam1.  Each sign change is refined by
+    vectorized bisection to the tolerance solve_partner gives brentq.  A
+    lam1 where the model is invalid has no partner.  Warns once with
+    MultipleRootsWarning when any lam1 has more than one root.
+    """
+    if bracket is None:
+        bracket = dispersion.transparency_window(model)
+    shape = np.shape(lam1)
+    lam1 = np.asarray(lam1, dtype=float).ravel()
+    cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
+    inv_b = 1.0 / kin.beta
+    n1, _, bad1 = dispersion.index_fields(model, lam1)
+    part1 = np.where(bad1, np.nan, (n1 * cos_t1 - inv_b) / lam1)
+    grid = np.geomspace(bracket[0], bracket[1], scan_points)
+    sign = np.sign(part1[:, None] + _partner_term(grid, cos_t2, inv_b, model))
+    exact = sign == 0.0
+    flips = sign[:, :-1] * sign[:, 1:] < 0.0
+    n_roots = exact.sum(axis=1) + flips.sum(axis=1)
+    found = n_roots > 0
+    if np.any(n_roots > 1):
+        warnings.warn(
+            f"up to {int(n_roots.max())} partner roots found; returning the smallest",
+            MultipleRootsWarning,
+            stacklevel=2,
+        )
+    # a sign change over [grid[i], grid[i+1]] never shares its index with a
+    # zero at grid[i], so the first event in index order is the smallest root
+    events = exact.copy()
+    events[:, :-1] |= flips
+    first = np.argmax(events, axis=1)
+    rows = np.arange(len(first))
+    lo = grid[first]
+    hi = np.where(found & ~exact[rows, first], grid[np.minimum(first + 1, scan_points - 1)], lo)
+    sign_lo = sign[rows, first]
+    while np.any(hi - lo >= _XTOL + _RTOL * hi):
+        mid = 0.5 * (lo + hi)
+        up = np.sign(part1 + _partner_term(mid, cos_t2, inv_b, model)) == sign_lo
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return np.where(found, 0.5 * (lo + hi), np.nan).reshape(shape)
 
 
 def classify_cones(

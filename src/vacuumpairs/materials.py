@@ -79,9 +79,3 @@ def get_material(name: str) -> DispersionModel:
             f"unknown material {name!r}; available: {', '.join(available_materials())}"
         ) from None
     return model_from_dict(doc)
-
-
-def load_material_file(path) -> DispersionModel:
-    """Load a single-material document from a JSON file."""
-    with open(path, "r") as fh:
-        return model_from_dict(json.load(fh))

@@ -2,11 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from vacuumpairs import analysis
+from vacuumpairs import analysis, dispersion, emission, kinematics
 from vacuumpairs.analysis import (
     NoEmissionError,
     beta_sweep,
@@ -18,7 +19,12 @@ from vacuumpairs.analysis import (
     total_count,
 )
 from vacuumpairs.dispersion import ConstantIndex, DispersionModel, fast_light_resonance
-from vacuumpairs.emission import DEFAULT_CALIBRATION, EmissionConfig, GaussianProfile
+from vacuumpairs.emission import (
+    DEFAULT_CALIBRATION,
+    EmissionConfig,
+    GaussianProfile,
+    TanhProfile,
+)
 from vacuumpairs.kinematics import PerturbationKinematics
 from vacuumpairs.materials import get_material
 
@@ -52,6 +58,19 @@ class TestFindMaximum:
         with pytest.raises(NoEmissionError):
             find_maximum(silica_config(beta=0.5))
 
+    @pytest.mark.parametrize(
+        "beta, expected",
+        [
+            (10.0, (0.6322830577447339, 0.7244096164135361, 0.00291)),
+            (20.0, (0.33488593972260033, 0.35739115121963644, 0.08238145283216713)),
+        ],
+    )
+    def test_pinned_maxima(self, beta, expected):
+        peak = find_maximum(silica_config(beta=beta, sigma=1.0))
+        assert (peak.lambda1_um, peak.lambda2_um, peak.density) == pytest.approx(
+            expected, rel=1e-12
+        )
+
     def test_constant_index_peak_location(self):
         # for a dispersionless medium with large beta*n0 the spectral peak
         # sits near sqrt(2/7) * 4 pi n sigma / (beta n + 1)
@@ -65,6 +84,71 @@ class TestFindMaximum:
         peak = find_maximum(config, window=(0.2, 40.0))
         predicted = math.sqrt(2.0 / 7.0) * 4.0 * math.pi * n0 * sigma / (beta * n0 + 1.0)
         assert peak.lambda1_um == pytest.approx(predicted, rel=0.02)
+
+
+def fast_light_config(amplitude, beta=20.0):
+    base = get_material("fused_silica").base
+    return EmissionConfig(
+        material=DispersionModel(
+            base=base, resonances=(fast_light_resonance(amplitude, 0.01, 0.3349),)
+        ),
+        profile=GaussianProfile(eta=0.001, sigma=1.0),
+        kin=PerturbationKinematics(beta=beta),
+        length_m=0.05,
+    )
+
+
+SCAN_CASES = {
+    "silica_beta2": lambda: silica_config(beta=2.0),
+    "silica_beta10": lambda: silica_config(beta=10.0),
+    "silica_tanh": lambda: EmissionConfig(
+        material=get_material("fused_silica"),
+        profile=TanhProfile(eta=0.001, sigma_x=1.1, sigma_y=1.0, sigma_z=1.0),
+        kin=PerturbationKinematics(beta=20.0),
+        length_m=0.05,
+    ),
+    "silicon": lambda: EmissionConfig(
+        material=get_material("silicon"),
+        profile=GaussianProfile(eta=0.001, sigma=1.5),
+        kin=PerturbationKinematics(beta=5.0),
+        length_m=0.05,
+    ),
+    "fast_light": lambda: fast_light_config(0.06),
+    "fast_light_multiroot": lambda: fast_light_config(0.3),
+}
+
+
+class TestCollinearScan:
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    def test_matches_constraint_density(self, name):
+        # the 200-point scan of find_maximum against the scalar path it replaces
+        config = SCAN_CASES[name]()
+        clear = dispersion.transparency_window(config.material)
+        lam1 = np.geomspace(max(0.2, clear[0]), min(20.0, clear[1]), 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
+            vals = analysis._collinear_scan(config, lam1, clear)
+            for lam, val in zip(lam1, vals):
+                try:
+                    _, rho = analysis.constraint_density(config, float(lam), clear)
+                except (
+                    kinematics.KinematicsError,
+                    emission.EmissionError,
+                    dispersion.DispersionError,
+                ):
+                    assert val == 0.0
+                    continue
+                assert val == pytest.approx(rho, rel=1e-9)
+
+    def test_zero_where_no_partner(self):
+        config = silica_config(beta=2.0)
+        clear = dispersion.transparency_window(config.material)
+        lam1 = np.geomspace(0.2, clear[1], 200)
+        vals = analysis._collinear_scan(config, lam1, clear)
+        assert 0 < np.count_nonzero(vals == 0.0) < 200
+        with pytest.raises(kinematics.NoSignChangeError):
+            analysis.constraint_density(config, float(lam1[-1]), clear)
+        assert vals[-1] == 0.0
 
 
 class TestBetaSweep:
@@ -171,6 +255,17 @@ class TestTotalCount:
         assert result.length_m == 0.05
         doc = result.to_dict()
         assert set(doc) >= {"pairs_per_pulse", "cone_half_angle_rad", "length_m"}
+
+    def test_unrefined_error_not_estimated(self):
+        result = total_count(
+            silica_config(beta=20.0),
+            cone_half_angle_rad=math.radians(30.0),
+            lam_window=(0.15, 3.0),
+            base_resolution=self.RES,
+            max_refinements=0,
+        )
+        assert result.rel_error is None
+        assert result.to_dict()["rel_error"] is None
 
     def test_subluminal_raises(self):
         with pytest.raises(NoEmissionError):

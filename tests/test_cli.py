@@ -134,6 +134,20 @@ class TestTotal:
         assert doc["result"]["pairs_per_pulse"] > 0.0
         assert doc["config"]["L_m"] == 0.05
 
+    def test_unrefined_error_not_estimated(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {
+                "total_lambda_window_um": [0.15, 3.0],
+                "base_resolution": [17, 9, 65, 33],
+                "max_refinements": 0,
+            },
+        )
+        out = str(tmp_path / "total.json")
+        assert main(["total", "--config", config, "--out", out]) == EXIT_OK
+        assert "(quadrature error not estimated)" in capsys.readouterr().out
+        assert json.loads(open(out).read())["result"]["rel_error"] is None
+
     def test_subluminal_is_numerical_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacuumpairs import dispersion
-from vacuumpairs.dispersion import ConstantIndex, DispersionModel
+from vacuumpairs.dispersion import ConstantIndex, DispersionModel, fast_light_resonance
 from vacuumpairs.kinematics import (
     NoSignChangeError,
     PerturbationKinematics,
@@ -19,8 +19,10 @@ from vacuumpairs.kinematics import (
     classify_cones,
     constraint_tolerance,
     doppler_frequency,
+    MultipleRootsWarning,
     pair_constraint_residual,
     solve_partner,
+    solve_partners,
     wavenumber,
 )
 from vacuumpairs.materials import get_material
@@ -152,6 +154,59 @@ class TestSolvePartner:
             PhotonMode(lam1, theta1), PhotonMode(lam2, theta2), kin, model
         )
         assert abs(res) < constraint_tolerance(lam1, lam2, kin)
+
+
+def fast_light_silica(amplitude):
+    base = get_material("fused_silica").base
+    return DispersionModel(
+        base=base, resonances=(fast_light_resonance(amplitude, 0.01, 0.3349),)
+    )
+
+
+class TestSolvePartners:
+    MODELS = {
+        "fused_silica": lambda: get_material("fused_silica"),
+        "silicon": lambda: get_material("silicon"),
+        "constant": lambda: constant(1.5),
+        "fast_light": lambda: fast_light_silica(0.06),
+        "fast_light_multiroot": lambda: fast_light_silica(0.3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 20.0])
+    def test_matches_scalar_solve(self, name, beta):
+        model = self.MODELS[name]()
+        kin = PerturbationKinematics(beta=beta)
+        bracket = dispersion.transparency_window(model)
+        lams = np.geomspace(max(0.2, bracket[0]), min(20.0, bracket[1]), 120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootsWarning)
+            partners = solve_partners(lams, 0.0, math.pi, kin, model)
+            for lam1, lam2 in zip(lams, partners):
+                try:
+                    want = solve_partner(float(lam1), 0.0, math.pi, kin, model)
+                except NoSignChangeError:
+                    assert math.isnan(lam2)
+                    continue
+                assert lam2 == pytest.approx(want, rel=1e-12)
+
+    def test_off_axis_angles_and_shape(self):
+        kin = PerturbationKinematics(beta=10.0)
+        model = get_material("fused_silica")
+        lams = np.geomspace(0.5, 2.0, 6).reshape(2, 3)
+        partners = solve_partners(lams, 0.2, 2.9, kin, model)
+        assert partners.shape == (2, 3)
+        for lam1, lam2 in zip(lams.ravel(), partners.ravel()):
+            want = solve_partner(float(lam1), 0.2, 2.9, kin, model)
+            assert lam2 == pytest.approx(want, rel=1e-12)
+
+    def test_warns_once_on_multiple_roots(self):
+        kin = PerturbationKinematics(beta=20.0)
+        lams = np.geomspace(0.2, 8.0, 200)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_partners(lams, 0.0, math.pi, kin, fast_light_silica(0.3))
+        assert [w.category for w in caught] == [MultipleRootsWarning]
 
 
 class TestDoppler:
