@@ -185,9 +185,11 @@ def find_maximum(
     density is flat there, so root-solver rounding far below the density's
     own precision moves the location.  Swapping brentq for toms748 at the
     same tolerance moved lambda1/lambda2 by 4.9e-8 (the density by 1.5e-13).
-    The scan only selects the lobes and their brackets, which does not
-    depend on such rounding, so the result is that of a scan by
-    constraint_density.
+    The scan only selects the lobes and their brackets.  Its densities match
+    constraint_density to about 1e-9 relative (its partners come from
+    bisection, not brentq), so only a near-tie in the lobe selection could
+    pick a different lobe or bracket than a scan by constraint_density; on
+    the benchmark's fingerprinted inputs the results are identical.
     """
     clear = dispersion.transparency_window(config.material)
     if partner_bracket is None:

@@ -462,7 +462,7 @@ def _curve_density(config: EmissionConfig, lam1, lam2):
     n2, ng2, bad2 = _index_fields(model, lam2)
     # the residual and kx in the arithmetic of the scalar path, at
     # cos(theta1) = 1 and cos(theta2) = -1
-    residual = TWO_PI * (n1 / lam1 - n2 / lam2 - (1.0 / lam1 + 1.0 / lam2) / config.kin.beta)
+    residual = kinematics.constraint_residual(lam1, n1, 1.0, lam2, n2, -1.0, config.kin)
     violated = np.abs(residual) > kinematics.constraint_tolerance(lam1, lam2, config.kin)
     kx = TWO_PI * n1 / lam1 - TWO_PI * n2 / lam2
     values, csch = _density_kernel(config, lam1, lam2, (n1, ng1), (n2, ng2), kx, -1.0)

@@ -24,6 +24,7 @@ from .dispersion import C_M_S, C_UM_S
 TOL_ANGLE = 1e-9  # rad, degenerate-cone classification
 _TOL_DIVERGENCE = 1e-9  # relative, Doppler denominator
 _XTOL, _RTOL = 1e-14, 1e-15  # um and relative, partner-wavelength tolerance
+_SCAN_POINTS = 400  # log-grid points of the partner bracket scan
 
 
 class KinematicsError(ValueError):
@@ -160,12 +161,21 @@ def pair_constraint_residual(
     the two modes.
     """
     lam1, lam2 = mode1.wavelength, mode2.wavelength
-    n1 = dispersion.refractive_index(model, lam1)
-    n2 = dispersion.refractive_index(model, lam2)
+    return constraint_residual(
+        lam1, dispersion.refractive_index(model, lam1), math.cos(mode1.theta),
+        lam2, dispersion.refractive_index(model, lam2), math.cos(mode2.theta),
+        kin,
+    )
+
+
+def constraint_residual(lam1, n1, cos_t1, lam2, n2, cos_t2, kin: PerturbationKinematics):
+    """The pair-constraint residual from given indices n1, n2, in um^-1.
+
+    Takes scalars or broadcastable arrays; pair_constraint_residual and the
+    array density along the collinear curve share this arithmetic.
+    """
     return 2.0 * math.pi * (
-        n1 * math.cos(mode1.theta) / lam1
-        + n2 * math.cos(mode2.theta) / lam2
-        - (1.0 / lam1 + 1.0 / lam2) / kin.beta
+        n1 * cos_t1 / lam1 + n2 * cos_t2 / lam2 - (1.0 / lam1 + 1.0 / lam2) / kin.beta
     )
 
 
@@ -192,7 +202,6 @@ def solve_partner(
     kin: PerturbationKinematics,
     model,
     bracket: tuple[float, float] | None = None,
-    scan_points: int = 400,
 ) -> float:
     """Partner wavelength lam2 with zero constraint residual.
 
@@ -210,7 +219,7 @@ def solve_partner(
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta
     part1 = (dispersion.refractive_index(model, lam1) * cos_t1 - inv_b) / lam1
-    grid = np.geomspace(bracket[0], bracket[1], scan_points)
+    grid = np.geomspace(bracket[0], bracket[1], _SCAN_POINTS)
     res = 2.0 * np.pi * (part1 + _partner_term(grid, cos_t2, inv_b, model))
     sign = np.sign(res)
     roots: list[float] = []
@@ -242,7 +251,6 @@ def solve_partners(
     kin: PerturbationKinematics,
     model,
     bracket: tuple[float, float] | None = None,
-    scan_points: int = 400,
 ) -> np.ndarray:
     """solve_partner for an array of lam1 at once; nan where there is no partner.
 
@@ -262,7 +270,7 @@ def solve_partners(
     inv_b = 1.0 / kin.beta
     n1, _, bad1 = dispersion.index_fields(model, lam1)
     part1 = np.where(bad1, np.nan, (n1 * cos_t1 - inv_b) / lam1)
-    grid = np.geomspace(bracket[0], bracket[1], scan_points)
+    grid = np.geomspace(bracket[0], bracket[1], _SCAN_POINTS)
     sign = np.sign(part1[:, None] + _partner_term(grid, cos_t2, inv_b, model))
     exact = sign == 0.0
     flips = sign[:, :-1] * sign[:, 1:] < 0.0
@@ -281,7 +289,7 @@ def solve_partners(
     first = np.argmax(events, axis=1)
     rows = np.arange(len(first))
     lo = grid[first]
-    hi = np.where(found & ~exact[rows, first], grid[np.minimum(first + 1, scan_points - 1)], lo)
+    hi = np.where(found & ~exact[rows, first], grid[np.minimum(first + 1, _SCAN_POINTS - 1)], lo)
     sign_lo = sign[rows, first]
     while np.any(hi - lo >= _XTOL + _RTOL * hi):
         mid = 0.5 * (lo + hi)
