@@ -34,6 +34,8 @@ from .kinematics import PerturbationKinematics, PhotonMode
 
 TWO_PI = 2.0 * math.pi
 
+_COARSE_POINTS = 200  # log-grid points of the collinear scan of find_maximum
+
 # Reference emission maximum used to pin the overall normalization once:
 # fused silica, beta = 10, sigma = 1 um, L = 5 cm, collinear geometry.
 REFERENCE_MAX_DENSITY = 2.91e-3
@@ -141,34 +143,23 @@ def _point_density_on_curve(config: EmissionConfig, lam1: float, lam2: float) ->
     return emission.density_tanh(mode1, mode2, config)
 
 
-def constraint_density(
-    config: EmissionConfig,
-    lam1: float,
-    partner_bracket: tuple[float, float] | None = None,
-) -> tuple[float, float]:
+def constraint_density(config: EmissionConfig, lam1: float) -> tuple[float, float]:
     """(lambda2, density) on the collinear constraint curve at lambda1.
 
     Raises NoSignChangeError when no partner exists.
     """
-    lam2 = kinematics.solve_partner(
-        lam1, 0.0, math.pi, config.kin, config.material, bracket=partner_bracket
-    )
+    lam2 = kinematics.solve_partner(lam1, 0.0, math.pi, config.kin, config.material)
     return lam2, _point_density_on_curve(config, lam1, lam2)
 
 
-def _collinear_scan(config: EmissionConfig, lam1, partner_bracket) -> np.ndarray:
+def _collinear_scan(config: EmissionConfig, lam1) -> np.ndarray:
     """constraint_density at every lam1 in one array pass; 0 where it raises."""
-    lam2 = kinematics.solve_partners(
-        lam1, 0.0, math.pi, config.kin, config.material, bracket=partner_bracket
-    )
+    lam2 = kinematics.solve_partners(lam1, 0.0, math.pi, config.kin, config.material)
     return emission._curve_density(config, lam1, lam2)
 
 
 def find_maximum(
-    config: EmissionConfig,
-    window: tuple[float, float] = (0.2, 20.0),
-    coarse_points: int = 200,
-    partner_bracket: tuple[float, float] | None = None,
+    config: EmissionConfig, window: tuple[float, float] = (0.2, 20.0)
 ) -> EmissionMaximum:
     """Collinear emission maximum in the given lambda1 window.
 
@@ -192,13 +183,11 @@ def find_maximum(
     the benchmark's fingerprinted inputs the results are identical.
     """
     clear = dispersion.transparency_window(config.material)
-    if partner_bracket is None:
-        partner_bracket = clear
     window = (max(window[0], clear[0]), min(window[1], clear[1]))
     if not window[0] < window[1]:
         raise NoEmissionError("search window lies outside the transparency window")
-    lam1_grid = np.geomspace(window[0], window[1], coarse_points)
-    vals = _collinear_scan(config, lam1_grid, partner_bracket)
+    lam1_grid = np.geomspace(window[0], window[1], _COARSE_POINTS)
+    vals = _collinear_scan(config, lam1_grid)
     peak = float(np.max(vals))
     if peak <= 0.0:
         raise NoEmissionError(
@@ -208,7 +197,7 @@ def find_maximum(
 
     def density_at(lam1: float) -> float:
         try:
-            _, rho = constraint_density(config, lam1, partner_bracket)
+            _, rho = constraint_density(config, lam1)
         except (kinematics.KinematicsError, emission.EmissionError, dispersion.DispersionError):
             return 0.0
         return rho
@@ -216,13 +205,13 @@ def find_maximum(
     # candidate lobes: strict interior local maxima above half the scan peak
     i_max = int(np.argmax(vals))
     candidates = [i_max]
-    for i in range(1, coarse_points - 1):
+    for i in range(1, _COARSE_POINTS - 1):
         if vals[i] > vals[i - 1] and vals[i] > vals[i + 1] and vals[i] >= 0.5 * peak:
             candidates.append(i)
     best = (density_at(float(lam1_grid[i_max])), float(lam1_grid[i_max]))
     for i in sorted(set(candidates)):
         lam1_ref = float(lam1_grid[i])
-        if 0 < i < coarse_points - 1:
+        if 0 < i < _COARSE_POINTS - 1:
             a, b, c = (math.log(lam1_grid[i - 1]), math.log(lam1_grid[i]),
                        math.log(lam1_grid[i + 1]))
             try:
@@ -238,7 +227,7 @@ def find_maximum(
         if val_ref > best[0]:
             best = (val_ref, lam1_ref)
     density_max, lam1_max = best
-    lam2_max, density_max = constraint_density(config, lam1_max, partner_bracket)
+    lam2_max, density_max = constraint_density(config, lam1_max)
     return EmissionMaximum(
         lambda1_um=lam1_max,
         lambda2_um=lam2_max,
@@ -253,7 +242,6 @@ def beta_sweep(
     config: EmissionConfig,
     betas: list[float],
     window: tuple[float, float] = (0.2, 20.0),
-    coarse_points: int = 200,
 ) -> SweepResult:
     """find_maximum for every beta, with monotonicity audits."""
     rows: list[EmissionMaximum] = []
@@ -261,7 +249,7 @@ def beta_sweep(
     for beta in betas:
         cfg = dataclasses.replace(config, kin=PerturbationKinematics(beta=float(beta)))
         try:
-            rows.append(find_maximum(cfg, window=window, coarse_points=coarse_points))
+            rows.append(find_maximum(cfg, window=window))
         except NoEmissionError as exc:
             failures.append((float(beta), str(exc)))
     lam1 = [r.lambda1_um for r in rows]
@@ -289,7 +277,6 @@ def correlation_curve(
     config: EmissionConfig,
     lambda1_range: tuple[float, float],
     points: int = 100,
-    partner_bracket: tuple[float, float] | None = None,
 ) -> list[tuple[float, float | None]]:
     """(lambda1, lambda2) pairs along the collinear constraint curve.
 
@@ -298,9 +285,7 @@ def correlation_curve(
     lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], points)
     # raises where lambda1 lies outside the model's domain
     dispersion.refractive_index(config.material, lam1)
-    lam2 = kinematics.solve_partners(
-        lam1, 0.0, math.pi, config.kin, config.material, bracket=partner_bracket
-    )
+    lam2 = kinematics.solve_partners(lam1, 0.0, math.pi, config.kin, config.material)
     return [
         (float(l1), None if math.isnan(l2) else float(l2)) for l1, l2 in zip(lam1, lam2)
     ]
@@ -308,38 +293,6 @@ def correlation_curve(
 
 # ---------------------------------------------------------------------------
 # total pair count
-
-def _partner_wavenumber_grid(config, lam1, cos_t1, cos_t2, bracket, iters=80):
-    """Vectorized collinear-constraint partner wavelength over an angle grid.
-
-    Solves the residual for lambda2 by bisection in log-wavelength; entries
-    with no sign change are masked out (no allowed partner).
-    """
-    kin = config.kin
-    model = config.material
-    n1, _, bad1 = _index_fields(model, np.asarray([lam1]))
-    n1 = float(n1[0])
-
-    def residual(lam2):
-        n2, _, bad = _index_fields(model, lam2)
-        r = (n1 * cos_t1 - 1.0 / kin.beta) / lam1 + (n2 * cos_t2 - 1.0 / kin.beta) / lam2
-        return np.where(bad, np.nan, TWO_PI * r)
-
-    lo = np.full(np.broadcast_shapes(cos_t1.shape, cos_t2.shape), math.log(bracket[0]))
-    hi = np.full(lo.shape, math.log(bracket[1]))
-    r_lo = residual(np.exp(lo))
-    r_hi = residual(np.exp(hi))
-    ok = np.isfinite(r_lo) & np.isfinite(r_hi) & (np.sign(r_lo) * np.sign(r_hi) < 0)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(np.exp(mid))
-        take_hi = np.sign(r_mid) == np.sign(r_lo)
-        lo = np.where(ok & take_hi, mid, lo)
-        r_lo = np.where(ok & take_hi, r_mid, r_lo)
-        hi = np.where(ok & ~take_hi, mid, hi)
-    lam2 = np.exp(0.5 * (lo + hi))
-    return np.where(ok, lam2, np.nan), ok
-
 
 def _total_count_once(
     config: EmissionConfig,
@@ -349,13 +302,12 @@ def _total_count_once(
     n_t1: int,
     n_t2: int,
     n_phi: int,
-    partner_bracket: tuple[float, float],
 ) -> float:
     """One quadrature pass of the density over (lambda1, theta1, theta2).
 
     The integrand is the calibrated point density averaged over the relative
     azimuth of the pair, with the partner wavelength fixed by the constraint
-    at every node.
+    at every node by kinematics.solve_partners.
     """
     kin = config.kin
     profile = config.profile
@@ -388,9 +340,10 @@ def _total_count_once(
         n1, ng1 = float(n1a[0]), float(ng1a[0])
         w1 = dispersion.wavelength_to_omega(lam1)
         k1 = TWO_PI * n1 / lam1
-        lam2, ok = _partner_wavenumber_grid(
-            config, lam1, cos_t1, cos_t2, partner_bracket
+        lam2 = kinematics.solve_partners(
+            lam1, t1[:, None], t2[None, :], kin, config.material
         )
+        ok = ~np.isnan(lam2)
         lam2 = np.where(ok, lam2, 1.0)
         n2, ng2, bad2 = _index_fields(config.material, lam2)
         ok &= ~bad2
@@ -409,6 +362,9 @@ def _total_count_once(
         # mean of the angular-factor * form-factor product over the relative
         # azimuth (the integrand is even, so half the period suffices)
         angular_ff = simpson(angular * ff, x=phi, axis=2) / math.pi
+        # free the (theta1, theta2, phi) arrays before the next row's
+        # partner scan, which peaks at several (theta1, theta2, scan) arrays
+        del ky, cos_psi, angular, ff
         with np.errstate(invalid="ignore", divide="ignore"):
             g1 = 1.0 - cos_t1 / (kin.beta * ng1)
             g2 = 1.0 - cos_t2 / (kin.beta * ng2)
@@ -432,19 +388,17 @@ def total_count(
     rel_tol: float = 1e-3,
     base_resolution: tuple[int, int, int, int] = (65, 33, 257, 129),
     max_refinements: int = 1,
-    partner_bracket: tuple[float, float] | None = None,
     raise_on_nonconvergence: bool = True,
 ) -> TotalCount:
     """Pairs per pulse with the forward photon inside the collection cone.
 
     Integrates the calibrated spectral density over wavelength and the two
     emission angles, with the partner wavelength fixed by the constraint at
-    every node.  The error estimate comes from doubling every axis;
-    refinement repeats until the relative change drops below rel_tol or the
-    budget is exhausted.
+    every node: the smallest root in the transparency window of the
+    material, as in solve_partner; nodes with no partner add nothing.  The
+    error estimate comes from doubling every axis; refinement repeats until
+    the relative change drops below rel_tol or the budget is exhausted.
     """
-    if partner_bracket is None:
-        partner_bracket = dispersion.transparency_window(config.material)
     lam_scan = np.geomspace(lam_window[0], lam_window[1], 64)
     n_scan, _, bad_scan = _index_fields(config.material, lam_scan)
     if not np.any(~bad_scan & (config.kin.beta * n_scan > 1.0)):
@@ -453,15 +407,11 @@ def total_count(
             "whole wavelength window; no pairs are emitted"
         )
     res = tuple(base_resolution)
-    prev = _total_count_once(
-        config, cone_half_angle_rad, lam_window, *res, partner_bracket
-    )
+    prev = _total_count_once(config, cone_half_angle_rad, lam_window, *res)
     rel_err = None
     for _ in range(max_refinements):
         res = tuple(2 * (n - 1) + 1 for n in res)
-        cur = _total_count_once(
-            config, cone_half_angle_rad, lam_window, *res, partner_bracket
-        )
+        cur = _total_count_once(config, cone_half_angle_rad, lam_window, *res)
         scale = max(abs(cur), 1e-300)
         rel_err = abs(cur - prev) / scale
         prev = cur

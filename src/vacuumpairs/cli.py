@@ -54,11 +54,20 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _parse(from_dict, what: str, doc):
+    """from_dict(doc), with a malformed document raised as a ConfigError."""
+    try:
+        return from_dict(doc)
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"bad {what}: {detail}") from exc
+
+
 def _resolve_material(spec):
     if isinstance(spec, str):
         return materials.get_material(spec)
     if isinstance(spec, dict):
-        return materials.model_from_dict(spec)
+        return _parse(materials.model_from_dict, "material model", spec)
     raise ConfigError("'material' must be a library name or an inline model")
 
 
@@ -71,8 +80,8 @@ def _require(doc: dict, key: str):
 
 def _emission_config(doc: dict) -> EmissionConfig:
     material = _resolve_material(_require(doc, "material"))
+    profile = _parse(profile_from_dict, "profile", _require(doc, "profile"))
     try:
-        profile = profile_from_dict(_require(doc, "profile"))
         kin = PerturbationKinematics(beta=float(_require(doc, "beta")))
         return EmissionConfig(
             material=material,

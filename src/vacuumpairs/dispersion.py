@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,10 @@ C_UM_S = C_M_S * 1e6  # um/s
 POLE_GUARD_UM2 = 1e-6
 
 _SQRT3 = math.sqrt(3.0)
+
+# log-grid scan of transparency_window: bounds (um) and points
+_WINDOW_BOUNDS = (0.02, 500.0)
+_WINDOW_POINTS = 4096
 
 
 class DispersionError(ValueError):
@@ -82,10 +87,10 @@ class LorentzianResonance:
     width: float
 
     def __post_init__(self) -> None:
-        if self.center <= 0.0:
-            raise ValueError("resonance center must be positive")
-        if self.width <= 0.0:
-            raise ValueError("resonance width must be positive")
+        if not (self.center > 0.0 and math.isfinite(self.center)):
+            raise ValueError("resonance center must be positive and finite")
+        if not (self.width > 0.0 and math.isfinite(self.width)):
+            raise ValueError("resonance width must be positive and finite")
         if not math.isfinite(self.amplitude):
             raise ValueError("resonance amplitude must be finite")
 
@@ -251,17 +256,21 @@ def index_fields(model, wavelength):
     return n, ng, bad
 
 
-def transparency_window(model, bounds=(0.02, 500.0), points=4096):
+def transparency_window(model):
     """Widest contiguous wavelength interval (um) where the model is valid.
 
-    Scans ``bounds`` on a log grid and returns the endpoints of the longest
-    run (in log-wavelength) of samples that avoid Sellmeier poles and
-    negative radicands.  Root searches and maxima scans stay inside this
+    Scans _WINDOW_BOUNDS on a log grid and returns the endpoints of the
+    longest run (in log-wavelength) of samples that avoid Sellmeier poles
+    and negative radicands.  Root searches and maxima scans stay inside this
     window so they cannot wander onto the unphysical branch beyond an
-    infrared pole.
+    infrared pole.  Computed once per model.
     """
-    model = as_model(model)
-    lam = np.geomspace(bounds[0], bounds[1], points)
+    return _transparency_window(as_model(model))
+
+
+@lru_cache(maxsize=256)
+def _transparency_window(model: DispersionModel) -> tuple[float, float]:
+    lam = np.geomspace(*_WINDOW_BOUNDS, _WINDOW_POINTS)
     _, _, bad = index_fields(model, lam)
     if isinstance(model.base, SellmeierModel):
         # a weak oscillator keeps the radicand positive arbitrarily close to
@@ -275,10 +284,10 @@ def transparency_window(model, bounds=(0.02, 500.0), points=4096):
         raise DispersionError("model is invalid everywhere in the scan bounds")
     best_len, best = -1.0, None
     i = 0
-    while i < points:
+    while i < _WINDOW_POINTS:
         if good[i]:
             j = i
-            while j + 1 < points and good[j + 1]:
+            while j + 1 < _WINDOW_POINTS and good[j + 1]:
                 j += 1
             span = math.log(lam[j] / lam[i])
             if span > best_len:

@@ -75,10 +75,10 @@ class GaussianProfile:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0 (only the amplitude matters)")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not (self.eta >= 0.0 and math.isfinite(self.eta)):
+            raise ValueError("eta must be >= 0 and finite (only the amplitude matters)")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValueError("sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,11 @@ class TanhProfile:
     sigma_z: float
 
     def __post_init__(self) -> None:
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
-        if min(self.sigma_x, self.sigma_y, self.sigma_z) <= 0.0:
-            raise ValueError("all sigmas must be positive")
+        if not (self.eta >= 0.0 and math.isfinite(self.eta)):
+            raise ValueError("eta must be >= 0 and finite")
+        sigmas = (self.sigma_x, self.sigma_y, self.sigma_z)
+        if not all(s > 0.0 and math.isfinite(s) for s in sigmas):
+            raise ValueError("all sigmas must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ class EmissionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "material", as_model(self.material))
-        if self.length_m <= 0.0:
-            raise ValueError("interaction length must be positive")
+        if not (self.length_m > 0.0 and math.isfinite(self.length_m)):
+            raise ValueError("interaction length must be positive and finite")
 
     @property
     def length_um(self) -> float:

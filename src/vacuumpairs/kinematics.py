@@ -40,7 +40,7 @@ class NoRootError(KinematicsError):
 
 
 class NoSignChangeError(KinematicsError):
-    """The pair constraint has no solution in the given bracket."""
+    """The pair constraint has no solution in the transparency window."""
 
 
 class DivergenceError(KinematicsError):
@@ -195,108 +195,95 @@ def _partner_term(lam2, cos_t2, inv_b, model):
     return np.where(bad, np.nan, (n2 * cos_t2 - inv_b) / lam2)
 
 
+def _smallest_root_bracket(part1, cos_t2, inv_b, model):
+    """Bracket of the smallest partner root: the scan both solvers share.
+
+    part1 is the lam1 part of the residual over 2 pi; it broadcasts with
+    cos_t2.  The residual is scanned over the transparency window of the
+    model on a log grid of _SCAN_POINTS wavelengths, as a last axis.  The
+    first exact zero, or sign change to the next grid point, brackets the
+    smallest root.  Returns (lo, hi, up): the bracket, with lo == hi at an
+    exact zero and lo nan where there is no root, and whether the residual
+    is positive at lo.  Warns once with MultipleRootsWarning when any element has more
+    than one root.
+    """
+    grid = np.geomspace(*dispersion.transparency_window(model), _SCAN_POINTS)
+    part2 = _partner_term(grid, np.asarray(cos_t2)[..., None], inv_b, model)
+    # signs of part1 + part2 from comparisons, which are exact and keep the
+    # scan in booleans; nan compares false, so invalid points are skipped
+    neg = -np.asarray(part1)[..., None]
+    above, below = part2 > neg, part2 < neg
+    # a sign change over [grid[i], grid[i+1]] never shares its index with a
+    # zero at grid[i], so the first event in index order is the smallest root
+    events = part2 == neg
+    events[..., :-1] |= (above[..., :-1] & below[..., 1:]) | (below[..., :-1] & above[..., 1:])
+    n_roots = np.count_nonzero(events, axis=-1)
+    if np.any(n_roots > 1):
+        warnings.warn(
+            f"up to {int(np.max(n_roots))} partner roots found; returning the smallest",
+            MultipleRootsWarning,
+            stacklevel=3,
+        )
+    first = np.argmax(events, axis=-1)[..., None]
+    up = np.take_along_axis(above, first, axis=-1)[..., 0]
+    flip = up | np.take_along_axis(below, first, axis=-1)[..., 0]
+    first = first[..., 0]
+    lo = np.where(n_roots > 0, grid[first], np.nan)
+    hi = np.where(flip, grid[np.minimum(first + 1, _SCAN_POINTS - 1)], lo)
+    return lo, hi, up
+
+
 def solve_partner(
-    lam1: float,
-    theta1: float,
-    theta2: float,
-    kin: PerturbationKinematics,
-    model,
-    bracket: tuple[float, float] | None = None,
+    lam1: float, theta1: float, theta2: float, kin: PerturbationKinematics, model
 ) -> float:
     """Partner wavelength lam2 with zero constraint residual.
 
-    The default bracket is the transparency window of the model, keeping the
-    search off any unphysical branch beyond an infrared pole.
-    Scans the bracket on a log grid for sign changes, then refines each with
-    bracketed root finding.  Returns the smallest root; warns via
-    MultipleRootsWarning when the scan finds more than one (possible for
-    non-monotonic, fast-light dispersion).  Raises NoSignChangeError when no
-    partner exists in the bracket (in particular in the subluminal regime,
-    where there is no pair emission at all).
+    Searches the transparency window of the model, which keeps the search
+    off any unphysical branch beyond an infrared pole, and returns its
+    smallest root: the scan brackets it, and brentq refines the bracket.
+    Warns via MultipleRootsWarning when the window holds more than one root
+    (possible for non-monotonic, fast-light dispersion).  Raises
+    NoSignChangeError when it holds none (in particular in the subluminal
+    regime, where there is no pair emission at all).
     """
-    if bracket is None:
-        bracket = dispersion.transparency_window(model)
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta
     part1 = (dispersion.refractive_index(model, lam1) * cos_t1 - inv_b) / lam1
-    grid = np.geomspace(bracket[0], bracket[1], _SCAN_POINTS)
-    res = 2.0 * np.pi * (part1 + _partner_term(grid, cos_t2, inv_b, model))
-    sign = np.sign(res)
-    roots: list[float] = []
-    exact = np.nonzero(sign == 0.0)[0]
-    roots.extend(float(grid[i]) for i in exact)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    f = lambda l2: float(2.0 * np.pi * (part1 + _partner_term(float(l2), cos_t2, inv_b, model)))
-    for i in flips:
-        roots.append(brentq(f, grid[i], grid[i + 1], xtol=_XTOL, rtol=_RTOL))
-    if not roots:
+    lo, hi, _ = _smallest_root_bracket(part1, cos_t2, inv_b, model)
+    lo, hi = float(lo), float(hi)
+    if math.isnan(lo):
         raise NoSignChangeError(
-            f"no partner wavelength in [{bracket[0]}, {bracket[1]}] um for "
-            f"lam1={lam1} um (subluminal or out of bracket)"
+            f"no partner wavelength in the transparency window for lam1={lam1} um "
+            f"(subluminal or out of the window)"
         )
-    roots = sorted(set(roots))
-    if len(roots) > 1:
-        warnings.warn(
-            f"{len(roots)} partner roots found; returning the smallest",
-            MultipleRootsWarning,
-            stacklevel=2,
-        )
-    return roots[0]
+    if lo == hi:
+        return lo
+    f = lambda l2: float(2.0 * np.pi * (part1 + _partner_term(float(l2), cos_t2, inv_b, model)))
+    return brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
 
 
-def solve_partners(
-    lam1,
-    theta1: float,
-    theta2: float,
-    kin: PerturbationKinematics,
-    model,
-    bracket: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """solve_partner for an array of lam1 at once; nan where there is no partner.
+def solve_partners(lam1, theta1, theta2, kin: PerturbationKinematics, model) -> np.ndarray:
+    """solve_partner over broadcast lam1, theta1, theta2; nan where there is no partner.
 
-    Uses the same log grid over the bracket and the same smallest-root rule:
-    per lam1 the first sign change, or exact zero, along the grid.  The
+    The same scan and smallest-root rule, with each bracket refined by
+    vectorized bisection to the tolerance solve_partner gives brentq.  The
     residual is a lam1 part plus a lam2 part, so the dispersion model is
-    evaluated on the grid once for all lam1.  Each sign change is refined by
-    vectorized bisection to the tolerance solve_partner gives brentq.  A
-    lam1 where the model is invalid has no partner.  Warns once with
-    MultipleRootsWarning when any lam1 has more than one root.
+    evaluated on the scan grid once for all inputs.  A lam1 where the model
+    is invalid has no partner.
     """
-    if bracket is None:
-        bracket = dispersion.transparency_window(model)
-    shape = np.shape(lam1)
-    lam1 = np.asarray(lam1, dtype=float).ravel()
-    cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
+    lam1 = np.asarray(lam1, dtype=float)
+    cos_t2 = np.cos(theta2)
     inv_b = 1.0 / kin.beta
     n1, _, bad1 = dispersion.index_fields(model, lam1)
-    part1 = np.where(bad1, np.nan, (n1 * cos_t1 - inv_b) / lam1)
-    grid = np.geomspace(bracket[0], bracket[1], _SCAN_POINTS)
-    sign = np.sign(part1[:, None] + _partner_term(grid, cos_t2, inv_b, model))
-    exact = sign == 0.0
-    flips = sign[:, :-1] * sign[:, 1:] < 0.0
-    n_roots = exact.sum(axis=1) + flips.sum(axis=1)
-    found = n_roots > 0
-    if np.any(n_roots > 1):
-        warnings.warn(
-            f"up to {int(n_roots.max())} partner roots found; returning the smallest",
-            MultipleRootsWarning,
-            stacklevel=2,
-        )
-    # a sign change over [grid[i], grid[i+1]] never shares its index with a
-    # zero at grid[i], so the first event in index order is the smallest root
-    events = exact.copy()
-    events[:, :-1] |= flips
-    first = np.argmax(events, axis=1)
-    rows = np.arange(len(first))
-    lo = grid[first]
-    hi = np.where(found & ~exact[rows, first], grid[np.minimum(first + 1, _SCAN_POINTS - 1)], lo)
-    sign_lo = sign[rows, first]
+    part1 = np.where(bad1, np.nan, (n1 * np.cos(theta1) - inv_b) / lam1)
+    lo, hi, up_lo = _smallest_root_bracket(part1, cos_t2, inv_b, model)
     while np.any(hi - lo >= _XTOL + _RTOL * hi):
         mid = 0.5 * (lo + hi)
-        up = np.sign(part1 + _partner_term(mid, cos_t2, inv_b, model)) == sign_lo
+        part2 = _partner_term(mid, cos_t2, inv_b, model)
+        up = np.where(up_lo, part2 > -part1, part2 < -part1)
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
-    return np.where(found, 0.5 * (lo + hi), np.nan).reshape(shape)
+    return 0.5 * (lo + hi)
 
 
 def classify_cones(

@@ -127,10 +127,10 @@ class TestCollinearScan:
         lam1 = np.geomspace(max(0.2, clear[0]), min(20.0, clear[1]), 200)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
-            vals = analysis._collinear_scan(config, lam1, clear)
+            vals = analysis._collinear_scan(config, lam1)
             for lam, val in zip(lam1, vals):
                 try:
-                    _, rho = analysis.constraint_density(config, float(lam), clear)
+                    _, rho = analysis.constraint_density(config, float(lam))
                 except (
                     kinematics.KinematicsError,
                     emission.EmissionError,
@@ -144,10 +144,10 @@ class TestCollinearScan:
         config = silica_config(beta=2.0)
         clear = dispersion.transparency_window(config.material)
         lam1 = np.geomspace(0.2, clear[1], 200)
-        vals = analysis._collinear_scan(config, lam1, clear)
+        vals = analysis._collinear_scan(config, lam1)
         assert 0 < np.count_nonzero(vals == 0.0) < 200
         with pytest.raises(kinematics.NoSignChangeError):
-            analysis.constraint_density(config, float(lam1[-1]), clear)
+            analysis.constraint_density(config, float(lam1[-1]))
         assert vals[-1] == 0.0
 
 
@@ -255,6 +255,18 @@ class TestTotalCount:
         assert result.length_m == 0.05
         doc = result.to_dict()
         assert set(doc) >= {"pairs_per_pulse", "cone_half_angle_rad", "length_m"}
+
+    def test_pinned_total(self):
+        # the beta = 20 Gaussian total of the benchmark's criterion-07 anchor
+        result = total_count(
+            silica_config(beta=20.0),
+            cone_half_angle_rad=math.radians(30.0),
+            lam_window=(0.1, 5.0),
+            rel_tol=0.05,
+            base_resolution=self.RES,
+            max_refinements=1,
+        )
+        assert result.pairs_per_pulse == pytest.approx(0.0006867197633247159, rel=1e-12)
 
     def test_unrefined_error_not_estimated(self):
         result = total_count(

@@ -1,6 +1,7 @@
 """Command-line interface tests (in-process, via main(argv))."""
 
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from vacuumpairs.cli import (
     EXIT_UNKNOWN_MATERIAL,
     main,
 )
+from vacuumpairs.materials import get_material, model_to_dict
 
 BASE_CONFIG = {
     "material": "fused_silica",
@@ -220,3 +222,59 @@ class TestErrorHandling:
     def test_threads_flag_accepted(self, tmp_path, capsys):
         config = write_config(tmp_path, {"betas": [20.0]})
         assert main(["--threads", "4", "maxima", "--config", config]) == EXIT_OK
+
+
+def assert_config_error(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+TANH_PROFILE = {
+    "shape": "tanh", "eta": 0.001, "sigma_x_um": 1.1, "sigma_y_um": 1.0, "sigma_z_um": 1.0,
+}
+
+
+def inline_silica(**resonance):
+    return {
+        **model_to_dict(get_material("fused_silica")),
+        "resonances": [{"center": 0.34, "amplitude": 0.06, "width": 0.01, **resonance}],
+    }
+
+
+class TestNonFiniteSizes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            lambda x: {"L_m": x},
+            lambda x: {"profile": {**BASE_CONFIG["profile"], "sigma_um": x}},
+            lambda x: {"profile": {**BASE_CONFIG["profile"], "eta": x}},
+            lambda x: {"profile": {**TANH_PROFILE, "eta": x}},
+            lambda x: {"profile": {**TANH_PROFILE, "sigma_y_um": x}},
+            lambda x: {"material": inline_silica(center=x)},
+            lambda x: {"material": inline_silica(width=x)},
+        ],
+        ids=["L_m", "sigma_um", "eta", "tanh_eta", "tanh_sigma_y", "center", "width"],
+    )
+    def test_rejected(self, tmp_path, capsys, extra, bad):
+        config = write_config(tmp_path, extra(bad))
+        assert_config_error(capsys, ["maxima", "--config", config])
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"profile": {"shape": "gaussian", "sigma_um": 1.0}},
+            {"profile": "gaussian"},
+            {"material": {"sellmeier": [[0.6961663, 0.004679148]],
+                          "resonances": [{"center": 0.34, "width": 0.01}]}},
+        ],
+        ids=["profile_without_eta", "profile_as_string", "resonance_without_amplitude"],
+    )
+    def test_config_error_without_traceback(self, tmp_path, capsys, extra):
+        config = write_config(tmp_path, extra)
+        assert_config_error(capsys, ["maxima", "--config", config])

@@ -200,6 +200,27 @@ class TestSolvePartners:
             want = solve_partner(float(lam1), 0.2, 2.9, kin, model)
             assert lam2 == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["fused_silica", "fast_light"])
+    def test_matches_scalar_solve_on_total_count_grid(self, name):
+        # the (theta1, theta2) grid of total_count at base resolution (17, 9, 65, 33)
+        model = self.MODELS[name]()
+        kin = PerturbationKinematics(beta=20.0)
+        theta1 = np.linspace(0.0, math.radians(30.0), 9)[:, None]
+        theta2 = np.linspace(math.pi / 2.0, math.pi, 65)[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootsWarning)
+            for lam1 in (0.15, 0.3349, 0.6, 2.0):
+                partners = solve_partners(lam1, theta1, theta2, kin, model)
+                assert partners.shape == (9, 65)
+                for (i, j), lam2 in np.ndenumerate(partners):
+                    t1, t2 = float(theta1[i, 0]), float(theta2[0, j])
+                    try:
+                        want = solve_partner(lam1, t1, t2, kin, model)
+                    except NoSignChangeError:
+                        assert math.isnan(lam2)
+                        continue
+                    assert lam2 == pytest.approx(want, rel=1e-12)
+
     def test_warns_once_on_multiple_roots(self):
         kin = PerturbationKinematics(beta=20.0)
         lams = np.geomspace(0.2, 8.0, 200)
