@@ -59,6 +59,8 @@ class SellmeierModel:
     def __post_init__(self) -> None:
         terms = tuple((float(a), float(l)) for a, l in self.terms)
         object.__setattr__(self, "terms", terms)
+        if not all(math.isfinite(a) and math.isfinite(l) for a, l in terms):
+            raise ValueError("Sellmeier terms must be finite")
         if any(a < 0.0 for a, _ in terms):
             raise ValueError("Sellmeier oscillator strengths must be >= 0")
 
@@ -137,96 +139,14 @@ def as_model(model) -> DispersionModel:
     raise TypeError(f"not a dispersion model: {model!r}")
 
 
-def _checked_wavelength(model: DispersionModel, wavelength):
-    lam = np.asarray(wavelength, dtype=float)
-    if not (np.isfinite(lam) & (lam > 0.0)).all():
-        raise NonPositiveError("wavelength must be positive and finite (um)")
-    if isinstance(model.base, SellmeierModel):
-        lam2 = lam * lam
-        for _, l_i in model.base.terms:
-            if (np.abs(lam2 - l_i) <= POLE_GUARD_UM2).any():
-                raise PoleProximityError(
-                    f"wavelength too close to Sellmeier pole at l={l_i} um^2"
-                )
-    return lam
+def _evaluate(model: DispersionModel, lam: np.ndarray):
+    """n, dn/dlambda and a bad-sample mask over an array of wavelengths.
 
-
-def refractive_index(model, wavelength):
-    """Refractive index at vacuum wavelength(s) in um.
-
-    Accepts a scalar or an ndarray and returns the same shape.
+    The one Sellmeier/Lorentzian evaluator; never raises.  Samples where the
+    model is invalid (non-positive or non-finite wavelength, Sellmeier pole
+    within POLE_GUARD_UM2, negative radicand) are flagged in the mask; their
+    n, dn values are placeholders.
     """
-    model = as_model(model)
-    lam = _checked_wavelength(model, wavelength)
-    scalar = lam.ndim == 0
-    base = model.base
-    if isinstance(base, ConstantIndex):
-        n = np.full(lam.shape, base.n0)
-    else:
-        lam2 = lam * lam
-        rad = np.ones_like(lam)
-        for a_i, l_i in base.terms:
-            rad = rad + a_i * lam2 / (lam2 - l_i)
-        if (rad < 0.0).any():
-            raise NegativeRadicandError(
-                "Sellmeier bracket is negative; model invalid at this wavelength"
-            )
-        n = np.sqrt(rad)
-    for res in model.resonances:
-        w2 = res.width * res.width
-        n = n + res.amplitude * w2 / ((lam - res.center) ** 2 + w2)
-    return float(n) if scalar else n
-
-
-def index_derivative(model, wavelength):
-    """Analytic dn/dlambda in um^-1 (same shape as the input)."""
-    model = as_model(model)
-    lam = _checked_wavelength(model, wavelength)
-    scalar = lam.ndim == 0
-    base = model.base
-    if isinstance(base, ConstantIndex):
-        dn = np.zeros(lam.shape)
-    else:
-        lam2 = lam * lam
-        rad = np.ones_like(lam)
-        drad = np.zeros_like(lam)
-        for a_i, l_i in base.terms:
-            denom = lam2 - l_i
-            rad = rad + a_i * lam2 / denom
-            # d/dlam [lam^2/(lam^2 - l)] = -2 lam l / (lam^2 - l)^2
-            drad = drad - 2.0 * a_i * lam * l_i / (denom * denom)
-        if (rad < 0.0).any():
-            raise NegativeRadicandError(
-                "Sellmeier bracket is negative; model invalid at this wavelength"
-            )
-        dn = 0.5 * drad / np.sqrt(rad)
-    for res in model.resonances:
-        w2 = res.width * res.width
-        d = lam - res.center
-        dn = dn - 2.0 * res.amplitude * w2 * d / (d * d + w2) ** 2
-    return float(dn) if scalar else dn
-
-
-def group_index(model, wavelength):
-    """Group index n_g = n - lambda * dn/dlambda.
-
-    May be < 1 or <= 0 for fast-light models; returned as-is.
-    """
-    lam = np.asarray(wavelength, dtype=float)
-    n = refractive_index(model, wavelength)
-    ng = n - lam * index_derivative(model, wavelength)
-    return float(ng) if lam.ndim == 0 else ng
-
-
-def index_fields(model, wavelength):
-    """Array-safe n, n_g and a bad-sample mask; never raises on bad cells.
-
-    Samples where the model is invalid (non-positive wavelength, Sellmeier
-    pole within POLE_GUARD_UM2, negative radicand, |n_g| ~ 0) are flagged in
-    the returned boolean mask; their n, n_g values are placeholders.
-    """
-    model = as_model(model)
-    lam = np.asarray(wavelength, dtype=float)
     bad = ~np.isfinite(lam) | (lam <= 0.0)
     lam_safe = np.where(bad, 1.0, lam)
     base = model.base
@@ -239,9 +159,11 @@ def index_fields(model, wavelength):
         drad = np.zeros_like(lam_safe)
         for a_i, l_i in base.terms:
             denom = lam2 - l_i
-            bad |= np.abs(denom) <= POLE_GUARD_UM2
-            denom = np.where(np.abs(denom) <= POLE_GUARD_UM2, 1.0, denom)
+            pole = np.abs(denom) <= POLE_GUARD_UM2
+            bad |= pole
+            denom = np.where(pole, 1.0, denom)
             rad = rad + a_i * lam2 / denom
+            # d/dlam [lam^2/(lam^2 - l)] = -2 lam l / (lam^2 - l)^2
             drad = drad - 2.0 * a_i * lam_safe * l_i / (denom * denom)
         bad |= rad < 0.0
         rad = np.where(rad < 0.0, 1.0, rad)
@@ -252,8 +174,85 @@ def index_fields(model, wavelength):
         d = lam_safe - res.center
         n = n + res.amplitude * w2 / (d * d + w2)
         dn = dn - 2.0 * res.amplitude * w2 * d / (d * d + w2) ** 2
-    ng = n - lam_safe * dn
-    return n, ng, bad
+    return n, dn, bad
+
+
+def _bad_sample_error(model: DispersionModel, lam: np.ndarray) -> DispersionError:
+    """The error for wavelengths lam that _evaluate flagged as bad.
+
+    Checked in order: non-positive or non-finite, then a Sellmeier pole,
+    else a negative radicand.
+    """
+    if not (np.isfinite(lam) & (lam > 0.0)).all():
+        return NonPositiveError("wavelength must be positive and finite (um)")
+    if isinstance(model.base, SellmeierModel):
+        lam2 = lam * lam
+        for _, l_i in model.base.terms:
+            if (np.abs(lam2 - l_i) <= POLE_GUARD_UM2).any():
+                return PoleProximityError(
+                    f"wavelength too close to Sellmeier pole at l={l_i} um^2"
+                )
+    return NegativeRadicandError(
+        "Sellmeier bracket is negative; model invalid at this wavelength"
+    )
+
+
+def _checked(model, wavelength):
+    """(lam, n, dn/dlambda) with lam at least 1-d; raises on any bad sample.
+
+    A scalar is evaluated as a 1-element array, so scalar and array callers
+    get the same arithmetic.
+    """
+    model = as_model(model)
+    lam = np.atleast_1d(np.asarray(wavelength, dtype=float))
+    n, dn, bad = _evaluate(model, lam)
+    if bad.any():
+        raise _bad_sample_error(model, lam[bad])
+    return lam, n, dn
+
+
+def _like(wavelength, values):
+    """values as a float for a scalar wavelength, else as the array."""
+    return float(values[0]) if np.ndim(wavelength) == 0 else values
+
+
+def refractive_index(model, wavelength):
+    """Refractive index at vacuum wavelength(s) in um.
+
+    Accepts a scalar or an ndarray and returns the same shape.
+    """
+    _, n, _ = _checked(model, wavelength)
+    return _like(wavelength, n)
+
+
+def index_derivative(model, wavelength):
+    """Analytic dn/dlambda in um^-1 (same shape as the input)."""
+    _, _, dn = _checked(model, wavelength)
+    return _like(wavelength, dn)
+
+
+def group_index(model, wavelength):
+    """Group index n_g = n - lambda * dn/dlambda.
+
+    May be < 1 or <= 0 for fast-light models; returned as-is.
+    """
+    lam, n, dn = _checked(model, wavelength)
+    return _like(wavelength, n - lam * dn)
+
+
+def index_fields(model, wavelength):
+    """Array-safe n, n_g and a bad-sample mask; never raises on bad cells.
+
+    Samples where the model is invalid (non-positive wavelength, Sellmeier
+    pole within POLE_GUARD_UM2, negative radicand) are flagged in the
+    returned boolean mask; their n, n_g values are placeholders.  A group
+    index near 0 is not flagged here; emission._index_fields adds that floor.
+    """
+    lam = np.asarray(wavelength, dtype=float)
+    n, dn, bad = _evaluate(as_model(model), lam)
+    if bad.any():
+        lam = np.where(bad, 1.0, lam)
+    return n, n - lam * dn, bad
 
 
 def transparency_window(model):
@@ -301,10 +300,9 @@ def _transparency_window(model: DispersionModel) -> tuple[float, float]:
 
 def sample_group_index(model, wavelength: float) -> GroupIndexSample:
     """Evaluate n and n_g at one wavelength, with the regime tag attached."""
+    lam, n, dn = _checked(model, float(wavelength))
     return GroupIndexSample(
-        wavelength=float(wavelength),
-        n=refractive_index(model, float(wavelength)),
-        n_g=group_index(model, float(wavelength)),
+        wavelength=float(wavelength), n=float(n[0]), n_g=float((n - lam * dn)[0])
     )
 
 

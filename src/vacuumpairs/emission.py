@@ -2,10 +2,9 @@
 
 Evaluates the differential number of emitted photon pairs per unit
 wavenumber of each photon, for a Gaussian or tanh-shaped refractive-index
-perturbation moving at v = beta*c through a dispersive medium, and for the
-nondispersive closed form.  The pair constraint
-k1x + k2x = (omega1 + omega2)/v is consumed analytically; the squared
-constraint delta is regularized by delta(0) -> L/(2 pi) with L the
+perturbation moving at v = beta*c through a dispersive medium.  The pair
+constraint k1x + k2x = (omega1 + omega2)/v is consumed analytically; the
+squared constraint delta is regularized by delta(0) -> L/(2 pi) with L the
 interaction length.
 
 Normalization convention (stored in every config snapshot): wavenumbers in
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion, kinematics, materials
-from .dispersion import C_UM_S, ConstantIndex, DispersionModel, SellmeierModel, as_model
+from .dispersion import DispersionModel, as_model
 from .kinematics import PerturbationKinematics, PhotonMode
 
 TWO_PI = 2.0 * math.pi
@@ -113,6 +112,8 @@ class EmissionConfig:
         object.__setattr__(self, "material", as_model(self.material))
         if not (self.length_m > 0.0 and math.isfinite(self.length_m)):
             raise ValueError("interaction length must be positive and finite")
+        if not (self.calibration > 0.0 and math.isfinite(self.calibration)):
+            raise ValueError("calibration must be positive and finite")
 
     @property
     def length_um(self) -> float:
@@ -194,128 +195,69 @@ def tanh_form_factor(profile: TanhProfile, kx, ky, kz):
 # ---------------------------------------------------------------------------
 # scalar point densities
 
-def _mode_quantities(model, mode: PhotonMode):
-    lam = mode.wavelength
-    n = dispersion.refractive_index(model, lam)
-    ng = dispersion.group_index(model, lam)
-    if abs(ng) < NG_FLOOR:
-        raise GroupIndexSingularError(
-            f"|n_g| = {abs(ng):.2e} < {NG_FLOOR} at {lam} um"
-        )
-    omega = dispersion.wavelength_to_omega(lam)
-    k = TWO_PI * n / lam
-    st, ct = math.sin(mode.theta), math.cos(mode.theta)
-    kvec = np.array([k * ct, k * st * math.cos(mode.phi), k * st * math.sin(mode.phi)])
-    return n, ng, omega, k, kvec
+def _mode_pair_density(mode1: PhotonMode, mode2: PhotonMode, config: EmissionConfig) -> float:
+    """The scalar wrapper of _density_kernel behind density_gaussian/density_tanh.
 
-
-def _check_constraint(mode1, mode2, kin, model) -> None:
-    residual = kinematics.pair_constraint_residual(mode1, mode2, kin, model)
+    Both photons are evaluated in one index_fields call.  Raises where the
+    density is undefined, in this order: a bad wavelength (its
+    DispersionError, photon 1 first), a pair off the constraint, the tanh
+    csch^2 pole, |n_g| below NG_FLOOR.  The kernel runs on 1-element arrays,
+    so its arithmetic is that of the array paths.
+    """
+    model = config.material
+    kin = config.kin
+    lam = np.array([mode1.wavelength, mode2.wavelength])
+    n, ng, bad = dispersion.index_fields(model, lam)
+    if bad.any():
+        raise dispersion._bad_sample_error(model, lam[bad][:1])
+    cos_t1, cos_t2 = math.cos(mode1.theta), math.cos(mode2.theta)
+    residual = float(
+        kinematics.constraint_residual(lam[0], n[0], cos_t1, lam[1], n[1], cos_t2, kin)
+    )
     tol = kinematics.constraint_tolerance(mode1.wavelength, mode2.wavelength, kin)
     if abs(residual) > tol:
         raise ConstraintViolatedError(
             f"pair constraint residual {residual:.3e} um^-1 exceeds tolerance {tol:.3e}"
         )
-
-
-def _point_density(mode1, mode2, config, model, form_factor) -> float:
-    kin = config.kin
-    n1, ng1, w1, k1, kvec1 = _mode_quantities(model, mode1)
-    n2, ng2, w2, k2, kvec2 = _mode_quantities(model, mode2)
-    ksum = kvec1 + kvec2
+    k1, k2 = (float(k) for k in TWO_PI * n / lam)
+    kvec1, kvec2 = _wavevector(k1, mode1), _wavevector(k2, mode2)
+    ksum = (kvec1 + kvec2)[:, None]
+    if isinstance(config.profile, TanhProfile) and abs(ksum[0, 0]) < KX_FLOOR:
+        raise CschSingularError("k1x + k2x too close to the csch^2 pole")
+    singular = np.abs(ng) < NG_FLOOR
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise GroupIndexSingularError(
+            f"|n_g| = {abs(ng[i]):.2e} < {NG_FLOOR} at {lam[i]} um"
+        )
     cos_psi = float(np.dot(kvec1, kvec2)) / (k1 * k2)
-    angular = 1.0 + cos_psi * cos_psi
-    v_um = kin.v_um_s
-    common = (
-        config.profile.eta**2
-        * math.pi**2
-        / (v_um * v_um)
-        * w1
-        * w2
-        * (n1 + n2) ** 2
-        * angular
-        / (n1 * n1 * ng1 * ng1 * n2 * n2 * ng2 * ng2)
+    values, _ = _density_kernel(
+        config, lam[:1], lam[1:], (n[:1], ng[:1]), (n[1:], ng[1:]),
+        ksum, cos_t1, cos_t2, cos_psi,
     )
-    ff = form_factor(float(ksum[0]), float(ksum[1]), float(ksum[2]))
-    # inverse gradient norm of the residual over (k1x, k2x): symmetric in the
-    # two photons, so the density keeps its exchange symmetry
-    g1 = 1.0 - math.cos(mode1.theta) / (kin.beta * ng1)
-    g2 = 1.0 - math.cos(mode2.theta) / (kin.beta * ng2)
-    jac = 1.0 / math.hypot(g1, g2)
-    # the mean pair wavenumber weights the spectral density (um^-1)
-    weight = 0.5 * (k1 + k2) / TWO_PI
-    measure = k1 * k1 * k2 * k2 * jac * weight * (config.length_um / TWO_PI) / TWO_PI**5
-    return float(config.calibration * common * ff * measure)
+    return float(values[0])
+
+
+def _wavevector(k: float, mode: PhotonMode) -> np.ndarray:
+    """(kx, ky, kz) of a photon of wavenumber k along (theta, phi)."""
+    st = math.sin(mode.theta)
+    return np.array(
+        [k * math.cos(mode.theta), k * st * math.cos(mode.phi), k * st * math.sin(mode.phi)]
+    )
 
 
 def density_gaussian(mode1: PhotonMode, mode2: PhotonMode, config: EmissionConfig) -> float:
     """Pair density for a Gaussian perturbation in the dispersive medium."""
     if not isinstance(config.profile, GaussianProfile):
         raise EmissionError("density_gaussian requires a Gaussian profile")
-    _check_constraint(mode1, mode2, config.kin, config.material)
-    ff = lambda kx, ky, kz: gaussian_form_factor(config.profile, kx, ky, kz)
-    return _point_density(mode1, mode2, config, config.material, ff)
+    return _mode_pair_density(mode1, mode2, config)
 
 
 def density_tanh(mode1: PhotonMode, mode2: PhotonMode, config: EmissionConfig) -> float:
     """Pair density for a tanh front with Gaussian transverse profile."""
     if not isinstance(config.profile, TanhProfile):
         raise EmissionError("density_tanh requires a tanh profile")
-    _check_constraint(mode1, mode2, config.kin, config.material)
-    n1 = dispersion.refractive_index(config.material, mode1.wavelength)
-    n2 = dispersion.refractive_index(config.material, mode2.wavelength)
-    k1x = TWO_PI * n1 / mode1.wavelength * math.cos(mode1.theta)
-    k2x = TWO_PI * n2 / mode2.wavelength * math.cos(mode2.theta)
-    if abs(k1x + k2x) < KX_FLOOR:
-        raise CschSingularError("k1x + k2x too close to the csch^2 pole")
-    ff = lambda kx, ky, kz: tanh_form_factor(config.profile, kx, ky, kz)
-    return _point_density(mode1, mode2, config, config.material, ff)
-
-
-def density_nondispersive(
-    mode1: PhotonMode, mode2: PhotonMode, n0: float, config: EmissionConfig
-) -> float:
-    """Closed-form density for a constant-index medium (Gaussian profile).
-
-    Evaluates 2^2 sigma^6 pi^2 eta^2 / (v^2 n0^6) * omega1 omega2
-    * exp(-sigma^2 |k1+k2|^2) * (1 + cos^2 psi), with the corrected 2^2
-    prefactor, under the same measure convention as the dispersive density.
-    """
-    if not isinstance(config.profile, GaussianProfile):
-        raise EmissionError("the nondispersive closed form assumes a Gaussian profile")
-    model = DispersionModel(base=ConstantIndex(n0))
-    _check_constraint(mode1, mode2, config.kin, model)
-    profile = config.profile
-    kin = config.kin
-    lam1, lam2 = mode1.wavelength, mode2.wavelength
-    w1 = dispersion.wavelength_to_omega(lam1)
-    w2 = dispersion.wavelength_to_omega(lam2)
-    k1, k2 = TWO_PI * n0 / lam1, TWO_PI * n0 / lam2
-    st1, ct1 = math.sin(mode1.theta), math.cos(mode1.theta)
-    st2, ct2 = math.sin(mode2.theta), math.cos(mode2.theta)
-    kvec1 = np.array([k1 * ct1, k1 * st1 * math.cos(mode1.phi), k1 * st1 * math.sin(mode1.phi)])
-    kvec2 = np.array([k2 * ct2, k2 * st2 * math.cos(mode2.phi), k2 * st2 * math.sin(mode2.phi)])
-    ksum = kvec1 + kvec2
-    cos_psi = float(np.dot(kvec1, kvec2)) / (k1 * k2)
-    angular = 1.0 + cos_psi * cos_psi
-    v_um = kin.v_um_s
-    value = (
-        4.0
-        * profile.sigma**6
-        * math.pi**2
-        * profile.eta**2
-        / (v_um * v_um * n0**6)
-        * w1
-        * w2
-        * math.exp(-profile.sigma**2 * float(np.dot(ksum, ksum)))
-        * angular
-    )
-    g1 = 1.0 - ct1 / (kin.beta * n0)
-    g2 = 1.0 - ct2 / (kin.beta * n0)
-    jac = 1.0 / math.hypot(g1, g2)
-    weight = 0.5 * (k1 + k2) / TWO_PI
-    measure = k1 * k1 * k2 * k2 * jac * weight * (config.length_um / TWO_PI) / TWO_PI**5
-    return float(config.calibration * value * measure)
+    return _mode_pair_density(mode1, mode2, config)
 
 
 # ---------------------------------------------------------------------------
@@ -377,28 +319,30 @@ class PairDensityGrid:
             fh.write("\n")
 
 
-def _density_kernel(config: EmissionConfig, lam1, lam2, fields1, fields2, kx, cos_t2):
-    """Calibrated pair density with photon 1 forward (theta1 = 0); array kernel.
+def _density_kernel(
+    config: EmissionConfig, lam1, lam2, fields1, fields2, ksum, cos_t1, cos_t2, cos_psi
+):
+    """Calibrated pair density of any pair geometry; the point, curve and grid paths call it.
 
-    fields1/fields2 are (n, n_g) of each photon, photon 2 leaves at polar
-    angle arccos(cos_t2) and kx is the summed pair momentum along the axis
-    (um^-1).  Returns (values, csch), where csch marks the tanh cells on the
-    csch^2 pole, evaluated at kx = 1; no cell is masked.
+    fields1/fields2 are (n, n_g) of each photon, cos_t1/cos_t2 the cosines
+    of their polar angles, ksum = (kx, ky, kz) the summed pair momentum
+    (um^-1) and cos_psi the cosine of the angle between the two photons.
+    Returns (values, csch), where csch marks the tanh cells on the csch^2
+    pole, evaluated at kx = 1; no cell is masked.
     """
     kin = config.kin
     profile = config.profile
     n1, ng1 = fields1
     n2, ng2 = fields2
+    kx, ky, kz = ksum
     k1 = TWO_PI * n1 / lam1
     k2 = TWO_PI * n2 / lam2
-    sin_t2 = np.sqrt(np.clip(1.0 - cos_t2 * cos_t2, 0.0, None))
-    ky = k2 * sin_t2
     if isinstance(profile, GaussianProfile):
         csch = False
-        ff = gaussian_form_factor(profile, kx, ky, 0.0)
+        ff = gaussian_form_factor(profile, kx, ky, kz)
     else:
         csch = np.abs(kx) < KX_FLOOR
-        ff = tanh_form_factor(profile, np.where(csch, 1.0, kx), ky, 0.0)
+        ff = tanh_form_factor(profile, np.where(csch, 1.0, kx), ky, kz)
     w1 = dispersion.wavelength_to_omega(np.asarray(lam1, dtype=float))
     w2 = dispersion.wavelength_to_omega(np.asarray(lam2, dtype=float))
     v_um = kin.v_um_s
@@ -410,12 +354,15 @@ def _density_kernel(config: EmissionConfig, lam1, lam2, fields1, fields2, kx, co
             * w1
             * w2
             * (n1 + n2) ** 2
-            * (1.0 + cos_t2 * cos_t2)
+            * (1.0 + cos_psi * cos_psi)
             / (n1 * n1 * ng1 * ng1 * n2 * n2 * ng2 * ng2)
         )
-        g1 = 1.0 - 1.0 / (kin.beta * ng1)
+        # inverse gradient norm of the residual over (k1x, k2x): symmetric in
+        # the two photons, so the density keeps its exchange symmetry
+        g1 = 1.0 - cos_t1 / (kin.beta * ng1)
         g2 = 1.0 - cos_t2 / (kin.beta * ng2)
         jac = 1.0 / np.hypot(g1, g2)
+    # the mean pair wavenumber weights the spectral density (um^-1)
     weight = 0.5 * (k1 + k2) / TWO_PI
     measure = k1 * k1 * k2 * k2 * jac * weight * (config.length_um / TWO_PI) / TWO_PI**5
     return config.calibration * common * ff * measure, csch
@@ -432,12 +379,14 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     n2, ng2, bad2 = _index_fields(model, lam2)
     s_total = (TWO_PI / config.kin.beta) * (1.0 / lam1 + 1.0 / lam2)  # (w1+w2)/v, um^-1
     k2x = s_total - TWO_PI * n1 / lam1
+    k2 = TWO_PI * n2 / lam2
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos_t2 = k2x / (TWO_PI * n2 / lam2)
+        cos_t2 = k2x / k2
     forbidden = np.abs(cos_t2) > 1.0
     cos_t2 = np.clip(cos_t2, -1.0, 1.0)
+    ky = k2 * np.sqrt(np.clip(1.0 - cos_t2 * cos_t2, 0.0, None))
     values, csch = _density_kernel(
-        config, lam1, lam2, (n1, ng1), (n2, ng2), s_total, cos_t2
+        config, lam1, lam2, (n1, ng1), (n2, ng2), (s_total, ky, 0.0), 1.0, cos_t2, cos_t2
     )
     hole = bad1 | bad2 | csch
     flags = np.where(hole, FLAG_HOLE, np.where(forbidden, FLAG_FORBIDDEN, FLAG_OK))
@@ -466,7 +415,9 @@ def _curve_density(config: EmissionConfig, lam1, lam2):
     residual = kinematics.constraint_residual(lam1, n1, 1.0, lam2, n2, -1.0, config.kin)
     violated = np.abs(residual) > kinematics.constraint_tolerance(lam1, lam2, config.kin)
     kx = TWO_PI * n1 / lam1 - TWO_PI * n2 / lam2
-    values, csch = _density_kernel(config, lam1, lam2, (n1, ng1), (n2, ng2), kx, -1.0)
+    values, csch = _density_kernel(
+        config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0), 1.0, -1.0, -1.0
+    )
     return np.where(none | bad1 | bad2 | violated | csch, 0.0, values)
 
 

@@ -68,7 +68,7 @@ class TestFindMaximum:
     def test_pinned_maxima(self, beta, expected):
         peak = find_maximum(silica_config(beta=beta, sigma=1.0))
         assert (peak.lambda1_um, peak.lambda2_um, peak.density) == pytest.approx(
-            expected, rel=1e-12
+            expected, rel=1e-12, abs=0.0
         )
 
     def test_constant_index_peak_location(self):
@@ -138,7 +138,7 @@ class TestCollinearScan:
                 ):
                     assert val == 0.0
                     continue
-                assert val == pytest.approx(rho, rel=1e-9)
+                assert val == pytest.approx(rho, rel=1e-9, abs=0.0)
 
     def test_zero_where_no_partner(self):
         config = silica_config(beta=2.0)
@@ -202,12 +202,11 @@ class TestTotalCount:
             lam_window=(0.15, 3.0),
             base_resolution=self.RES,
             max_refinements=0,
-            raise_on_nonconvergence=False,
         )
         base = total_count(silica_config(beta=20.0, eta=0.001), **kwargs)
         doubled = total_count(silica_config(beta=20.0, eta=0.002), **kwargs)
         assert doubled.pairs_per_pulse == pytest.approx(
-            4.0 * base.pairs_per_pulse, rel=1e-12
+            4.0 * base.pairs_per_pulse, rel=1e-12, abs=0.0
         )
 
     def test_length_linear(self):
@@ -216,12 +215,11 @@ class TestTotalCount:
             lam_window=(0.15, 3.0),
             base_resolution=self.RES,
             max_refinements=0,
-            raise_on_nonconvergence=False,
         )
         short = total_count(silica_config(beta=20.0, length_m=0.01), **kwargs)
         long = total_count(silica_config(beta=20.0, length_m=0.05), **kwargs)
         assert long.pairs_per_pulse == pytest.approx(
-            5.0 * short.pairs_per_pulse, rel=1e-12
+            5.0 * short.pairs_per_pulse, rel=1e-12, abs=0.0
         )
 
     def test_window_tail_invariance(self):
@@ -229,7 +227,6 @@ class TestTotalCount:
             cone_half_angle_rad=math.radians(30.0),
             base_resolution=self.RES,
             max_refinements=0,
-            raise_on_nonconvergence=False,
         )
         narrow = total_count(
             silica_config(beta=20.0), lam_window=(0.15, 3.0), **kwargs
@@ -248,7 +245,6 @@ class TestTotalCount:
             lam_window=(0.15, 3.0),
             base_resolution=self.RES,
             max_refinements=0,
-            raise_on_nonconvergence=False,
         )
         assert result.pairs_per_pulse > 0.0
         assert result.cone_half_angle_rad == pytest.approx(math.radians(30.0))
@@ -266,7 +262,7 @@ class TestTotalCount:
             base_resolution=self.RES,
             max_refinements=1,
         )
-        assert result.pairs_per_pulse == pytest.approx(0.0006867197633247159, rel=1e-12)
+        assert result.pairs_per_pulse == pytest.approx(0.0006867197633247159, rel=1e-12, abs=0.0)
 
     def test_unrefined_error_not_estimated(self):
         result = total_count(
@@ -287,7 +283,6 @@ class TestTotalCount:
                 lam_window=(0.15, 3.0),
                 base_resolution=self.RES,
                 max_refinements=0,
-                raise_on_nonconvergence=False,
             )
 
 

@@ -256,8 +256,14 @@ class TestNonFiniteSizes:
             lambda x: {"profile": {**TANH_PROFILE, "sigma_y_um": x}},
             lambda x: {"material": inline_silica(center=x)},
             lambda x: {"material": inline_silica(width=x)},
+            lambda x: {"calibration": x},
+            lambda x: {"material": {"sellmeier": [[x, 0.004679148]]}},
+            lambda x: {"material": {"sellmeier": [[0.6961663, x]]}},
         ],
-        ids=["L_m", "sigma_um", "eta", "tanh_eta", "tanh_sigma_y", "center", "width"],
+        ids=[
+            "L_m", "sigma_um", "eta", "tanh_eta", "tanh_sigma_y", "center", "width",
+            "calibration", "sellmeier_a", "sellmeier_l",
+        ],
     )
     def test_rejected(self, tmp_path, capsys, extra, bad):
         config = write_config(tmp_path, extra(bad))

@@ -19,13 +19,14 @@ from vacuumpairs.emission import (
     config_from_dict,
     config_to_dict,
     density_gaussian,
-    density_nondispersive,
     density_tanh,
     gaussian_form_factor,
     tanh_form_factor,
 )
 from vacuumpairs.kinematics import PerturbationKinematics, PhotonMode, solve_partner
 from vacuumpairs.materials import get_material
+
+from oracles import density_nondispersive
 
 
 def silica_config(beta=10.0, sigma=1.0, eta=0.001, length_m=0.05):
@@ -130,7 +131,13 @@ class TestPointDensity:
     def test_group_index_singularity_guard(self, monkeypatch):
         config = silica_config()
         m1, m2 = on_curve_pair(config, 0.65)
-        monkeypatch.setattr(emission.dispersion, "group_index", lambda model, lam: 0.0)
+        real_index_fields = dispersion.index_fields
+
+        def zero_group_index(model, lam):
+            n, ng, bad = real_index_fields(model, lam)
+            return n, np.zeros_like(ng), bad
+
+        monkeypatch.setattr(emission.dispersion, "index_fields", zero_group_index)
         with pytest.raises(emission.GroupIndexSingularError):
             density_gaussian(m1, m2, config)
 
@@ -208,18 +215,18 @@ class TestScalingLaws:
         lam1 = 1.0
         lam2 = solve_partner(lam1, theta1, theta2, config.kin, config.material)
         m1, m2 = PhotonMode(lam1, theta1), PhotonMode(lam2, theta2)
-        real_group_index = dispersion.group_index
+        real_index_fields = dispersion.index_fields
         values = {}
         for scale in (1.0, 2.0, 5.0):
             def scaled(model, lam, _s=scale):
-                ng = real_group_index(model, lam)
-                return ng * _s if abs(lam - lam1) < 1e-12 else ng
+                n, ng, bad = real_index_fields(model, lam)
+                return n, np.where(np.abs(lam - lam1) < 1e-12, ng * _s, ng), bad
 
-            monkeypatch.setattr(emission.dispersion, "group_index", scaled)
+            monkeypatch.setattr(emission.dispersion, "index_fields", scaled)
             values[scale] = density_gaussian(m1, m2, config)
         for scale in (2.0, 5.0):
             assert values[scale] * scale**2 == pytest.approx(
-                values[1.0], rel=1e-9
+                values[1.0], rel=1e-9, abs=0.0
             )
 
     def test_length_linear(self):
