@@ -23,11 +23,8 @@ from .emission import (
     EmissionConfig,
     GaussianProfile,
     PairDensityGrid,
-    TanhProfile,
     collinear_grid,
     config_to_dict,
-    gaussian_form_factor,
-    tanh_form_factor,
     _index_fields,
 )
 from .kinematics import PerturbationKinematics, PhotonMode
@@ -305,29 +302,21 @@ def _total_count_once(
 ) -> float:
     """One quadrature pass of the density over (lambda1, theta1, theta2).
 
-    The integrand is the calibrated point density averaged over the relative
-    azimuth of the pair, with the partner wavelength fixed by the constraint
-    at every node by kinematics.solve_partners.
+    The integrand is emission._density_kernel, the density of the point,
+    curve and grid paths, averaged over the relative azimuth phi of the
+    pair on (theta1, theta2, phi) arrays, with kz = 0 and the partner
+    wavelength fixed by the constraint at every node by
+    kinematics.solve_partners.
 
-    Known gap: the azimuthal average takes ky = k1 sin(theta1) + k2
-    sin(theta2) cos(phi) and kz = 0, so it is not the average of the density
-    that density_gaussian gives, where kz = k2 sin(theta2) sin(phi).
-    Restoring kz moves the beta = 20 Gaussian total at (17, 9, 65, 33) from
-    6.87e-4 to 1.00e-4 and the Gaussian/tanh ratio to 1.41, outside the
-    [1.5, 3] band of the acceptance checks; the fix waits on the derivation
-    of the total-count measure.
+    Known gap: the kernel gets ky = k1 sin(theta1) + k2 sin(theta2) cos(phi)
+    and kz = 0, so this is not the average of the density that
+    density_gaussian gives, where kz = k2 sin(theta2) sin(phi).  Restoring
+    kz moves the beta = 20 Gaussian total at (17, 9, 65, 33) from 6.87e-4 to
+    1.00e-4 and the Gaussian/tanh ratio to 1.41, outside the [1.5, 3] band
+    of the acceptance checks; the fix waits on the derivation of the
+    total-count measure.
     """
     kin = config.kin
-    profile = config.profile
-    v_um = kin.v_um_s
-    pref = (
-        config.calibration
-        * profile.eta**2
-        * math.pi**2
-        / (v_um * v_um)
-        * (config.length_um / TWO_PI)
-        / TWO_PI**5
-    )
     lam1_grid = np.geomspace(lam_window[0], lam_window[1], n_lam)
     t1 = np.linspace(0.0, half_angle, n_t1)
     # the backward photon of an allowed pair always lies in the backward
@@ -335,10 +324,9 @@ def _total_count_once(
     t2 = np.linspace(math.pi / 2.0, math.pi, n_t2)
     phi = np.linspace(0.0, math.pi, n_phi)  # the integrand is even in phi
     cos_phi = np.cos(phi)
-    cos_t1 = np.cos(t1)[:, None]
-    sin_t1 = np.sin(t1)[:, None]
-    cos_t2 = np.cos(t2)[None, :]
-    sin_t2 = np.sin(t2)[None, :]
+    theta1, theta2 = t1[:, None, None], t2[None, :, None]
+    cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
+    cos_t2, sin_t2 = np.cos(theta2), np.sin(theta2)
     row_vals = np.zeros(n_lam)
     for i, lam1 in enumerate(lam1_grid):
         lam1 = float(lam1)
@@ -346,47 +334,30 @@ def _total_count_once(
         if bool(bad1[0]):
             continue
         n1, ng1 = float(n1a[0]), float(ng1a[0])
-        w1 = dispersion.wavelength_to_omega(lam1)
-        k1 = TWO_PI * n1 / lam1
-        lam2 = kinematics.solve_partners(
-            lam1, t1[:, None], t2[None, :], kin, config.material
-        )
-        ok = ~np.isnan(lam2)
-        lam2 = np.where(ok, lam2, 1.0)
+        lam2 = kinematics.solve_partners(lam1, theta1, theta2, kin, config.material)
+        none = np.isnan(lam2)
+        lam2 = np.where(none, 1.0, lam2)
         n2, ng2, bad2 = _index_fields(config.material, lam2)
-        ok &= ~bad2
-        w2 = dispersion.wavelength_to_omega(lam2)
+        k1 = TWO_PI * n1 / lam1
         k2 = TWO_PI * n2 / lam2
         kx = (TWO_PI / kin.beta) * (1.0 / lam1 + 1.0 / lam2)  # on-shell sum
-        ky = k1 * sin_t1[:, :, None] + (k2 * sin_t2)[:, :, None] * cos_phi
-        cos_psi = (cos_t1 * cos_t2)[:, :, None] + (sin_t1 * sin_t2)[:, :, None] * cos_phi
-        angular = 1.0 + cos_psi * cos_psi
-        if isinstance(profile, GaussianProfile):
-            ff = gaussian_form_factor(profile, kx[:, :, None], ky, 0.0)
-        else:
-            kx_safe = np.where(np.abs(kx) < emission.KX_FLOOR, 1.0, kx)
-            ff = tanh_form_factor(profile, kx_safe[:, :, None], ky, 0.0)
-            ff = np.where((np.abs(kx) < emission.KX_FLOOR)[:, :, None], 0.0, ff)
-        # mean of the angular-factor * form-factor product over the relative
-        # azimuth (the integrand is even, so half the period suffices)
-        angular_ff = simpson(angular * ff, x=phi, axis=2) / math.pi
+        ky = k1 * sin_t1 + k2 * sin_t2 * cos_phi
+        cos_psi = cos_t1 * cos_t2 + sin_t1 * sin_t2 * cos_phi
+        values, csch = emission._density_kernel(
+            config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, ky, 0.0),
+            cos_t1, cos_t2, cos_psi,
+        )
+        # mean over the relative azimuth (the integrand is even, so half the
+        # period suffices); the mask does not depend on phi, so it is applied
+        # to the mean
+        mean = simpson(values, x=phi, axis=2) / math.pi
+        density = np.where((none | bad2 | csch)[:, :, 0], 0.0, mean)
         # free the (theta1, theta2, phi) arrays before the next row's
         # partner scan, which peaks at several (theta1, theta2, scan) arrays
-        del ky, cos_psi, angular, ff
-        with np.errstate(invalid="ignore", divide="ignore"):
-            g1 = 1.0 - cos_t1 / (kin.beta * ng1)
-            g2 = 1.0 - cos_t2 / (kin.beta * ng2)
-            jac = 1.0 / np.hypot(g1, g2)
-        weight = 0.5 * (k1 + k2) / TWO_PI
-        density = (
-            w1 * w2 * (n1 + n2) ** 2 * angular_ff
-            / (n1 * n1 * ng1 * ng1 * n2 * n2 * ng2 * ng2)
-            * k1 * k1 * k2 * k2 * jac * weight
-        )
-        density = np.where(ok, density, 0.0)
+        del ky, cos_psi, values
         over_t2 = simpson(density, x=t2, axis=1)
         row_vals[i] = float(simpson(over_t2, x=t1, axis=0))
-    return pref * float(simpson(row_vals, x=lam1_grid))
+    return float(simpson(row_vals, x=lam1_grid))
 
 
 def total_count(
@@ -406,7 +377,15 @@ def total_count(
     error estimate comes from doubling every axis; refinement repeats until
     the relative change drops below rel_tol or the budget is exhausted, and
     QuadratureNotConvergedError is raised if it is exhausted above rel_tol.
+    Raises ValueError unless 0 < cone_half_angle_rad <= pi and rel_tol is
+    positive and finite.
     """
+    if not 0.0 < cone_half_angle_rad <= math.pi:  # also rejects nan
+        raise ValueError(
+            f"cone half angle must lie in (0, pi] rad, got {cone_half_angle_rad!r}"
+        )
+    if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     lam_scan = np.geomspace(lam_window[0], lam_window[1], 64)
     n_scan, _, bad_scan = _index_fields(config.material, lam_scan)
     if not np.any(~bad_scan & (config.kin.beta * n_scan > 1.0)):

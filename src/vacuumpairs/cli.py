@@ -267,17 +267,17 @@ def _window_pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one 'error:' line and EXIT_CONFIG, like a bad config."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vacuumpairs",
         description="Photon-pair emission from a superluminal index perturbation.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count accepted for interface stability; evaluation is "
-        "vectorized and currently single-process",
     )
     parser.add_argument("--verbose", action="store_true", help="progress on stderr")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -106,7 +106,6 @@ class EmissionConfig:
     kin: PerturbationKinematics
     length_m: float
     calibration: float = DEFAULT_CALIBRATION
-    convention: str = CONVENTION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "material", as_model(self.material))
@@ -153,18 +152,20 @@ def config_to_dict(config: EmissionConfig) -> dict:
         "beta": config.kin.beta,
         "L_m": config.length_m,
         "calibration": config.calibration,
-        "convention": config.convention,
+        "convention": CONVENTION,
     }
 
 
 def config_from_dict(doc: dict) -> EmissionConfig:
+    """Inverse of config_to_dict; a snapshot of another convention is a ValueError."""
+    if doc.get("convention", CONVENTION) != CONVENTION:
+        raise ValueError(f"unsupported normalization convention: {doc['convention']!r}")
     return EmissionConfig(
         material=materials.model_from_dict(doc["material"]),
         profile=profile_from_dict(doc["profile"]),
         kin=PerturbationKinematics(beta=float(doc["beta"])),
         length_m=float(doc["L_m"]),
         calibration=float(doc.get("calibration", DEFAULT_CALIBRATION)),
-        convention=str(doc.get("convention", CONVENTION)),
     )
 
 

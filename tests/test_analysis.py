@@ -252,17 +252,56 @@ class TestTotalCount:
         doc = result.to_dict()
         assert set(doc) >= {"pairs_per_pulse", "cone_half_angle_rad", "length_m"}
 
-    def test_pinned_total(self):
-        # the beta = 20 Gaussian total of the benchmark's criterion-07 anchor
+    @pytest.mark.parametrize(
+        "make_config, expected",
+        [
+            # the beta = 20 Gaussian total of the benchmark's criterion-07 anchor
+            (lambda: silica_config(beta=20.0), 0.0006867197633247159),
+            # the tanh profile of criterion 07
+            (SCAN_CASES["silica_tanh"], 0.0004139832296206027),
+            (SCAN_CASES["fast_light"], 0.0007481774022062869),
+        ],
+        ids=["gaussian", "tanh", "fast_light"],
+    )
+    def test_pinned_total(self, make_config, expected):
         result = total_count(
-            silica_config(beta=20.0),
+            make_config(),
             cone_half_angle_rad=math.radians(30.0),
             lam_window=(0.1, 5.0),
             rel_tol=0.05,
             base_resolution=self.RES,
             max_refinements=1,
         )
-        assert result.pairs_per_pulse == pytest.approx(0.0006867197633247159, rel=1e-12, abs=0.0)
+        assert result.pairs_per_pulse == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "cone_deg, rel_tol",
+        [
+            (math.nan, 1e-3),
+            (-30.0, 1e-3),
+            (0.0, 1e-3),
+            (200.0, 1e-3),
+            (math.inf, 1e-3),
+            (30.0, math.nan),
+            (30.0, 0.0),
+            (30.0, -1.0),
+            (30.0, math.inf),
+        ],
+        ids=[
+            "nan_cone", "negative_cone", "zero_cone", "cone_past_pi", "inf_cone",
+            "nan_rel_tol", "zero_rel_tol", "negative_rel_tol", "inf_rel_tol",
+        ],
+    )
+    def test_rejects_bad_cone_or_tolerance(self, cone_deg, rel_tol):
+        with pytest.raises(ValueError, match="cone half angle|rel_tol"):
+            total_count(
+                silica_config(beta=20.0),
+                cone_half_angle_rad=math.radians(cone_deg),
+                lam_window=(0.15, 3.0),
+                rel_tol=rel_tol,
+                base_resolution=self.RES,
+                max_refinements=0,
+            )
 
     def test_unrefined_error_not_estimated(self):
         result = total_count(

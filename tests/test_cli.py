@@ -163,6 +163,23 @@ class TestTotal:
         )
         assert main(["total", "--config", config]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"cone_half_angle_deg": math.nan},
+            {"cone_half_angle_deg": -30.0},
+            {"cone_half_angle_deg": 200.0},
+            {"rel_tol": math.nan},
+        ],
+        ids=["nan_cone", "negative_cone", "cone_past_pi", "nan_rel_tol"],
+    )
+    def test_bad_cone_or_tolerance_is_config_error(self, tmp_path, capsys, extra):
+        config = write_config(
+            tmp_path,
+            {"total_lambda_window_um": [0.15, 3.0], "base_resolution": [9, 5, 17, 9], **extra},
+        )
+        assert_config_error(capsys, ["total", "--config", config])
+
 
 class TestFastlight:
     def test_study_with_explicit_anchor(self, tmp_path, capsys):
@@ -219,9 +236,28 @@ class TestErrorHandling:
         config = write_config(tmp_path, {"material": "unobtainium"})
         assert main(["maxima", "--config", config]) == EXIT_UNKNOWN_MATERIAL
 
-    def test_threads_flag_accepted(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"betas": [20.0]})
-        assert main(["--threads", "4", "maxima", "--config", config]) == EXIT_OK
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maxima"],
+            ["material", "fused_silica", "--samples", "abc"],
+            # the flag is gone; the config file is never read
+            ["--threads", "4", "maxima", "--config", "run.json"],
+        ],
+        ids=["maxima_without_config", "non_integer_samples", "threads_flag"],
+    )
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        assert "usage: vacuumpairs" in capsys.readouterr().out
 
 
 def assert_config_error(capsys, argv):

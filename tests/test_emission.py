@@ -323,6 +323,16 @@ class TestSerialization:
         again = config_from_dict(json.loads(json.dumps(doc)))
         assert again == config
 
+    def test_config_convention_mismatch_rejected(self):
+        doc = config_to_dict(silica_config())
+        with pytest.raises(ValueError, match="convention"):
+            config_from_dict({**doc, "convention": "per-domega"})
+
+    def test_config_without_convention_accepted(self):
+        doc = config_to_dict(silica_config())
+        del doc["convention"]
+        assert config_from_dict(doc) == silica_config()
+
     def test_tanh_profile_roundtrip(self):
         profile = TanhProfile(eta=0.001, sigma_x=1.1, sigma_y=0.9, sigma_z=1.3)
         assert emission.profile_from_dict(emission.profile_to_dict(profile)) == profile
