@@ -16,7 +16,6 @@ from .dispersion import (
     index_derivative,
     refractive_index,
     sample_group_index,
-    omega_to_wavelength,
     wavelength_to_omega,
 )
 from .materials import (
@@ -36,7 +35,6 @@ from .kinematics import (
     SubluminalError,
     cerenkov_angle,
     classify_cones,
-    doppler_frequency,
     pair_constraint_residual,
     solve_partner,
     wavenumber,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,7 +341,7 @@ def _total_count_once(
         n2, ng2, bad2 = _index_fields(config.material, lam2)
         k1 = TWO_PI * n1 / lam1
         k2 = TWO_PI * n2 / lam2
-        kx = (TWO_PI / kin.beta) * (1.0 / lam1 + 1.0 / lam2)  # on-shell sum
+        kx = kinematics._on_shell_sum(lam1, lam2, kin)
         ky = k1 * sin_t1 + k2 * sin_t2 * cos_phi
         cos_psi = cos_t1 * cos_t2 + sin_t1 * sin_t2 * cos_phi
         values, csch = emission._density_kernel(
@@ -377,8 +378,9 @@ def total_count(
     error estimate comes from doubling every axis; refinement repeats until
     the relative change drops below rel_tol or the budget is exhausted, and
     QuadratureNotConvergedError is raised if it is exhausted above rel_tol.
-    Raises ValueError unless 0 < cone_half_angle_rad <= pi and rel_tol is
-    positive and finite.
+    Raises ValueError unless 0 < cone_half_angle_rad <= pi, rel_tol is
+    positive and finite, base_resolution holds four integers of at least 3
+    (the smallest Simpson rule) and max_refinements is an integer >= 0.
     """
     if not 0.0 < cone_half_angle_rad <= math.pi:  # also rejects nan
         raise ValueError(
@@ -386,6 +388,16 @@ def total_count(
         )
     if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    if not (
+        isinstance(base_resolution, (tuple, list))
+        and len(base_resolution) == 4
+        and all(isinstance(n, numbers.Integral) and n >= 3 for n in base_resolution)
+    ):
+        raise ValueError(
+            f"base_resolution must be four integers, each >= 3, got {base_resolution!r}"
+        )
+    if not (isinstance(max_refinements, numbers.Integral) and max_refinements >= 0):
+        raise ValueError(f"max_refinements must be an integer >= 0, got {max_refinements!r}")
     lam_scan = np.geomspace(lam_window[0], lam_window[1], 64)
     n_scan, _, bad_scan = _index_fields(config.material, lam_scan)
     if not np.any(~bad_scan & (config.kin.beta * n_scan > 1.0)):
@@ -432,8 +444,8 @@ FAST_LIGHT_AMPLITUDE = 0.06
 FAST_LIGHT_WIDTH_UM = 0.01
 
 
-def count_peaks(values: np.ndarray, threshold_fraction: float = 0.5) -> int:
-    """Distinct maxima above a fraction of the global maximum.
+def count_peaks(values: np.ndarray) -> int:
+    """Distinct maxima above half the global maximum.
 
     A 3x3 box smoothing is applied first so single-cell grid noise does not
     create spurious peaks; distinct maxima are then the connected components
@@ -444,7 +456,7 @@ def count_peaks(values: np.ndarray, threshold_fraction: float = 0.5) -> int:
     vmax = float(smooth.max())
     if vmax <= 0.0:
         return 0
-    mask = smooth >= threshold_fraction * vmax
+    mask = smooth >= 0.5 * vmax
     _, count = label(mask, structure=np.ones((3, 3), dtype=int))
     return int(count)
 

@@ -78,21 +78,37 @@ def _require(doc: dict, key: str):
         raise ConfigError(f"config is missing required key {key!r}") from None
 
 
+def _number(doc: dict, key: str, default=None, integer: bool = False):
+    """doc[key] as a float, or an int if integer; required when default is None.
+
+    Raises ConfigError for a value that is not a number, or not integral.
+    """
+    raw = _require(doc, key) if default is None else doc.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or (integer and not value.is_integer()):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{key!r} must be {kind}, got {raw!r}")
+    return int(value) if integer else value
+
+
 def _emission_config(doc: dict) -> EmissionConfig:
     material = _resolve_material(_require(doc, "material"))
     profile = _parse(profile_from_dict, "profile", _require(doc, "profile"))
+    beta = _number(doc, "beta")
+    length_m = _number(doc, "L_m")
+    calibration = _number(doc, "calibration", emission.DEFAULT_CALIBRATION)
     try:
-        kin = PerturbationKinematics(beta=float(_require(doc, "beta")))
         return EmissionConfig(
             material=material,
             profile=profile,
-            kin=kin,
-            length_m=float(_require(doc, "L_m")),
-            calibration=float(doc.get("calibration", emission.DEFAULT_CALIBRATION)),
+            kin=PerturbationKinematics(beta=beta),
+            length_m=length_m,
+            calibration=calibration,
         )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(f"bad emission configuration: {exc}") from exc
 
 
@@ -146,7 +162,7 @@ def cmd_spectrum(args) -> int:
     window2 = _window(doc, "lambda2_window_um", None)
     if window1 is None or window2 is None:
         raise ConfigError("spectrum needs 'lambda1_window_um' and 'lambda2_window_um'")
-    resolution = int(doc.get("resolution", 121))
+    resolution = _number(doc, "resolution", 121, integer=True)
     grid = emission.collinear_grid(config, window1, window2, resolution)
     _emit(args, f"grid {resolution}x{resolution}, max density {grid.max_value():.6g}")
     if args.out.endswith(".csv"):
@@ -192,15 +208,19 @@ def cmd_maxima(args) -> int:
 def cmd_total(args) -> int:
     doc = _load_config(args.config)
     config = _emission_config(doc)
-    half_angle = math.radians(float(doc.get("cone_half_angle_deg", 30.0)))
+    cone_deg = _number(doc, "cone_half_angle_deg", 30.0)
+    if not 0.0 < cone_deg <= 180.0:  # also rejects nan
+        raise ConfigError(f"'cone_half_angle_deg' must lie in (0, 180], got {cone_deg!r}")
     window = _window(doc, "total_lambda_window_um", (0.1, 5.0))
-    rel_tol = float(doc.get("rel_tol", 1e-3))
+    rel_tol = _number(doc, "rel_tol", 1e-3)
     kwargs = {}
     if "base_resolution" in doc:
-        kwargs["base_resolution"] = tuple(int(n) for n in doc["base_resolution"])
+        kwargs["base_resolution"] = doc["base_resolution"]
     if "max_refinements" in doc:
-        kwargs["max_refinements"] = int(doc["max_refinements"])
-    result = analysis.total_count(config, half_angle, window, rel_tol=rel_tol, **kwargs)
+        kwargs["max_refinements"] = _number(doc, "max_refinements", integer=True)
+    result = analysis.total_count(
+        config, math.radians(cone_deg), window, rel_tol=rel_tol, **kwargs
+    )
     if result.rel_error is None:
         error = "quadrature error not estimated"
     else:
@@ -219,15 +239,17 @@ def cmd_fastlight(args) -> int:
     doc = _load_config(args.config)
     config = _emission_config(doc)
     raw = doc.get("resonance", {})
-    amplitude = float(raw.get("amplitude", analysis.FAST_LIGHT_AMPLITUDE))
-    width = float(raw.get("width_um", analysis.FAST_LIGHT_WIDTH_UM))
+    if not isinstance(raw, dict):
+        raise ConfigError("'resonance' must be an object")
+    amplitude = _number(raw, "amplitude", analysis.FAST_LIGHT_AMPLITUDE)
+    width = _number(raw, "width_um", analysis.FAST_LIGHT_WIDTH_UM)
     if "center_um" in raw:
         resonance = LorentzianResonance(
-            center=float(raw["center_um"]), amplitude=amplitude, width=width
+            center=_number(raw, "center_um"), amplitude=amplitude, width=width
         )
     else:
         if "max_slope_at_um" in raw:
-            at = float(raw["max_slope_at_um"])
+            at = _number(raw, "max_slope_at_um")
         else:
             at = analysis.find_maximum(config).lambda1_um
         resonance = dispersion.fast_light_resonance(
@@ -237,7 +259,7 @@ def cmd_fastlight(args) -> int:
         config,
         resonance,
         window=_window(doc, "fastlight_window_um", None),
-        resolution=int(doc.get("resolution", 161)),
+        resolution=_number(doc, "resolution", 161, integer=True),
     )
     print(
         f"enhancement: {study.enhancement:.6g}, "

@@ -315,15 +315,6 @@ def wavelength_to_omega(wavelength_um):
     return float(omega) if lam.ndim == 0 else omega
 
 
-def omega_to_wavelength(omega_rad_s):
-    """Vacuum wavelength in um for an angular frequency in rad/s."""
-    omega = np.asarray(omega_rad_s, dtype=float)
-    if (omega <= 0.0).any():
-        raise NonPositiveError("frequency must be positive")
-    lam = 2.0 * np.pi * C_UM_S / omega
-    return float(lam) if omega.ndim == 0 else lam
-
-
 def fast_light_resonance(
     amplitude: float, width: float, max_slope_at: float
 ) -> LorentzianResonance:

@@ -378,7 +378,7 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     model = config.material
     n1, ng1, bad1 = _index_fields(model, lam1)
     n2, ng2, bad2 = _index_fields(model, lam2)
-    s_total = (TWO_PI / config.kin.beta) * (1.0 / lam1 + 1.0 / lam2)  # (w1+w2)/v, um^-1
+    s_total = kinematics._on_shell_sum(lam1, lam2, config.kin)
     k2x = s_total - TWO_PI * n1 / lam1
     k2 = TWO_PI * n2 / lam2
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -426,18 +426,17 @@ def collinear_grid(
     config: EmissionConfig,
     lambda1_range: tuple[float, float],
     lambda2_range: tuple[float, float],
-    resolution: int | tuple[int, int] = 121,
+    resolution: int = 121,
 ) -> PairDensityGrid:
-    """Pair density sampled on a log-spaced (lambda1, lambda2) grid.
+    """Pair density on a log-spaced (lambda1, lambda2) grid, resolution points per axis.
 
     Deterministic: cells are evaluated in one vectorized pass and reductions
     are taken in fixed index order.
     """
     if min(lambda1_range) <= 0.0 or min(lambda2_range) <= 0.0:
         raise ValueError("wavelength ranges must be positive")
-    n1, n2 = (resolution, resolution) if np.isscalar(resolution) else resolution
-    lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], n1)
-    lam2 = np.geomspace(lambda2_range[0], lambda2_range[1], n2)
+    lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], resolution)
+    lam2 = np.geomspace(lambda2_range[0], lambda2_range[1], resolution)
     values, flags = _grid_fields(config, lam1[:, None], lam2[None, :])
     return PairDensityGrid(
         lambda1_um=lam1,

@@ -1,8 +1,7 @@
 """Emission geometry of photon pairs from a moving index perturbation.
 
-Cerenkov cone angles, normal/anomalous Doppler classification, the
-delta-function constraint linking the two photons of a pair, and its
-numerical solution for the partner wavelength.
+Cerenkov cone angles, the delta-function constraint linking the two
+photons of a pair, and its numerical solution for the partner wavelength.
 
 Both polar angles are measured from the propagation axis (+x) and lie in
 [0, pi]; the backward photon of a collinear pair has theta = pi.
@@ -22,7 +21,6 @@ from . import dispersion
 from .dispersion import C_M_S, C_UM_S
 
 TOL_ANGLE = 1e-9  # rad, degenerate-cone classification
-_TOL_DIVERGENCE = 1e-9  # relative, Doppler denominator
 _XTOL, _RTOL = 1e-14, 1e-15  # um and relative, partner-wavelength tolerance
 _SCAN_POINTS = 400  # log-grid points of the partner bracket scan
 
@@ -35,16 +33,8 @@ class SubluminalError(KinematicsError):
     """beta * n < 1: no Cerenkov cone, no pair emission at this frequency."""
 
 
-class NoRootError(KinematicsError):
-    """The implicit Doppler equation has no root in the given bracket."""
-
-
 class NoSignChangeError(KinematicsError):
     """The pair constraint has no solution in the transparency window."""
-
-
-class DivergenceError(KinematicsError):
-    """1 - beta n cos(theta) vanished: on the Cerenkov cone itself."""
 
 
 class MultipleRootsWarning(UserWarning):
@@ -109,49 +99,6 @@ def cerenkov_angle(wavelength: float, kin: PerturbationKinematics, model) -> flo
     return math.acos(1.0 / bn)
 
 
-def doppler_frequency(
-    omega_comoving: float,
-    theta: float,
-    kin: PerturbationKinematics,
-    model,
-    omega_lab_bracket: tuple[float, float],
-) -> tuple[float, str]:
-    """Lab frequency solving omega |1 - beta n(omega) cos(theta)| = omega'/gamma.
-
-    For beta >= 1 the Lorentz factor does not exist; gamma is then set to 1
-    and the result is meaningful only as a regime classifier.
-    Returns (omega_lab, regime) with regime "normal" or "anomalous".
-    """
-    if omega_comoving <= 0.0:
-        raise dispersion.NonPositiveError("comoving frequency must be positive")
-    beta = kin.beta
-    gamma = 1.0 / math.sqrt(1.0 - beta * beta) if beta < 1.0 else 1.0
-    target = omega_comoving / gamma
-    cos_t = math.cos(theta)
-
-    def f(omega: float) -> float:
-        lam = dispersion.omega_to_wavelength(omega)
-        n = dispersion.refractive_index(model, lam)
-        return omega * abs(1.0 - beta * n * cos_t) - target
-
-    a, b = omega_lab_bracket
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        omega_lab = a
-    elif fb == 0.0:
-        omega_lab = b
-    elif fa * fb > 0.0:
-        raise NoRootError("no Doppler solution in the given frequency bracket")
-    else:
-        omega_lab = brentq(f, a, b, xtol=1e-6, rtol=1e-14)
-    n = dispersion.refractive_index(model, dispersion.omega_to_wavelength(omega_lab))
-    denom = 1.0 - beta * n * cos_t
-    if abs(denom) < _TOL_DIVERGENCE:
-        raise DivergenceError("on the Cerenkov cone: Doppler factor diverges")
-    regime = "anomalous" if beta * n * cos_t > 1.0 else "normal"
-    return omega_lab, regime
-
-
 def pair_constraint_residual(
     mode1: PhotonMode, mode2: PhotonMode, kin: PerturbationKinematics, model
 ) -> float:
@@ -174,25 +121,38 @@ def constraint_residual(lam1, n1, cos_t1, lam2, n2, cos_t2, kin: PerturbationKin
     Takes scalars or broadcastable arrays; pair_constraint_residual and the
     array density along the collinear curve share this arithmetic.
     """
+    inv_b = 1.0 / kin.beta
     return 2.0 * math.pi * (
-        n1 * cos_t1 / lam1 + n2 * cos_t2 / lam2 - (1.0 / lam1 + 1.0 / lam2) / kin.beta
+        _photon_term(lam1, n1, cos_t1, inv_b) + _photon_term(lam2, n2, cos_t2, inv_b)
     )
+
+
+def _photon_term(lam, n, cos_t, inv_b):
+    """One photon's part (n cos(theta) - 1/beta)/lam of the residual over 2 pi.
+
+    The constraint residual is the sum of the two photons' parts, so the
+    partner solvers evaluate the lam1 part once and scan only the lam2 part.
+    """
+    return (n * cos_t - inv_b) / lam
+
+
+def _on_shell_sum(lam1, lam2, kin: PerturbationKinematics):
+    """(omega1 + omega2)/v in um^-1: the k1x + k2x the constraint demands."""
+    return (2.0 * math.pi / kin.beta) * (1.0 / lam1 + 1.0 / lam2)
 
 
 def constraint_tolerance(lam1: float, lam2: float, kin: PerturbationKinematics) -> float:
     """Absolute residual tolerance 1e-10 * (omega1+omega2)/v, in um^-1."""
-    return 1e-10 * 2.0 * math.pi * (1.0 / lam1 + 1.0 / lam2) / kin.beta
+    return 1e-10 * _on_shell_sum(lam1, lam2, kin)
 
 
 def _partner_term(lam2, cos_t2, inv_b, model):
-    """The lam2 part (n2 cos(theta2) - 1/beta)/lam2 of the residual over 2 pi.
+    """The lam2 part of the residual over 2 pi; nan where the model is invalid.
 
-    The constraint residual separates into a lam1 part plus this part.
-    Wavelengths where the dispersion model is invalid evaluate to nan so a
-    bracketing scan can simply skip them.
+    The nan lets a bracketing scan simply skip invalid wavelengths.
     """
     n2, _, bad = dispersion.index_fields(model, lam2)
-    return np.where(bad, np.nan, (n2 * cos_t2 - inv_b) / lam2)
+    return np.where(bad, np.nan, _photon_term(lam2, n2, cos_t2, inv_b))
 
 
 def _smallest_root_bracket(part1, cos_t2, inv_b, model):
@@ -248,7 +208,7 @@ def solve_partner(
     """
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta
-    part1 = (dispersion.refractive_index(model, lam1) * cos_t1 - inv_b) / lam1
+    part1 = _photon_term(lam1, dispersion.refractive_index(model, lam1), cos_t1, inv_b)
     lo, hi, _ = _smallest_root_bracket(part1, cos_t2, inv_b, model)
     lo, hi = float(lo), float(hi)
     if math.isnan(lo):
@@ -275,7 +235,7 @@ def solve_partners(lam1, theta1, theta2, kin: PerturbationKinematics, model) -> 
     cos_t2 = np.cos(theta2)
     inv_b = 1.0 / kin.beta
     n1, _, bad1 = dispersion.index_fields(model, lam1)
-    part1 = np.where(bad1, np.nan, (n1 * np.cos(theta1) - inv_b) / lam1)
+    part1 = np.where(bad1, np.nan, _photon_term(lam1, n1, np.cos(theta1), inv_b))
     lo, hi, up_lo = _smallest_root_bracket(part1, cos_t2, inv_b, model)
     while np.any(hi - lo >= _XTOL + _RTOL * hi):
         mid = 0.5 * (lo + hi)

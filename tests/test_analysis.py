@@ -303,6 +303,33 @@ class TestTotalCount:
                 max_refinements=0,
             )
 
+    @pytest.mark.parametrize(
+        "base_resolution, max_refinements",
+        [
+            ((1, 1, 1, 1), 0),
+            ((17, 9, 65, 2), 0),
+            ((17, 9, 65), 0),
+            ((17, 9, 65, 33, 9), 0),
+            ((17, 9, 65, 33.0), 0),
+            (5, 0),
+            ((17, 9, 65, 33), -1),
+            ((17, 9, 65, 33), 1.0),
+        ],
+        ids=[
+            "ones", "two_points", "three_axes", "five_axes", "float_axis", "scalar",
+            "negative_refinements", "float_refinements",
+        ],
+    )
+    def test_rejects_bad_resolution(self, base_resolution, max_refinements):
+        with pytest.raises(ValueError, match="base_resolution|max_refinements"):
+            total_count(
+                silica_config(beta=20.0),
+                cone_half_angle_rad=math.radians(30.0),
+                lam_window=(0.15, 3.0),
+                base_resolution=base_resolution,
+                max_refinements=max_refinements,
+            )
+
     def test_unrefined_error_not_estimated(self):
         result = total_count(
             silica_config(beta=20.0),

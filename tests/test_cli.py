@@ -21,6 +21,9 @@ BASE_CONFIG = {
     "L_m": 0.05,
 }
 
+# a total that runs in well under a second
+SMALL_TOTAL = {"total_lambda_window_um": [0.15, 3.0], "base_resolution": [9, 5, 17, 9]}
+
 
 def write_config(tmp_path, extra, name="run.json"):
     path = tmp_path / name
@@ -179,6 +182,48 @@ class TestTotal:
             {"total_lambda_window_um": [0.15, 3.0], "base_resolution": [9, 5, 17, 9], **extra},
         )
         assert_config_error(capsys, ["total", "--config", config])
+
+    def test_bad_cone_reported_in_degrees(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, {**SMALL_TOTAL, "cone_half_angle_deg": -30.0, "max_refinements": 0}
+        )
+        assert main(["total", "--config", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'cone_half_angle_deg'" in err and "-30.0" in err
+
+
+class TestBadScalars:
+    """Values of the wrong type or out of range end in one error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("total", {"base_resolution": 5}),
+            ("total", {**SMALL_TOTAL, "rel_tol": [1]}),
+            ("total", {**SMALL_TOTAL, "cone_half_angle_deg": [30]}),
+            ("spectrum", {"resolution": [5], "lambda1_window_um": [0.3, 0.4],
+                          "lambda2_window_um": [0.3, 0.4]}),
+            ("fastlight", {"resonance": [1]}),
+            ("fastlight", {"resonance": {"amplitude": [1]}}),
+            ("total", {**SMALL_TOTAL, "base_resolution": [1, 1, 1, 1], "max_refinements": 0}),
+            ("total", {**SMALL_TOTAL, "max_refinements": -1}),
+            ("total", {**SMALL_TOTAL, "max_refinements": 0.5}),
+        ],
+        ids=[
+            "scalar_base_resolution", "list_rel_tol", "list_cone", "list_resolution",
+            "list_resonance", "list_amplitude", "one_node_resolution",
+            "negative_refinements", "fractional_refinements",
+        ],
+    )
+    def test_config_error_without_traceback(self, tmp_path, capsys, command, extra):
+        config = write_config(tmp_path, extra)
+        out = str(tmp_path / "out.json")
+        assert main([command, "--config", config, "--out", out]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestFastlight:

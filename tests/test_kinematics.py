@@ -17,8 +17,8 @@ from vacuumpairs.kinematics import (
     SubluminalError,
     cerenkov_angle,
     classify_cones,
+    constraint_residual,
     constraint_tolerance,
-    doppler_frequency,
     MultipleRootsWarning,
     pair_constraint_residual,
     solve_partner,
@@ -221,6 +221,26 @@ class TestSolvePartners:
                         continue
                     assert lam2 == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["fused_silica", "fast_light"])
+    def test_roots_within_constraint_tolerance_on_total_count_grid(self, name):
+        model = self.MODELS[name]()
+        kin = PerturbationKinematics(beta=20.0)
+        theta1 = np.linspace(0.0, math.radians(30.0), 9)[:, None]
+        theta2 = np.linspace(math.pi / 2.0, math.pi, 65)[None, :]
+        cos_t1, cos_t2 = np.broadcast_arrays(np.cos(theta1), np.cos(theta2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootsWarning)
+            for lam1 in (0.15, 0.3349, 0.6, 2.0):
+                lam2 = solve_partners(lam1, theta1, theta2, kin, model)
+                found = ~np.isnan(lam2)
+                assert found.any()
+                lam2 = lam2[found]
+                residual = constraint_residual(
+                    lam1, dispersion.refractive_index(model, lam1), cos_t1[found],
+                    lam2, dispersion.refractive_index(model, lam2), cos_t2[found], kin,
+                )
+                assert np.all(np.abs(residual) <= constraint_tolerance(lam1, lam2, kin))
+
     def test_warns_once_on_multiple_roots(self):
         kin = PerturbationKinematics(beta=20.0)
         lams = np.geomspace(0.2, 8.0, 200)
@@ -228,29 +248,6 @@ class TestSolvePartners:
             warnings.simplefilter("always")
             solve_partners(lams, 0.0, math.pi, kin, fast_light_silica(0.3))
         assert [w.category for w in caught] == [MultipleRootsWarning]
-
-
-class TestDoppler:
-    def test_constant_index_normal_branch(self):
-        n0, beta, theta = 1.5, 0.4, math.pi / 2.0
-        kin = PerturbationKinematics(beta=beta)
-        gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-        omega_c = 1.0e15
-        omega, regime = doppler_frequency(
-            omega_c, theta, kin, constant(n0), (1e13, 1e17)
-        )
-        # cos(theta) = 0: omega_lab = omega'/gamma exactly
-        assert omega == pytest.approx(omega_c / gamma, rel=1e-9)
-        assert regime == "normal"
-
-    def test_anomalous_branch_inside_cone(self):
-        n0, beta = 1.5, 2.0
-        kin = PerturbationKinematics(beta=beta)
-        omega_c = 1.0e15
-        omega, regime = doppler_frequency(omega_c, 0.0, kin, constant(n0), (1e13, 1e17))
-        # head-on inside the Cerenkov cone: |1 - beta n| = 2
-        assert omega == pytest.approx(omega_c / 2.0, rel=1e-9)
-        assert regime == "anomalous"
 
 
 class TestCones:
