@@ -175,10 +175,11 @@ def find_maximum(
     own precision moves the location.  Swapping brentq for toms748 at the
     same tolerance moved lambda1/lambda2 by 4.9e-8 (the density by 1.5e-13).
     The scan only selects the lobes and their brackets.  Its densities match
-    constraint_density to about 1e-9 relative (its partners come from
-    bisection, not brentq), so only a near-tie in the lobe selection could
-    pick a different lobe or bracket than a scan by constraint_density; on
-    the benchmark's fingerprinted inputs the results are identical.
+    constraint_density to about 1e-9 relative (its partners come from the
+    Newton refinement of solve_partners, not brentq), so only a near-tie in
+    the lobe selection could pick a different lobe or bracket than a scan by
+    constraint_density; on the benchmark's fingerprinted inputs the results
+    are identical.
     """
     clear = dispersion.transparency_window(config.material)
     window = (max(window[0], clear[0]), min(window[1], clear[1]))
@@ -307,7 +308,8 @@ def _total_count_once(
     curve and grid paths, averaged over the relative azimuth phi of the
     pair on (theta1, theta2, phi) arrays, with kz = 0 and the partner
     wavelength fixed by the constraint at every node by
-    kinematics.solve_partners.
+    kinematics.solve_partners: one bracket scan per lambda1 row, refined by
+    safeguarded Newton steps.
 
     Known gap: the kernel gets ky = k1 sin(theta1) + k2 sin(theta2) cos(phi)
     and kz = 0, so this is not the average of the density that

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,10 +432,12 @@ def collinear_grid(
     """Pair density on a log-spaced (lambda1, lambda2) grid, resolution points per axis.
 
     Deterministic: cells are evaluated in one vectorized pass and reductions
-    are taken in fixed index order.
+    are taken in fixed index order.  resolution must be an integer >= 2.
     """
     if min(lambda1_range) <= 0.0 or min(lambda2_range) <= 0.0:
         raise ValueError("wavelength ranges must be positive")
+    if not (isinstance(resolution, numbers.Integral) and resolution >= 2):
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], resolution)
     lam2 = np.geomspace(lambda2_range[0], lambda2_range[1], resolution)
     values, flags = _grid_fields(config, lam1[:, None], lam2[None, :])

@@ -147,12 +147,13 @@ def constraint_tolerance(lam1: float, lam2: float, kin: PerturbationKinematics) 
 
 
 def _partner_term(lam2, cos_t2, inv_b, model):
-    """The lam2 part of the residual over 2 pi; nan where the model is invalid.
+    """The lam2 part of the residual over 2 pi, nan where the model is invalid, and n_g2.
 
-    The nan lets a bracketing scan simply skip invalid wavelengths.
+    The nan lets a bracketing scan simply skip invalid wavelengths; the
+    group index gives the slope of the term for a Newton step.
     """
-    n2, _, bad = dispersion.index_fields(model, lam2)
-    return np.where(bad, np.nan, _photon_term(lam2, n2, cos_t2, inv_b))
+    n2, n_g2, bad = dispersion.index_fields(model, lam2)
+    return np.where(bad, np.nan, _photon_term(lam2, n2, cos_t2, inv_b)), n_g2
 
 
 def _smallest_root_bracket(part1, cos_t2, inv_b, model):
@@ -168,7 +169,7 @@ def _smallest_root_bracket(part1, cos_t2, inv_b, model):
     than one root.
     """
     grid = np.geomspace(*dispersion.transparency_window(model), _SCAN_POINTS)
-    part2 = _partner_term(grid, np.asarray(cos_t2)[..., None], inv_b, model)
+    part2, _ = _partner_term(grid, np.asarray(cos_t2)[..., None], inv_b, model)
     # signs of part1 + part2 from comparisons, which are exact and keep the
     # scan in booleans; nan compares false, so invalid points are skipped
     neg = -np.asarray(part1)[..., None]
@@ -218,18 +219,24 @@ def solve_partner(
         )
     if lo == hi:
         return lo
-    f = lambda l2: float(2.0 * np.pi * (part1 + _partner_term(float(l2), cos_t2, inv_b, model)))
+    f = lambda l2: float(2.0 * np.pi * (part1 + _partner_term(float(l2), cos_t2, inv_b, model)[0]))
     return brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
 
 
 def solve_partners(lam1, theta1, theta2, kin: PerturbationKinematics, model) -> np.ndarray:
     """solve_partner over broadcast lam1, theta1, theta2; nan where there is no partner.
 
-    The same scan and smallest-root rule, with each bracket refined by
-    vectorized bisection to the tolerance solve_partner gives brentq.  The
-    residual is a lam1 part plus a lam2 part, so the dispersion model is
-    evaluated on the scan grid once for all inputs.  A lam1 where the model
-    is invalid has no partner.
+    The same scan and smallest-root rule, with each bracket refined to the
+    tolerance solve_partner gives brentq by vectorized Newton steps.  The
+    slope of the lam2 part is (1/beta - n_g2 cos(theta2))/lam2^2, so
+    index_fields gives it with the residual.  A step that leaves the
+    bracket, has no finite slope (fast light can give n_g2 cos(theta2) =
+    1/beta) or is not shorter than half the step before last (Brent's rule)
+    bisects instead; one shorter than half the tolerance is lengthened to
+    it, so the far end of the bracket closes in.  The residual is a lam1
+    part plus a lam2 part, so the dispersion model is evaluated on the scan
+    grid once for all inputs.  A lam1 where the model is invalid has no
+    partner.
     """
     lam1 = np.asarray(lam1, dtype=float)
     cos_t2 = np.cos(theta2)
@@ -237,12 +244,21 @@ def solve_partners(lam1, theta1, theta2, kin: PerturbationKinematics, model) -> 
     n1, _, bad1 = dispersion.index_fields(model, lam1)
     part1 = np.where(bad1, np.nan, _photon_term(lam1, n1, np.cos(theta1), inv_b))
     lo, hi, up_lo = _smallest_root_bracket(part1, cos_t2, inv_b, model)
+    x = 0.5 * (lo + hi)
+    last = before = hi - lo  # lengths of the last two steps
     while np.any(hi - lo >= _XTOL + _RTOL * hi):
-        mid = 0.5 * (lo + hi)
-        part2 = _partner_term(mid, cos_t2, inv_b, model)
+        part2, n_g2 = _partner_term(x, cos_t2, inv_b, model)
         up = np.where(up_lo, part2 > -part1, part2 < -part1)
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
+        lo = np.where(up, x, lo)
+        hi = np.where(up, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (part1 + part2) * x * x / (n_g2 * cos_t2 - inv_b)
+        half_tol = 0.5 * (_XTOL + _RTOL * hi)
+        step = np.where(np.abs(step) < half_tol, np.where(up, half_tol, -half_tol), step)
+        x_new = x + step
+        newton = (lo < x_new) & (x_new < hi) & (np.abs(step) < 0.5 * before)
+        x = np.where(newton, x_new, 0.5 * (lo + hi))
+        before, last = last, np.where(newton, np.abs(step), 0.5 * (hi - lo))
     return 0.5 * (lo + hi)
 
 

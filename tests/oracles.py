@@ -10,6 +10,17 @@ from vacuumpairs.emission import GaussianProfile
 TWO_PI = 2.0 * math.pi
 
 
+def partner_nondispersive(lam1, theta1, theta2, beta, n0):
+    """Closed-form partner wavelength for a constant-index medium.
+
+    The constraint (n0 cos(theta1) - 1/beta)/lam1 + (n0 cos(theta2) - 1/beta)/lam2 = 0
+    is linear in 1/lam2, so lam2 = lam1 (1/beta - n0 cos(theta2))/(n0 cos(theta1) - 1/beta).
+    Broadcasts; a value that is not positive means there is no partner.
+    """
+    inv_b = 1.0 / beta
+    return lam1 * (inv_b - n0 * np.cos(theta2)) / (n0 * np.cos(theta1) - inv_b)
+
+
 def density_nondispersive(mode1, mode2, n0, config):
     """Closed-form density for a constant-index medium (Gaussian profile).
 

@@ -23,6 +23,11 @@ BASE_CONFIG = {
 
 # a total that runs in well under a second
 SMALL_TOTAL = {"total_lambda_window_um": [0.15, 3.0], "base_resolution": [9, 5, 17, 9]}
+GRID_WINDOWS = {"lambda1_window_um": [0.3, 0.4], "lambda2_window_um": [0.3, 0.4]}
+FASTLIGHT_WINDOW = {
+    "resonance": {"max_slope_at_um": 0.3348859342688826},
+    "fastlight_window_um": [0.26, 0.47],
+}
 
 
 def write_config(tmp_path, extra, name="run.json"):
@@ -224,6 +229,22 @@ class TestBadScalars:
         assert "Traceback" not in captured.err
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("resolution", [0, -3, 1])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("spectrum", GRID_WINDOWS), ("fastlight", FASTLIGHT_WINDOW)],
+        ids=["spectrum", "fastlight"],
+    )
+    def test_grid_resolution_named(self, tmp_path, capsys, command, extra, resolution):
+        config = write_config(tmp_path, {**extra, "resolution": resolution})
+        out = str(tmp_path / "out.json")
+        assert main([command, "--config", config, "--out", out]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "resolution" in lines[0]
 
 
 class TestFastlight:

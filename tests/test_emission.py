@@ -309,6 +309,11 @@ class TestGrid:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.flags, b.flags)
 
+    @pytest.mark.parametrize("resolution", [0, -3, 1, 2.0])
+    def test_rejects_bad_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            collinear_grid(silica_config(beta=20.0), (0.3, 0.4), (0.3, 0.4), resolution)
+
     def test_subluminal_grid_all_forbidden(self):
         config = silica_config(beta=0.5)
         grid = collinear_grid(config, (0.3, 3.0), (0.3, 3.0), 31)

@@ -27,6 +27,8 @@ from vacuumpairs.kinematics import (
 )
 from vacuumpairs.materials import get_material
 
+from oracles import partner_nondispersive
+
 
 def constant(n0):
     return DispersionModel(base=ConstantIndex(n0))
@@ -172,6 +174,10 @@ class TestSolvePartners:
         "fast_light_multiroot": lambda: fast_light_silica(0.3),
     }
 
+    # the (theta1, theta2) grid of total_count at base resolution (17, 9, 65, 33)
+    GRID_THETA1 = np.linspace(0.0, math.radians(30.0), 9)[:, None]
+    GRID_THETA2 = np.linspace(math.pi / 2.0, math.pi, 65)[None, :]
+
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("beta", [0.5, 2.0, 20.0])
     def test_matches_scalar_solve(self, name, beta):
@@ -200,13 +206,24 @@ class TestSolvePartners:
             want = solve_partner(float(lam1), 0.2, 2.9, kin, model)
             assert lam2 == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["fused_silica", "fast_light"])
+    @pytest.mark.parametrize("n0", [0.9, 1.0, 1.5])
+    def test_matches_closed_form_on_total_count_grid(self, n0):
+        model = constant(n0)
+        kin = PerturbationKinematics(beta=20.0)
+        window = dispersion.transparency_window(model)
+        lam1 = np.array([0.05, 0.15, 0.3349, 0.6, 2.0])[:, None, None]
+        got = solve_partners(lam1, self.GRID_THETA1, self.GRID_THETA2, kin, model)
+        want = partner_nondispersive(lam1, self.GRID_THETA1, self.GRID_THETA2, 20.0, n0)
+        inside = (want > window[0]) & (want < window[1])
+        assert inside.any() and not inside.all()
+        assert np.all(np.isnan(got[~inside]))
+        np.testing.assert_allclose(got[inside], want[inside], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["fused_silica", "fast_light", "fast_light_multiroot"])
     def test_matches_scalar_solve_on_total_count_grid(self, name):
-        # the (theta1, theta2) grid of total_count at base resolution (17, 9, 65, 33)
         model = self.MODELS[name]()
         kin = PerturbationKinematics(beta=20.0)
-        theta1 = np.linspace(0.0, math.radians(30.0), 9)[:, None]
-        theta2 = np.linspace(math.pi / 2.0, math.pi, 65)[None, :]
+        theta1, theta2 = self.GRID_THETA1, self.GRID_THETA2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootsWarning)
             for lam1 in (0.15, 0.3349, 0.6, 2.0):
@@ -221,12 +238,11 @@ class TestSolvePartners:
                         continue
                     assert lam2 == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["fused_silica", "fast_light"])
+    @pytest.mark.parametrize("name", ["fused_silica", "fast_light", "fast_light_multiroot"])
     def test_roots_within_constraint_tolerance_on_total_count_grid(self, name):
         model = self.MODELS[name]()
         kin = PerturbationKinematics(beta=20.0)
-        theta1 = np.linspace(0.0, math.radians(30.0), 9)[:, None]
-        theta2 = np.linspace(math.pi / 2.0, math.pi, 65)[None, :]
+        theta1, theta2 = self.GRID_THETA1, self.GRID_THETA2
         cos_t1, cos_t2 = np.broadcast_arrays(np.cos(theta1), np.cos(theta2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootsWarning)
@@ -240,6 +256,28 @@ class TestSolvePartners:
                     lam2, dispersion.refractive_index(model, lam2), cos_t2[found], kin,
                 )
                 assert np.all(np.abs(residual) <= constraint_tolerance(lam1, lam2, kin))
+
+    @pytest.mark.parametrize("name", ["fused_silica", "fast_light_multiroot"])
+    def test_refinement_passes_on_total_count_grid(self, name, monkeypatch):
+        # dispersion passes over the (theta1, theta2) array after the bracket
+        # scan; bisection to the same tolerance needs about 41 per row
+        model = self.MODELS[name]()
+        kin = PerturbationKinematics(beta=20.0)
+        index_fields = dispersion.index_fields
+        passes = []
+
+        def counted(model, lam):
+            if np.shape(lam) == (9, 65):
+                passes.append(1)
+            return index_fields(model, lam)
+
+        monkeypatch.setattr(dispersion, "index_fields", counted)
+        rows = np.geomspace(0.1, 5.0, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootsWarning)
+            for lam1 in rows:
+                solve_partners(lam1, self.GRID_THETA1, self.GRID_THETA2, kin, model)
+        assert len(passes) <= 15 * len(rows)
 
     def test_warns_once_on_multiple_roots(self):
         kin = PerturbationKinematics(beta=20.0)
