@@ -47,7 +47,6 @@ from .emission import (
     PairDensityGrid,
     TanhProfile,
     collinear_grid,
-    config_from_dict,
     config_to_dict,
     density_gaussian,
     density_tanh,

@@ -8,7 +8,6 @@ studies.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from .emission import (
     GaussianProfile,
     PairDensityGrid,
     collinear_grid,
-    config_to_dict,
     _index_fields,
 )
 from .kinematics import PerturbationKinematics, PhotonMode
@@ -76,32 +74,6 @@ class SweepResult:
     density_increasing: bool
     ratio_decreasing: bool
 
-    def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("beta,lambda1max_um,lambda2max_um,n_max\n")
-            for row in self.rows:
-                fh.write(
-                    f"{row.beta!r},{row.lambda1_um!r},{row.lambda2_um!r},{row.density!r}\n"
-                )
-
-    def to_json(self, path, config: EmissionConfig | None = None) -> None:
-        doc = {
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "failures": [[b, msg] for b, msg in self.failures],
-            "audits": {
-                "wavelengths_decreasing": self.wavelengths_decreasing,
-                "density_increasing": self.density_increasing,
-                "ratio_decreasing": self.ratio_decreasing,
-            },
-        }
-        if config is not None:
-            doc["config"] = config_to_dict(config)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class TotalCount:
@@ -114,9 +86,6 @@ class TotalCount:
     cone_half_angle_rad: float
     length_m: float
     rel_error: float | None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass

@@ -5,9 +5,10 @@ grid), ``maxima`` (beta sweep of collinear maxima), ``total`` (pairs per
 pulse in a collection cone), ``fastlight`` (Lorentzian-modified comparison).
 
 All computations are configured through a JSON document passed with
-``--config``; every output embeds that configuration verbatim so a run can
-be reproduced from its artifact alone.  Exit codes: 0 success, 1 bad
-configuration, 2 unknown material, 3 numerical failure.
+``--config``; every artifact embeds that configuration so a run can be
+reproduced from its artifact alone.  This module alone reads and writes the
+run-file format (``_emission_config`` and ``_write``).  Exit codes: 0
+success, 1 bad configuration, 2 unknown material, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ import numpy as np
 
 from . import analysis, dispersion, emission, kinematics, materials
 from .dispersion import DispersionError, LorentzianResonance
-from .emission import (
-    EmissionConfig,
-    GaussianProfile,
-    config_to_dict,
-    profile_from_dict,
-)
+from .emission import EmissionConfig, config_to_dict, profile_from_dict
 from .kinematics import KinematicsError, PerturbationKinematics
 from .materials import UnknownMaterialError
 
@@ -95,6 +91,14 @@ def _number(doc: dict, key: str, default=None, integer: bool = False):
 
 
 def _emission_config(doc: dict) -> EmissionConfig:
+    """The emission part of a run configuration, or of an artifact's "config".
+
+    A snapshot of another normalization convention is a ConfigError; a
+    document without "convention" is read in this one.
+    """
+    convention = doc.get("convention", emission.CONVENTION)
+    if convention != emission.CONVENTION:
+        raise ConfigError(f"unsupported normalization convention: {convention!r}")
     material = _resolve_material(_require(doc, "material"))
     profile = _parse(profile_from_dict, "profile", _require(doc, "profile"))
     beta = _number(doc, "beta")
@@ -112,23 +116,46 @@ def _emission_config(doc: dict) -> EmissionConfig:
         raise ConfigError(f"bad emission configuration: {exc}") from exc
 
 
-def _window(doc: dict, key: str, default) -> tuple[float, float]:
-    raw = doc.get(key, default)
-    if raw is None:
-        return None
+def _bounds(raw, what: str) -> tuple[float, float]:
+    """(min, max) of a two-item window, finite with 0 < min < max."""
     try:
         lo, hi = (float(x) for x in raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key!r} must be a [min, max] pair") from exc
-    if not 0.0 < lo < hi:
-        raise ConfigError(f"{key!r} must satisfy 0 < min < max")
+        raise ConfigError(f"{what} must be a [min, max] pair") from exc
+    if not (0.0 < lo < hi and math.isfinite(hi)):  # also rejects nan
+        raise ConfigError(f"{what} must be finite with 0 < min < max, got [{lo!r}, {hi!r}]")
     return lo, hi
 
 
-def _write_json(path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def _window(doc: dict, key: str, default) -> tuple[float, float] | None:
+    """doc[key] as a checked window, or default when the key is absent."""
+    return _bounds(doc[key], repr(key)) if key in doc else default
+
+
+def _field(value) -> str:
+    """A CSV field: repr of a number, a string as is, None (not estimated) empty."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
+
+
+def _write(path: str, config: EmissionConfig, doc: dict, columns, rows) -> None:
+    """Write one run artifact: CSV for a .csv path, JSON otherwise.
+
+    Both embed the configuration snapshot.  CSV is a '# config:' line, the
+    header of columns and one line of fields per row; JSON is doc with the
+    snapshot under "config".
+    """
+    snapshot = config_to_dict(config)
+    with open(path, "w", newline="") as fh:
+        if path.endswith(".csv"):
+            fh.write(f"# config: {json.dumps(snapshot, sort_keys=True)}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_field(x) for x in row) + "\n")
+        else:
+            json.dump({**doc, "config": snapshot}, fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
 
 def _emit(args, text: str) -> None:
@@ -141,7 +168,9 @@ def _emit(args, text: str) -> None:
 
 def cmd_material(args) -> int:
     model = _resolve_material(args.name)
-    lo, hi = args.window
+    lo, hi = _bounds(args.window.split(","), "--window")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     lams = np.geomspace(lo, hi, args.samples)
     print(f"# material: {args.name}")
     print("lambda_um,n,n_g,regime")
@@ -165,11 +194,30 @@ def cmd_spectrum(args) -> int:
     resolution = _number(doc, "resolution", 121, integer=True)
     grid = emission.collinear_grid(config, window1, window2, resolution)
     _emit(args, f"grid {resolution}x{resolution}, max density {grid.max_value():.6g}")
-    if args.out.endswith(".csv"):
-        snapshot = json.dumps(config_to_dict(config), sort_keys=True)
-        grid.to_csv(args.out, header_lines=(f"config: {snapshot}",))
-    else:
-        grid.to_json(args.out)
+    lam1, lam2 = grid.lambda1_um.tolist(), grid.lambda2_um.tolist()
+    values, flags = grid.values.tolist(), grid.flags.tolist()
+    legend = emission.FLAG_LEGEND
+    _write(
+        args.out,
+        config,
+        {
+            # the geometry of collinear_grid: photon 1 forward, photon 2 at
+            # theta2 = pi on the constraint curve
+            "theta1": 0.0,
+            "theta2_nominal": math.pi,
+            "lambda1_um": lam1,
+            "lambda2_um": lam2,
+            "values": values,
+            "flags": flags,
+            "flag_legend": {str(k): v for k, v in legend.items()},
+        },
+        ("lambda1_um", "lambda2_um", "density", "flag"),
+        (
+            (l1, l2, v, legend[f])
+            for l1, value_row, flag_row in zip(lam1, values, flags)
+            for l2, v, f in zip(lam2, value_row, flag_row)
+        ),
+    )
     print(f"max density {grid.max_value():.6g} -> {args.out}")
     return EXIT_OK
 
@@ -179,15 +227,15 @@ def cmd_maxima(args) -> int:
     config = _emission_config(doc)
     betas = doc.get("betas", [config.kin.beta])
     try:
-        betas = [float(b) for b in betas]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'betas' must be a list of numbers") from exc
+        betas = [float(b) for b in betas] if isinstance(betas, list) else []
+    except (TypeError, ValueError):
+        betas = []
+    if not betas:
+        raise ConfigError("'betas' must be a non-empty list of numbers")
     window = _window(doc, "lambda1_window_um", (0.2, 20.0))
     sweep = analysis.beta_sweep(config, betas, window=window)
     if not sweep.rows:
-        raise analysis.NoEmissionError(
-            "; ".join(msg for _, msg in sweep.failures) or "no emission for any beta"
-        )
+        raise analysis.NoEmissionError("; ".join(msg for _, msg in sweep.failures))
     for row in sweep.rows:
         print(
             f"beta={row.beta:g} lambda1max={row.lambda1_um:.6g} um "
@@ -196,11 +244,21 @@ def cmd_maxima(args) -> int:
     for beta, msg in sweep.failures:
         print(f"beta={beta:g} no emission ({msg})", file=sys.stderr)
     if args.out:
-        if args.out.endswith(".csv"):
-            snapshot = json.dumps(config_to_dict(config), sort_keys=True)
-            sweep.to_csv(args.out, header_lines=(f"config: {snapshot}",))
-        else:
-            sweep.to_json(args.out, config=config)
+        _write(
+            args.out,
+            config,
+            {
+                "rows": [dataclasses.asdict(r) for r in sweep.rows],
+                "failures": [[b, msg] for b, msg in sweep.failures],
+                "audits": {
+                    "wavelengths_decreasing": sweep.wavelengths_decreasing,
+                    "density_increasing": sweep.density_increasing,
+                    "ratio_decreasing": sweep.ratio_decreasing,
+                },
+            },
+            ("beta", "lambda1max_um", "lambda2max_um", "n_max"),
+            [(r.beta, r.lambda1_um, r.lambda2_um, r.density) for r in sweep.rows],
+        )
         _emit(args, f"sweep written to {args.out}")
     return EXIT_OK
 
@@ -227,10 +285,8 @@ def cmd_total(args) -> int:
         error = f"relative quadrature error {result.rel_error:.2g}"
     print(f"pairs per pulse: {result.pairs_per_pulse:.6g} ({error})")
     if args.out:
-        _write_json(
-            args.out,
-            {"result": result.to_dict(), "config": config_to_dict(config)},
-        )
+        fields = dataclasses.asdict(result)
+        _write(args.out, config, {"result": fields}, list(fields), [fields.values()])
         _emit(args, f"total written to {args.out}")
     return EXIT_OK
 
@@ -266,28 +322,23 @@ def cmd_fastlight(args) -> int:
         f"peaks above half maximum: {study.peak_count}"
     )
     if args.out:
-        _write_json(
+        fields = dataclasses.asdict(resonance)
+        _write(
             args.out,
+            config,
             {
                 "enhancement": study.enhancement,
                 "peak_count": study.peak_count,
-                "resonance": dataclasses.asdict(resonance),
-                "config": config_to_dict(config),
+                "resonance": fields,
             },
+            ("enhancement", "peak_count", *(f"resonance_{k}" for k in fields)),
+            [(study.enhancement, study.peak_count, *fields.values())],
         )
         _emit(args, f"fast-light study written to {args.out}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-
-def _window_pair(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected 'min,max'")
-    return lo, hi
-
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors end in one 'error:' line and EXIT_CONFIG, like a bad config."""
@@ -306,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("material", help="print a dispersion table")
     p.add_argument("name", help="library material name")
-    p.add_argument("--window", type=_window_pair, default=(0.2, 8.0),
-                   metavar="MIN,MAX", help="wavelength window in um")
+    p.add_argument("--window", default="0.2,8.0", metavar="MIN,MAX",
+                   help="wavelength window in um")
     p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_material)
 

@@ -18,7 +18,6 @@ reference emission maximum at beta = 10, sigma = 1 um in fused silica.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -157,19 +156,6 @@ def config_to_dict(config: EmissionConfig) -> dict:
     }
 
 
-def config_from_dict(doc: dict) -> EmissionConfig:
-    """Inverse of config_to_dict; a snapshot of another convention is a ValueError."""
-    if doc.get("convention", CONVENTION) != CONVENTION:
-        raise ValueError(f"unsupported normalization convention: {doc['convention']!r}")
-    return EmissionConfig(
-        material=materials.model_from_dict(doc["material"]),
-        profile=profile_from_dict(doc["profile"]),
-        kin=PerturbationKinematics(beta=float(doc["beta"])),
-        length_m=float(doc["L_m"]),
-        calibration=float(doc.get("calibration", DEFAULT_CALIBRATION)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # profile form factors (squared Fourier transforms, delta stripped)
 
@@ -286,39 +272,9 @@ class PairDensityGrid:
     lambda2_um: np.ndarray
     values: np.ndarray  # shape (len(lambda1), len(lambda2))
     flags: np.ndarray  # int codes, same shape
-    theta1: float
-    theta2_nominal: float
-    config: EmissionConfig
 
     def max_value(self) -> float:
         return float(np.max(self.values))
-
-    def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("lambda1_um,lambda2_um,density,flag\n")
-            for i, l1 in enumerate(self.lambda1_um):
-                for j, l2 in enumerate(self.lambda2_um):
-                    fh.write(
-                        f"{float(l1)!r},{float(l2)!r},{float(self.values[i, j])!r},"
-                        f"{FLAG_LEGEND[int(self.flags[i, j])]}\n"
-                    )
-
-    def to_json(self, path) -> None:
-        doc = {
-            "config": config_to_dict(self.config),
-            "theta1": self.theta1,
-            "theta2_nominal": self.theta2_nominal,
-            "lambda1_um": [float(x) for x in self.lambda1_um],
-            "lambda2_um": [float(x) for x in self.lambda2_um],
-            "values": [[float(x) for x in row] for row in self.values],
-            "flags": [[int(x) for x in row] for row in self.flags],
-            "flag_legend": {str(k): v for k, v in FLAG_LEGEND.items()},
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
 
 def _density_kernel(
@@ -446,7 +402,4 @@ def collinear_grid(
         lambda2_um=lam2,
         values=values,
         flags=flags,
-        theta1=0.0,
-        theta2_nominal=math.pi,
-        config=config,
     )

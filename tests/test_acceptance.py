@@ -8,13 +8,14 @@ both perturbation profiles, fast-light enhancement, numerical hygiene, and
 exact scaling laws.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from vacuumpairs import analysis, dispersion, emission
+from vacuumpairs import analysis, cli, dispersion, emission
 from vacuumpairs.analysis import (
     NoEmissionError,
     calibrate_reference_row,
@@ -37,6 +38,7 @@ from vacuumpairs.emission import (
     GaussianProfile,
     TanhProfile,
     collinear_grid,
+    config_to_dict,
     density_gaussian,
 )
 from vacuumpairs.kinematics import (
@@ -279,8 +281,15 @@ def test_criterion_09_numerical_hygiene(tmp_path):
     grid = collinear_grid(config, (0.3, 0.4), (0.3, 0.4), 41)
     ok &= bool((grid.values >= 0.0).all())
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    collinear_grid(config, (0.3, 0.4), (0.3, 0.4), 41).to_csv(p1)
-    collinear_grid(config, (0.3, 0.4), (0.3, 0.4), 41).to_csv(p2)
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({
+        **config_to_dict(config),
+        "lambda1_window_um": [0.3, 0.4],
+        "lambda2_window_um": [0.3, 0.4],
+        "resolution": 41,
+    }))
+    for path in (p1, p2):
+        ok &= cli.main(["spectrum", "--config", str(run), "--out", str(path)]) == cli.EXIT_OK
     ok &= p1.read_bytes() == p2.read_bytes()
     report(9, ok, "analytic derivatives, nonnegative grids, identical reruns")
     assert ok

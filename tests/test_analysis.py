@@ -1,6 +1,5 @@
 """Analysis-layer tests: maxima search, sweeps, totals, fast-light study."""
 
-import json
 import math
 import warnings
 
@@ -166,20 +165,6 @@ class TestBetaSweep:
         assert len(sweep.failures) == 1
         assert sweep.failures[0][0] == 0.5
 
-    def test_serialization(self, tmp_path):
-        config = silica_config()
-        sweep = beta_sweep(config, betas=(10.0, 20.0))
-        csv_path = tmp_path / "sweep.csv"
-        json_path = tmp_path / "sweep.json"
-        sweep.to_csv(csv_path)
-        sweep.to_json(json_path, config=config)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("beta,")
-        assert len(lines) == 3
-        doc = json.loads(json_path.read_text())
-        assert len(doc["rows"]) == 2
-        assert doc["config"]["beta"] == 10.0
-
 
 class TestCorrelationCurve:
     def test_monotone_partners(self):
@@ -237,20 +222,6 @@ class TestTotalCount:
         assert wide.pairs_per_pulse == pytest.approx(
             narrow.pairs_per_pulse, rel=0.05
         )
-
-    def test_reports_metadata(self):
-        result = total_count(
-            silica_config(beta=20.0),
-            cone_half_angle_rad=math.radians(30.0),
-            lam_window=(0.15, 3.0),
-            base_resolution=self.RES,
-            max_refinements=0,
-        )
-        assert result.pairs_per_pulse > 0.0
-        assert result.cone_half_angle_rad == pytest.approx(math.radians(30.0))
-        assert result.length_m == 0.05
-        doc = result.to_dict()
-        assert set(doc) >= {"pairs_per_pulse", "cone_half_angle_rad", "length_m"}
 
     @pytest.mark.parametrize(
         "make_config, expected",
@@ -329,17 +300,6 @@ class TestTotalCount:
                 base_resolution=base_resolution,
                 max_refinements=max_refinements,
             )
-
-    def test_unrefined_error_not_estimated(self):
-        result = total_count(
-            silica_config(beta=20.0),
-            cone_half_angle_rad=math.radians(30.0),
-            lam_window=(0.15, 3.0),
-            base_resolution=self.RES,
-            max_refinements=0,
-        )
-        assert result.rel_error is None
-        assert result.to_dict()["rel_error"] is None
 
     def test_subluminal_raises(self):
         with pytest.raises(NoEmissionError):

@@ -2,7 +2,9 @@
 
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from vacuumpairs.cli import (
@@ -12,6 +14,8 @@ from vacuumpairs.cli import (
     EXIT_UNKNOWN_MATERIAL,
     main,
 )
+from vacuumpairs.emission import EmissionConfig, GaussianProfile, collinear_grid
+from vacuumpairs.kinematics import PerturbationKinematics
 from vacuumpairs.materials import get_material, model_to_dict
 
 BASE_CONFIG = {
@@ -36,6 +40,13 @@ def write_config(tmp_path, extra, name="run.json"):
     return str(path)
 
 
+def data_lines(path):
+    """The lines of a CSV artifact after its '# config:' line."""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    return lines[1:]
+
+
 class TestMaterial:
     def test_table(self, capsys):
         assert main(["material", "fused_silica", "--samples", "5"]) == EXIT_OK
@@ -55,6 +66,23 @@ class TestMaterial:
     def test_unknown_material(self, capsys):
         assert main(["material", "unobtainium"]) == EXIT_UNKNOWN_MATERIAL
         assert "unobtainium" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--window", "1,nan"],
+            ["--window", "1,inf"],
+            ["--window", "2,1"],
+            ["--window", "0,1"],
+            ["--window", "1"],
+            ["--samples", "0"],
+            ["--samples", "-2"],
+        ],
+        ids=["nan_max", "inf_max", "reversed", "zero_min", "one_value", "zero_samples",
+             "negative_samples"],
+    )
+    def test_bad_window_or_samples(self, capsys, argv):
+        assert_config_error(capsys, ["material", "fused_silica", *argv])
 
 
 class TestSpectrum:
@@ -89,6 +117,35 @@ class TestSpectrum:
         assert main(["spectrum", "--config", config, "--out", out]) == EXIT_OK
         doc = json.loads(open(out).read())
         assert doc["config"]["beta"] == 20.0
+
+    def test_csv_and_json_outputs(self, tmp_path):
+        config = write_config(tmp_path, {**GRID_WINDOWS, "resolution": 21})
+        csv_path = tmp_path / "grid.csv"
+        json_path = tmp_path / "grid.json"
+        for path in (csv_path, json_path):
+            assert main(["spectrum", "--config", config, "--out", str(path)]) == EXIT_OK
+        lines = data_lines(csv_path)
+        assert lines[0] == "lambda1_um,lambda2_um,density,flag"
+        assert len(lines) == 1 + 21 * 21
+        doc = json.loads(json_path.read_text())
+        assert doc["config"]["beta"] == 20.0
+        assert np.array(doc["values"]).shape == (21, 21)
+
+    def test_csv_roundtrips_floats_exactly(self, tmp_path):
+        config = EmissionConfig(
+            material=get_material("fused_silica"),
+            profile=GaussianProfile(eta=0.001, sigma=1.0),
+            kin=PerturbationKinematics(beta=20.0),
+            length_m=0.05,
+        )
+        grid = collinear_grid(config, (0.3, 0.4), (0.3, 0.4), 11)
+        path = tmp_path / "grid.csv"
+        run = write_config(tmp_path, {**GRID_WINDOWS, "resolution": 11})
+        assert main(["spectrum", "--config", run, "--out", str(path)]) == EXIT_OK
+        rows = [line.split(",") for line in data_lines(path)[1:]]
+        cell = rows[60]
+        i, j = 60 // 11, 60 % 11
+        assert float(cell[2]) == grid.values[i, j]
 
     def test_missing_windows_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {})
@@ -126,6 +183,26 @@ class TestMaxima:
         assert len(lines) == 3
 
 
+    def test_serialization(self, tmp_path):
+        config = write_config(tmp_path, {"beta": 10.0, "betas": [10.0, 20.0]})
+        csv_path = tmp_path / "sweep.csv"
+        json_path = tmp_path / "sweep.json"
+        for path in (csv_path, json_path):
+            assert main(["maxima", "--config", config, "--out", str(path)]) == EXIT_OK
+        lines = data_lines(csv_path)
+        assert lines[0].startswith("beta,")
+        assert len(lines) == 3
+        doc = json.loads(json_path.read_text())
+        assert len(doc["rows"]) == 2
+        assert doc["config"]["beta"] == 10.0
+
+    @pytest.mark.parametrize("betas", [[], "20", {"beta": 20.0}, [20.0, "x"]],
+                             ids=["empty", "string", "object", "non_number"])
+    def test_bad_betas_named(self, tmp_path, capsys, betas):
+        config = write_config(tmp_path, {"betas": betas})
+        assert "'betas'" in assert_config_error(capsys, ["maxima", "--config", config])
+
+
 class TestTotal:
     def test_fast_settings(self, tmp_path, capsys):
         config = write_config(
@@ -157,6 +234,41 @@ class TestTotal:
         assert main(["total", "--config", config, "--out", out]) == EXIT_OK
         assert "(quadrature error not estimated)" in capsys.readouterr().out
         assert json.loads(open(out).read())["result"]["rel_error"] is None
+
+    def test_reports_metadata(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            {
+                "total_lambda_window_um": [0.15, 3.0],
+                "base_resolution": [17, 9, 65, 33],
+                "max_refinements": 0,
+            },
+        )
+        out = tmp_path / "total.json"
+        assert main(["total", "--config", config, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())["result"]
+        result = SimpleNamespace(**doc)
+        assert result.pairs_per_pulse > 0.0
+        assert result.cone_half_angle_rad == pytest.approx(math.radians(30.0))
+        assert result.length_m == 0.05
+        assert set(doc) >= {"pairs_per_pulse", "cone_half_angle_rad", "length_m"}
+
+    @pytest.mark.parametrize("max_refinements", [0, 1])
+    def test_csv_out(self, tmp_path, max_refinements):
+        config = write_config(
+            tmp_path, {**SMALL_TOTAL, "max_refinements": max_refinements, "rel_tol": 1.0}
+        )
+        csv_path, json_path = tmp_path / "total.csv", tmp_path / "total.json"
+        for path in (csv_path, json_path):
+            assert main(["total", "--config", config, "--out", str(path)]) == EXIT_OK
+        result = json.loads(json_path.read_text())["result"]
+        header, row = data_lines(csv_path)
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert set(fields) == set(result)
+        for key, value in result.items():
+            # an error that was not estimated is an empty field, never 0 or None
+            assert fields[key] == ("" if value is None else repr(value))
+        assert (fields["rel_error"] == "") == (max_refinements == 0)
 
     def test_subluminal_is_numerical_error(self, tmp_path, capsys):
         config = write_config(
@@ -281,6 +393,45 @@ class TestFastlight:
         assert "enhancement: 1," in capsys.readouterr().out
 
 
+    def test_csv_out(self, tmp_path):
+        config = write_config(tmp_path, {**FASTLIGHT_WINDOW, "resolution": 41})
+        csv_path, json_path = tmp_path / "study.csv", tmp_path / "study.json"
+        for path in (csv_path, json_path):
+            assert main(["fastlight", "--config", config, "--out", str(path)]) == EXIT_OK
+        doc = json.loads(json_path.read_text())
+        header, row = data_lines(csv_path)
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields == {
+            "enhancement": repr(doc["enhancement"]),
+            "peak_count": repr(doc["peak_count"]),
+            **{f"resonance_{k}": repr(v) for k, v in doc["resonance"].items()},
+        }
+
+
+class TestBadWindows:
+    @pytest.mark.parametrize(
+        "window",
+        [[0.3, math.inf], [0.3, "inf"], [0.3, math.nan], [-0.3, 0.4], None],
+        ids=["inf", "inf_string", "nan", "negative", "null"],
+    )
+    @pytest.mark.parametrize(
+        "command, extra, key",
+        [
+            ("spectrum", GRID_WINDOWS, "lambda1_window_um"),
+            ("spectrum", GRID_WINDOWS, "lambda2_window_um"),
+            ("maxima", {}, "lambda1_window_um"),
+            ("total", SMALL_TOTAL, "total_lambda_window_um"),
+            ("fastlight", FASTLIGHT_WINDOW, "fastlight_window_um"),
+        ],
+        ids=["spectrum_lambda1", "spectrum_lambda2", "maxima", "total", "fastlight"],
+    )
+    def test_config_error_names_key(self, tmp_path, capsys, command, extra, key, window):
+        config = write_config(tmp_path, {**extra, key: window})
+        out = str(tmp_path / "out.json")
+        line = assert_config_error(capsys, [command, "--config", config, "--out", out])
+        assert repr(key) in line
+
+
 class TestErrorHandling:
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -327,11 +478,13 @@ class TestErrorHandling:
 
 
 def assert_config_error(capsys, argv):
+    """main(argv) exits 1 with one 'error:' line and no output; returns that line."""
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 TANH_PROFILE = {

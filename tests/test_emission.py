@@ -1,4 +1,4 @@
-"""Emission-density tests: oracles, scaling laws, grids, serialization."""
+"""Emission-density tests: oracles, scaling laws, grids, config snapshots."""
 
 import json
 import math
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vacuumpairs import dispersion, emission
+from vacuumpairs.cli import _emission_config
 from vacuumpairs.dispersion import ConstantIndex, DispersionModel
 from vacuumpairs.emission import (
     FLAG_FORBIDDEN,
@@ -16,7 +17,6 @@ from vacuumpairs.emission import (
     GaussianProfile,
     TanhProfile,
     collinear_grid,
-    config_from_dict,
     config_to_dict,
     density_gaussian,
     density_tanh,
@@ -325,51 +325,19 @@ class TestSerialization:
     def test_config_roundtrip(self):
         config = silica_config()
         doc = config_to_dict(config)
-        again = config_from_dict(json.loads(json.dumps(doc)))
+        again = _emission_config(json.loads(json.dumps(doc)))
         assert again == config
 
     def test_config_convention_mismatch_rejected(self):
         doc = config_to_dict(silica_config())
         with pytest.raises(ValueError, match="convention"):
-            config_from_dict({**doc, "convention": "per-domega"})
+            _emission_config({**doc, "convention": "per-domega"})
 
     def test_config_without_convention_accepted(self):
         doc = config_to_dict(silica_config())
         del doc["convention"]
-        assert config_from_dict(doc) == silica_config()
+        assert _emission_config(doc) == silica_config()
 
     def test_tanh_profile_roundtrip(self):
         profile = TanhProfile(eta=0.001, sigma_x=1.1, sigma_y=0.9, sigma_z=1.3)
         assert emission.profile_from_dict(emission.profile_to_dict(profile)) == profile
-
-    def test_csv_and_json_outputs(self, tmp_path):
-        config = silica_config(beta=20.0)
-        grid = collinear_grid(config, (0.3, 0.4), (0.3, 0.4), 21)
-        csv_path = tmp_path / "grid.csv"
-        json_path = tmp_path / "grid.json"
-        grid.to_csv(csv_path)
-        grid.to_json(json_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "lambda1_um,lambda2_um,density,flag"
-        assert len(lines) == 1 + 21 * 21
-        doc = json.loads(json_path.read_text())
-        assert doc["config"]["beta"] == 20.0
-        assert np.array(doc["values"]).shape == (21, 21)
-
-    def test_csv_roundtrips_floats_exactly(self, tmp_path):
-        config = silica_config(beta=20.0)
-        grid = collinear_grid(config, (0.3, 0.4), (0.3, 0.4), 11)
-        path = tmp_path / "grid.csv"
-        grid.to_csv(path)
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        cell = rows[60]
-        i, j = 60 // 11, 60 % 11
-        assert float(cell[2]) == grid.values[i, j]
-
-    def test_rewrite_byte_identical(self, tmp_path):
-        config = silica_config(beta=20.0)
-        grid = collinear_grid(config, (0.3, 0.4), (0.3, 0.4), 21)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        grid.to_csv(p1)
-        grid.to_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
