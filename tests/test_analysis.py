@@ -1,5 +1,6 @@
 """Analysis-layer tests: maxima search, sweeps, totals, fast-light study."""
 
+import dataclasses
 import math
 import warnings
 
@@ -244,6 +245,17 @@ class TestTotalCount:
             max_refinements=1,
         )
         assert result.pairs_per_pulse == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_unrefined_error_not_estimated(self):
+        result = total_count(
+            silica_config(beta=20.0),
+            cone_half_angle_rad=math.radians(30.0),
+            lam_window=(0.15, 3.0),
+            base_resolution=self.RES,
+            max_refinements=0,
+        )
+        assert result.rel_error is None
+        assert dataclasses.asdict(result)["rel_error"] is None
 
     @pytest.mark.parametrize(
         "cone_deg, rel_tol",

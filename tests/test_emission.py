@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vacuumpairs import dispersion, emission
-from vacuumpairs.cli import _emission_config
+from vacuumpairs.cli import _emission_config, main
 from vacuumpairs.dispersion import ConstantIndex, DispersionModel
 from vacuumpairs.emission import (
     FLAG_FORBIDDEN,
@@ -337,6 +337,20 @@ class TestSerialization:
         doc = config_to_dict(silica_config())
         del doc["convention"]
         assert _emission_config(doc) == silica_config()
+
+    def test_rewrite_byte_identical(self, tmp_path):
+        doc = {
+            **config_to_dict(silica_config(beta=20.0)),
+            "lambda1_window_um": [0.3, 0.4],
+            "lambda2_window_um": [0.3, 0.4],
+            "resolution": 21,
+        }
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (p1, p2):
+            assert main(["spectrum", "--config", str(config), "--out", str(path)]) == 0
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_tanh_profile_roundtrip(self):
         profile = TanhProfile(eta=0.001, sigma_x=1.1, sigma_y=0.9, sigma_z=1.3)
