@@ -276,9 +276,11 @@ def _total_count_once(
     The integrand is emission._density_kernel, the density of the point,
     curve and grid paths, averaged over the relative azimuth phi of the
     pair on (theta1, theta2, phi) arrays, with kz = 0 and the partner
-    wavelength fixed by the constraint at every node by
-    kinematics.solve_partners: one bracket scan per lambda1 row, refined by
-    safeguarded Newton steps.
+    wavelength fixed by the constraint at every node.  The pass builds one
+    partner table of its theta2 nodes (the lam2 part of the residual on the
+    400-point scan grid, kinematics.partner_table); for each lambda1 row,
+    kinematics.solve_tabulated finds every bracket in it by binary search
+    and refines the brackets by safeguarded Newton steps.
 
     Known gap: the kernel gets ky = k1 sin(theta1) + k2 sin(theta2) cos(phi)
     and kz = 0, so this is not the average of the density that
@@ -299,6 +301,7 @@ def _total_count_once(
     theta1, theta2 = t1[:, None, None], t2[None, :, None]
     cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
     cos_t2, sin_t2 = np.cos(theta2), np.sin(theta2)
+    partners = kinematics.partner_table(cos_t2, kin, config.material)
     row_vals = np.zeros(n_lam)
     for i, lam1 in enumerate(lam1_grid):
         lam1 = float(lam1)
@@ -306,7 +309,7 @@ def _total_count_once(
         if bool(bad1[0]):
             continue
         n1, ng1 = float(n1a[0]), float(ng1a[0])
-        lam2 = kinematics.solve_partners(lam1, theta1, theta2, kin, config.material)
+        lam2 = kinematics.solve_tabulated(lam1, theta1, partners)
         none = np.isnan(lam2)
         lam2 = np.where(none, 1.0, lam2)
         n2, ng2, bad2 = _index_fields(config.material, lam2)
@@ -324,8 +327,7 @@ def _total_count_once(
         # to the mean
         mean = simpson(values, x=phi, axis=2) / math.pi
         density = np.where((none | bad2 | csch)[:, :, 0], 0.0, mean)
-        # free the (theta1, theta2, phi) arrays before the next row's
-        # partner scan, which peaks at several (theta1, theta2, scan) arrays
+        # free the (theta1, theta2, phi) arrays before the next row makes its own
         del ky, cos_psi, values
         over_t2 = simpson(density, x=t2, axis=1)
         row_vals[i] = float(simpson(over_t2, x=t1, axis=0))

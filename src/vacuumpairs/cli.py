@@ -37,6 +37,10 @@ class ConfigError(ValueError):
     """The run configuration is malformed or incomplete."""
 
 
+class NonFiniteResultError(ValueError):
+    """A computation gave an inf or nan, for instance from sizes that overflow."""
+
+
 def _load_config(path) -> dict:
     try:
         with open(path, "r") as fh:
@@ -158,6 +162,17 @@ def _write(path: str, config: EmissionConfig, doc: dict, columns, rows) -> None:
             fh.write("\n")
 
 
+def _check_finite(what: str, values) -> None:
+    """Raise NonFiniteResultError unless every value is finite.
+
+    Called before anything is printed or written, so no run reports inf or
+    nan with exit 0.
+    """
+    for value in values:
+        if not math.isfinite(value):
+            raise NonFiniteResultError(f"non-finite {what}: {value!r}")
+
+
 def _emit(args, text: str) -> None:
     if args.verbose:
         print(text, file=sys.stderr)
@@ -236,6 +251,9 @@ def cmd_maxima(args) -> int:
     sweep = analysis.beta_sweep(config, betas, window=window)
     if not sweep.rows:
         raise analysis.NoEmissionError("; ".join(msg for _, msg in sweep.failures))
+    _check_finite(
+        "maximum", (x for r in sweep.rows for x in (r.lambda1_um, r.lambda2_um, r.density))
+    )
     for row in sweep.rows:
         print(
             f"beta={row.beta:g} lambda1max={row.lambda1_um:.6g} um "
@@ -279,6 +297,9 @@ def cmd_total(args) -> int:
     result = analysis.total_count(
         config, math.radians(cone_deg), window, rel_tol=rel_tol, **kwargs
     )
+    _check_finite(
+        "total", [x for x in (result.pairs_per_pulse, result.rel_error) if x is not None]
+    )
     if result.rel_error is None:
         error = "quadrature error not estimated"
     else:
@@ -317,6 +338,7 @@ def cmd_fastlight(args) -> int:
         window=_window(doc, "fastlight_window_um", None),
         resolution=_number(doc, "resolution", 161, integer=True),
     )
+    _check_finite("enhancement", [study.enhancement])
     print(
         f"enhancement: {study.enhancement:.6g}, "
         f"peaks above half maximum: {study.peak_count}"
@@ -390,6 +412,7 @@ def main(argv=None) -> int:
             (
                 DispersionError,
                 KinematicsError,
+                NonFiniteResultError,
                 emission.EmissionError,
                 analysis.AnalysisError,
             ),

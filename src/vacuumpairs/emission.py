@@ -66,6 +66,18 @@ class CschSingularError(EmissionError):
     """|k1x + k2x| below KX_FLOOR: csch^2 pole of the tanh profile."""
 
 
+def _finite_powers(*pairs) -> bool:
+    """Whether every x**p of the (x, p) pairs is a finite float.
+
+    The kernels take these powers of the profile sizes; Python's float **
+    raises OverflowError where numpy would give inf.
+    """
+    try:
+        return all(math.isfinite(x**p) for x, p in pairs)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class GaussianProfile:
     """Isotropic Gaussian index bump: amplitude eta, radius sigma (um)."""
@@ -78,6 +90,8 @@ class GaussianProfile:
             raise ValueError("eta must be >= 0 and finite (only the amplitude matters)")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
+        if not _finite_powers((self.eta, 2), (self.sigma, 6)):
+            raise ValueError("eta^2 and sigma^6 must be finite floats")
 
 
 @dataclass(frozen=True)
@@ -95,6 +109,12 @@ class TanhProfile:
         sigmas = (self.sigma_x, self.sigma_y, self.sigma_z)
         if not all(s > 0.0 and math.isfinite(s) for s in sigmas):
             raise ValueError("all sigmas must be positive and finite")
+        if not _finite_powers(
+            (self.eta, 2), (math.prod(sigmas), 2), (self.sigma_y, 2), (self.sigma_z, 2)
+        ):
+            raise ValueError(
+                "eta^2, (sigma_x sigma_y sigma_z)^2, sigma_y^2 and sigma_z^2 must be finite floats"
+            )
 
 
 @dataclass(frozen=True)
@@ -304,7 +324,8 @@ def _density_kernel(
     w1 = dispersion.wavelength_to_omega(np.asarray(lam1, dtype=float))
     w2 = dispersion.wavelength_to_omega(np.asarray(lam2, dtype=float))
     v_um = kin.v_um_s
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # huge sizes overflow to inf or nan here; callers mask or reject those
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         common = (
             profile.eta**2
             * math.pi**2
@@ -320,10 +341,10 @@ def _density_kernel(
         g1 = 1.0 - cos_t1 / (kin.beta * ng1)
         g2 = 1.0 - cos_t2 / (kin.beta * ng2)
         jac = 1.0 / np.hypot(g1, g2)
-    # the mean pair wavenumber weights the spectral density (um^-1)
-    weight = 0.5 * (k1 + k2) / TWO_PI
-    measure = k1 * k1 * k2 * k2 * jac * weight * (config.length_um / TWO_PI) / TWO_PI**5
-    return config.calibration * common * ff * measure, csch
+        # the mean pair wavenumber weights the spectral density (um^-1)
+        weight = 0.5 * (k1 + k2) / TWO_PI
+        measure = k1 * k1 * k2 * k2 * jac * weight * (config.length_um / TWO_PI) / TWO_PI**5
+        return config.calibration * common * ff * measure, csch
 
 
 def _grid_fields(config: EmissionConfig, lam1, lam2):

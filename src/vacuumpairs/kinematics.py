@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -149,49 +150,120 @@ def constraint_tolerance(lam1: float, lam2: float, kin: PerturbationKinematics) 
 def _partner_term(lam2, cos_t2, inv_b, model):
     """The lam2 part of the residual over 2 pi, nan where the model is invalid, and n_g2.
 
-    The nan lets a bracketing scan simply skip invalid wavelengths; the
-    group index gives the slope of the term for a Newton step.
+    The group index gives the slope of the term for a Newton step.
     """
     n2, n_g2, bad = dispersion.index_fields(model, lam2)
     return np.where(bad, np.nan, _photon_term(lam2, n2, cos_t2, inv_b)), n_g2
 
 
-def _smallest_root_bracket(part1, cos_t2, inv_b, model):
-    """Bracket of the smallest partner root: the scan both solvers share.
+@lru_cache(maxsize=256)
+def _scan_grid(model: dispersion.DispersionModel) -> tuple[np.ndarray, np.ndarray]:
+    """The _SCAN_POINTS log grid over the transparency window and n on it, once per model.
 
-    part1 is the lam1 part of the residual over 2 pi; it broadcasts with
-    cos_t2.  The residual is scanned over the transparency window of the
-    model on a log grid of _SCAN_POINTS wavelengths, as a last axis.  The
-    first exact zero, or sign change to the next grid point, brackets the
-    smallest root.  Returns (lo, hi, up): the bracket, with lo == hi at an
-    exact zero and lo nan where there is no root, and whether the residual
-    is positive at lo.  Warns once with MultipleRootsWarning when any element has more
-    than one root.
+    The window is a run of valid samples of a finer grid with a guard band
+    at every pole, so no scan point should be invalid; a model where one is
+    raises DispersionError rather than being scanned with a gap.
     """
     grid = np.geomspace(*dispersion.transparency_window(model), _SCAN_POINTS)
-    part2, _ = _partner_term(grid, np.asarray(cos_t2)[..., None], inv_b, model)
-    # signs of part1 + part2 from comparisons, which are exact and keep the
-    # scan in booleans; nan compares false, so invalid points are skipped
-    neg = -np.asarray(part1)[..., None]
-    above, below = part2 > neg, part2 < neg
-    # a sign change over [grid[i], grid[i+1]] never shares its index with a
-    # zero at grid[i], so the first event in index order is the smallest root
-    events = part2 == neg
-    events[..., :-1] |= (above[..., :-1] & below[..., 1:]) | (below[..., :-1] & above[..., 1:])
-    n_roots = np.count_nonzero(events, axis=-1)
-    if np.any(n_roots > 1):
+    n, _, bad = dispersion.index_fields(model, grid)
+    if bad.any():
+        raise dispersion.DispersionError("model is invalid inside its transparency window")
+    grid.flags.writeable = n.flags.writeable = False
+    return grid, n
+
+
+@dataclass(frozen=True)
+class PartnerTable:
+    """The lam2 part of the residual on the scan grid, one column per element of cos_t2.
+
+    keys holds the complex numbers column + 1j (-prefix minimum) in rows
+    0..C-1 and C + column + 1j (prefix maximum) in rows C..2C-1: sorted,
+    so one searchsorted finds in every column the first scan point where
+    the prefix minimum falls to a value or the prefix maximum reaches it.
+    rest_lo/rest_hi are the suffix minimum and maximum, with an empty
+    suffix (+inf, -inf) at index _SCAN_POINTS.  start is the first scan
+    value of each column, nan where cos_t2 is nan.
+    """
+
+    model: dispersion.DispersionModel
+    kin: PerturbationKinematics
+    cos_t2: np.ndarray
+    grid: np.ndarray
+    start: np.ndarray
+    keys: np.ndarray
+    rest_lo: np.ndarray
+    rest_hi: np.ndarray
+
+
+def partner_table(cos_t2, kin: PerturbationKinematics, model) -> PartnerTable:
+    """The partner table of one velocity and set of cos(theta2), for solve_tabulated.
+
+    It serves any number of lam1 and theta1 without evaluating the
+    dispersion model again.  Both are public so that a trace of the
+    package's public functions counts total_count's partner solve as
+    kinematics work.
+    """
+    model = dispersion.as_model(model)
+    grid, n = _scan_grid(model)
+    cos_t2 = np.asarray(cos_t2, dtype=float)
+    part2 = _photon_term(grid, n, cos_t2.reshape(-1, 1), 1.0 / kin.beta)
+    start = part2[:, 0].copy()
+    part2[np.isnan(part2)] = 0.0  # a nan column has no root; keep the keys sorted
+    columns = len(part2)
+    lowest = np.minimum.accumulate(part2, axis=1)
+    highest = np.maximum.accumulate(part2, axis=1)
+    keys = np.arange(2 * columns)[:, None] + 1j * np.concatenate([-lowest, highest])
+    rest_lo = np.full((columns, _SCAN_POINTS + 1), np.inf)
+    rest_hi = np.full((columns, _SCAN_POINTS + 1), -np.inf)
+    rest_lo[:, -2::-1] = np.minimum.accumulate(part2[:, ::-1], axis=1)
+    rest_hi[:, -2::-1] = np.maximum.accumulate(part2[:, ::-1], axis=1)
+    return PartnerTable(model, kin, cos_t2, grid, start, keys, rest_lo, rest_hi)
+
+
+def _smallest_root_bracket(part1, table: PartnerTable):
+    """Bracket of the smallest partner root: the search both solvers share.
+
+    part1 is the lam1 part of the residual over 2 pi; it broadcasts with
+    table.cos_t2.  On the scan grid, the first exact zero of the residual
+    part1 + part2, or sign change to the next point, brackets the smallest
+    root.  With v = -part1 and part2 starting above v, the first point k
+    where part2 <= v is the first where its prefix minimum is, and there
+    the two are equal; k is the zero, or the upper end of the sign change.
+    Starting below v, the prefix maximum plays that part.  Both are
+    monotonic, so a binary search finds k.  Another root follows when v
+    lies within the range of part2 after the first root.
+
+    Returns (lo, hi, up): the bracket, with lo == hi at an exact zero and
+    both nan where there is no root, and whether the residual is positive
+    at lo.  Warns once with MultipleRootsWarning when any element has more
+    than one root.
+    """
+    v = -np.asarray(part1, dtype=float)
+    column = np.arange(table.start.size).reshape(table.cos_t2.shape)
+    v, column = np.broadcast_arrays(v, column)
+    # part2 is finite, so a non-finite v has no root
+    none = ~np.isfinite(v) | np.isnan(table.start[column])
+    v = np.where(none, 0.0, v)
+    rows, points = table.keys.shape
+    down = table.start[column] > v
+    row = np.where(down, column, column + rows // 2)
+    target = np.where(down, -v, v)
+    k = np.searchsorted(table.keys.ravel(), row + 1j * target) - row * points
+    found = ~none & (k < points)
+    k = np.minimum(k, points - 1)
+    zero = table.keys.imag[row, k] == target
+    # a zero at k is the first root; else the sign changes over [k - 1, k]
+    lo = np.where(found, table.grid[np.where(zero, k, k - 1)], np.nan)
+    hi = np.where(found, table.grid[k], np.nan)
+    rest = np.where(zero, k + 1, k)  # the scan points after the first root
+    second = found & (table.rest_lo[column, rest] <= v) & (v <= table.rest_hi[column, rest])
+    if np.any(second):
         warnings.warn(
-            f"up to {int(np.max(n_roots))} partner roots found; returning the smallest",
+            "more than one partner root found; returning the smallest",
             MultipleRootsWarning,
             stacklevel=3,
         )
-    first = np.argmax(events, axis=-1)[..., None]
-    up = np.take_along_axis(above, first, axis=-1)[..., 0]
-    flip = up | np.take_along_axis(below, first, axis=-1)[..., 0]
-    first = first[..., 0]
-    lo = np.where(n_roots > 0, grid[first], np.nan)
-    hi = np.where(flip, grid[np.minimum(first + 1, _SCAN_POINTS - 1)], lo)
-    return lo, hi, up
+    return lo, hi, found & down & ~zero
 
 
 def solve_partner(
@@ -201,16 +273,17 @@ def solve_partner(
 
     Searches the transparency window of the model, which keeps the search
     off any unphysical branch beyond an infrared pole, and returns its
-    smallest root: the scan brackets it, and brentq refines the bracket.
-    Warns via MultipleRootsWarning when the window holds more than one root
-    (possible for non-monotonic, fast-light dispersion).  Raises
-    NoSignChangeError when it holds none (in particular in the subluminal
-    regime, where there is no pair emission at all).
+    smallest root: the binary search of _smallest_root_bracket brackets it
+    on the scan grid, and brentq refines the bracket.  Warns via
+    MultipleRootsWarning when the window holds more than one root (possible
+    for non-monotonic, fast-light dispersion).  Raises NoSignChangeError
+    when it holds none (in particular in the subluminal regime, where there
+    is no pair emission at all).
     """
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta
     part1 = _photon_term(lam1, dispersion.refractive_index(model, lam1), cos_t1, inv_b)
-    lo, hi, _ = _smallest_root_bracket(part1, cos_t2, inv_b, model)
+    lo, hi, _ = _smallest_root_bracket(part1, partner_table(cos_t2, kin, model))
     lo, hi = float(lo), float(hi)
     if math.isnan(lo):
         raise NoSignChangeError(
@@ -226,24 +299,33 @@ def solve_partner(
 def solve_partners(lam1, theta1, theta2, kin: PerturbationKinematics, model) -> np.ndarray:
     """solve_partner over broadcast lam1, theta1, theta2; nan where there is no partner.
 
-    The same scan and smallest-root rule, with each bracket refined to the
-    tolerance solve_partner gives brentq by vectorized Newton steps.  The
-    slope of the lam2 part is (1/beta - n_g2 cos(theta2))/lam2^2, so
-    index_fields gives it with the residual.  A step that leaves the
-    bracket, has no finite slope (fast light can give n_g2 cos(theta2) =
-    1/beta) or is not shorter than half the step before last (Brent's rule)
-    bisects instead; one shorter than half the tolerance is lengthened to
-    it, so the far end of the bracket closes in.  The residual is a lam1
-    part plus a lam2 part, so the dispersion model is evaluated on the scan
-    grid once for all inputs.  A lam1 where the model is invalid has no
-    partner.
+    The same bracket search and smallest-root rule, with each bracket
+    refined to the tolerance solve_partner gives brentq by vectorized
+    Newton steps (see solve_tabulated).  A lam1 where the model is invalid
+    has no partner.
     """
+    return solve_tabulated(lam1, theta1, partner_table(np.cos(theta2), kin, model))
+
+
+def solve_tabulated(lam1, theta1, table: PartnerTable) -> np.ndarray:
+    """solve_partners with the partner table of theta2 built by the caller.
+
+    The residual is a lam1 part plus a lam2 part, so one table serves every
+    lam1 and theta1: total_count builds it once per quadrature pass.  The
+    bracket comes from a binary search of the table.  The slope of the
+    lam2 part is (1/beta - n_g2 cos(theta2))/lam2^2, so index_fields gives
+    it with the residual.  A Newton step that leaves the bracket, has no
+    finite slope (fast light can give n_g2 cos(theta2) = 1/beta) or is not
+    shorter than half the step before last (Brent's rule) bisects instead;
+    one shorter than half the tolerance is lengthened to it, so the far end
+    of the bracket closes in.
+    """
+    model, cos_t2 = table.model, table.cos_t2
     lam1 = np.asarray(lam1, dtype=float)
-    cos_t2 = np.cos(theta2)
-    inv_b = 1.0 / kin.beta
+    inv_b = 1.0 / table.kin.beta
     n1, _, bad1 = dispersion.index_fields(model, lam1)
     part1 = np.where(bad1, np.nan, _photon_term(lam1, n1, np.cos(theta1), inv_b))
-    lo, hi, up_lo = _smallest_root_bracket(part1, cos_t2, inv_b, model)
+    lo, hi, up_lo = _smallest_root_bracket(part1, table)
     x = 0.5 * (lo + hi)
     last = before = hi - lo  # lengths of the last two steps
     while np.any(hi - lo >= _XTOL + _RTOL * hi):

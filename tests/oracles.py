@@ -1,11 +1,13 @@
-"""Closed-form oracles shared by the test modules."""
+"""Closed-form and brute-force oracles shared by the test modules."""
 
 import math
 
 import numpy as np
 
+from vacuumpairs import dispersion
 from vacuumpairs.dispersion import wavelength_to_omega
 from vacuumpairs.emission import GaussianProfile
+from vacuumpairs.kinematics import _SCAN_POINTS
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,3 +63,33 @@ def density_nondispersive(mode1, mode2, n0, config):
     weight = 0.5 * (k1 + k2) / TWO_PI
     measure = k1 * k1 * k2 * k2 * jac * weight * (config.length_um / TWO_PI) / TWO_PI**5
     return float(config.calibration * value * measure)
+
+
+def smallest_root_bracket(part1, cos_t2, inv_b, model):
+    """Brute-force bracket of the smallest partner root, by sweeping the scan grid.
+
+    part1 is the lam1 part (n1 cos(theta1) - 1/beta)/lam1 of the residual
+    over 2 pi; it broadcasts with cos_t2.  The lam2 part is evaluated on
+    the log grid of _SCAN_POINTS wavelengths over the transparency window,
+    as a last axis, with nan where the model is invalid.  An event is an
+    exact zero at a grid point or a sign change between neighbours (nan
+    compares false, so invalid points are skipped); the first event
+    brackets the smallest root.  Returns (lo, hi, up, n_roots): the bracket
+    (lo == hi at an exact zero, lo nan where there is no root), whether the
+    residual is positive at lo, and the number of events.
+    """
+    grid = np.geomspace(*dispersion.transparency_window(model), _SCAN_POINTS)
+    n2, _, bad = dispersion.index_fields(model, grid)
+    part2 = np.where(bad, np.nan, (n2 * np.asarray(cos_t2)[..., None] - inv_b) / grid)
+    neg = -np.asarray(part1)[..., None]
+    above, below = part2 > neg, part2 < neg
+    events = part2 == neg
+    events[..., :-1] |= (above[..., :-1] & below[..., 1:]) | (below[..., :-1] & above[..., 1:])
+    n_roots = np.count_nonzero(events, axis=-1)
+    first = np.argmax(events, axis=-1)[..., None]
+    up = np.take_along_axis(above, first, axis=-1)[..., 0]
+    flip = up | np.take_along_axis(below, first, axis=-1)[..., 0]
+    first = first[..., 0]
+    lo = np.where(n_roots > 0, grid[first], np.nan)
+    hi = np.where(flip, grid[np.minimum(first + 1, _SCAN_POINTS - 1)], lo)
+    return lo, hi, up, n_roots

@@ -313,6 +313,22 @@ class TestTotalCount:
                 max_refinements=max_refinements,
             )
 
+    def test_one_partner_table_per_pass(self, monkeypatch):
+        # the table depends on theta2 alone, so the 9 lambda1 rows share it
+        built = []
+        partner_table = kinematics.partner_table
+
+        def counted(*args):
+            built.append(args)
+            return partner_table(*args)
+
+        monkeypatch.setattr(kinematics, "partner_table", counted)
+        value = analysis._total_count_once(
+            silica_config(beta=20.0), math.radians(30.0), (0.15, 3.0), 9, 5, 17, 9
+        )
+        assert value > 0.0
+        assert len(built) == 1
+
     def test_subluminal_raises(self):
         with pytest.raises(NoEmissionError):
             total_count(

@@ -525,6 +525,38 @@ class TestNonFiniteSizes:
         assert_config_error(capsys, ["maxima", "--config", config])
 
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"profile": {**BASE_CONFIG["profile"], "eta": 1e200}},
+            {"profile": {**BASE_CONFIG["profile"], "sigma_um": 1e200}},
+            {"profile": {**TANH_PROFILE, "eta": 1e200}},
+            {"profile": {**TANH_PROFILE, "sigma_x_um": 1e-200, "sigma_y_um": 1e200}},
+        ],
+        ids=["eta", "sigma_um", "tanh_eta", "tanh_sigma_y"],
+    )
+    def test_overflowing_size_rejected(self, tmp_path, capsys, extra):
+        # finite, but eta^2 or sigma^6 overflows a float
+        config = write_config(tmp_path, extra)
+        assert "bad profile" in assert_config_error(capsys, ["maxima", "--config", config])
+
+
+class TestNonFiniteResult:
+    # a numpy overflow warning would print more lines to stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["maxima", "total"])
+    def test_overflowing_length_is_numerical_error(self, tmp_path, capsys, command):
+        # L_m = 1e300 makes the density overflow: inf from maxima, nan from total
+        config = write_config(tmp_path, {"L_m": 1e300, **SMALL_TOTAL})
+        out = tmp_path / "result.json"
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite")
+        assert not out.exists()
+
+
 class TestMalformedConfig:
     @pytest.mark.parametrize(
         "extra",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vacuumpairs import dispersion
+from vacuumpairs import dispersion, kinematics
 from vacuumpairs.dispersion import ConstantIndex, DispersionModel, fast_light_resonance
 from vacuumpairs.kinematics import (
     NoSignChangeError,
@@ -27,7 +27,7 @@ from vacuumpairs.kinematics import (
 )
 from vacuumpairs.materials import get_material
 
-from oracles import partner_nondispersive
+from oracles import partner_nondispersive, smallest_root_bracket
 
 
 def constant(n0):
@@ -286,6 +286,77 @@ class TestSolvePartners:
             warnings.simplefilter("always")
             solve_partners(lams, 0.0, math.pi, kin, fast_light_silica(0.3))
         assert [w.category for w in caught] == [MultipleRootsWarning]
+
+
+class TestBracketSearch:
+    """The binary search of the partner table against the sweep it replaced."""
+
+    MODELS = {
+        "fused_silica": lambda: get_material("fused_silica"),
+        "silicon": lambda: get_material("silicon"),
+        "fast_light": lambda: fast_light_silica(0.06),
+        "fast_light_multiroot": lambda: fast_light_silica(0.3),
+        "constant": lambda: constant(1.5),
+    }
+    THETA1 = np.linspace(0.0, math.pi, 7)[:, None]
+    THETA2 = np.linspace(0.0, math.pi, 41)[None, :]
+
+    def check_rows(self, model, kin, part1, cos_t2):
+        """Compare each row of part1 with the oracle, the warning included."""
+        table = kinematics.partner_table(cos_t2, kin, model)
+        for row in part1:
+            lo_want, hi_want, up_want, n_roots = smallest_root_bracket(
+                row, cos_t2, 1.0 / kin.beta, model
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                lo, hi, up = kinematics._smallest_root_bracket(row, table)
+            root = n_roots > 0
+            np.testing.assert_array_equal(lo, lo_want)
+            np.testing.assert_array_equal(hi[root], hi_want[root])
+            np.testing.assert_array_equal(up[root], up_want[root])
+            assert np.all(np.isnan(hi[~root]))
+            warned = [w.category for w in caught] == [MultipleRootsWarning]
+            assert warned == bool(np.any(n_roots > 1))
+            assert warned or not caught
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 20.0])
+    def test_matches_sweep(self, name, beta):
+        # lam1 from far below to far above the transparency window, and nan
+        model = self.MODELS[name]()
+        kin = PerturbationKinematics(beta=beta)
+        lam1 = np.append(np.geomspace(0.01, 1000.0, 61), np.nan)[:, None, None]
+        n1, _, bad1 = dispersion.index_fields(model, lam1)
+        part1 = np.where(
+            bad1, np.nan, kinematics._photon_term(lam1, n1, np.cos(self.THETA1), 1.0 / beta)
+        )
+        window = dispersion.transparency_window(model)
+        assert lam1[0] < window[0] and lam1[-2] > window[1]
+        self.check_rows(model, kin, part1, np.cos(self.THETA2))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_sweep_at_exact_zeros(self, name):
+        # part1 equal to minus a scan value puts an exact zero on the grid:
+        # every 23rd point, and every local extreme, where the residual
+        # touches zero without crossing it; one theta2 at a time, so the
+        # warning is checked element by element
+        model = self.MODELS[name]()
+        kin = PerturbationKinematics(beta=20.0)
+        for cos_t2 in np.cos(self.THETA2[0]):
+            grid, n = kinematics._scan_grid(model)
+            part2 = kinematics._photon_term(grid, n, cos_t2, 1.0 / kin.beta)
+            turns = np.diff(part2)[:-1] * np.diff(part2)[1:] < 0.0
+            part1 = -np.append(part2[::23], part2[1:-1][turns])
+            self.check_rows(model, kin, part1, cos_t2)
+
+    def test_nan_theta2_has_no_root(self):
+        model = get_material("fused_silica")
+        kin = PerturbationKinematics(beta=20.0)
+        table = kinematics.partner_table(np.cos([math.pi, math.nan]), kin, model)
+        part1 = kinematics._photon_term(0.5, dispersion.refractive_index(model, 0.5), 1.0, 0.05)
+        lo, hi, _ = kinematics._smallest_root_bracket(part1, table)
+        assert not math.isnan(lo[0]) and np.isnan(lo[1]) and np.isnan(hi[1])
 
 
 class TestCones:
