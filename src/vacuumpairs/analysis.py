@@ -262,6 +262,59 @@ def correlation_curve(
 # ---------------------------------------------------------------------------
 # total pair count
 
+def _phi_mean_weights(phi: np.ndarray) -> np.ndarray:
+    """Weights w with f @ w == simpson(f, x=phi) / pi, up to rounding.
+
+    The rule is linear in f, so column j of the identity gives w[j]; this
+    keeps scipy's weights for any number of nodes, odd or even.
+    """
+    return simpson(np.eye(phi.size), x=phi, axis=1) / math.pi
+
+
+def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
+    """The phi-mean density on the (t1, t2) grid of theta1, theta2, one array per lambda1.
+
+    phi holds the Simpson nodes of the mean over [0, pi].  Yields arrays of
+    shape (t1.size, t2.size), zero where there is no partner or the density
+    is undefined, and all zero for a lambda1 where the model is invalid.
+    See _total_count_once for the factoring.
+    """
+    kin = config.kin
+    cos_phi = np.cos(phi)
+    theta1, theta2 = t1[:, None], t2[None, :]
+    cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
+    cos_t2, sin_t2 = np.cos(theta2), np.sin(theta2)
+    partners = kinematics.partner_table(cos_t2, kin, config.material)
+    # the factors of the phi axis that do not depend on lambda
+    cos_psi = (cos_t1 * cos_t2)[..., None] + (sin_t1 * sin_t2)[..., None] * cos_phi
+    psi_factor = 1.0 + cos_psi * cos_psi
+    del cos_psi
+    weights = _phi_mean_weights(phi)
+    for lam1 in lam1_grid:
+        lam1 = float(lam1)
+        n1a, ng1a, bad1 = _index_fields(config.material, np.asarray([lam1]))
+        if bool(bad1[0]):
+            yield np.zeros((t1.size, t2.size))
+            continue
+        n1, ng1 = float(n1a[0]), float(ng1a[0])
+        lam2 = kinematics.solve_tabulated(lam1, theta1, partners)
+        none = np.isnan(lam2)
+        lam2 = np.where(none, 1.0, lam2)
+        n2, ng2, bad2 = _index_fields(config.material, lam2)
+        k1 = TWO_PI * n1 / lam1
+        k2 = TWO_PI * n2 / lam2
+        kx = kinematics._on_shell_sum(lam1, lam2, kin)
+        ky = k1 * sin_t1[..., None] + (k2 * sin_t2)[..., None] * cos_phi
+        angular = (psi_factor * emission._transverse_weight(config.profile, ky, 0.0)) @ weights
+        # free the (theta1, theta2, phi) array before the next row makes its own
+        del ky
+        values, csch = emission._density_kernel(
+            config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0),
+            cos_t1, cos_t2, angular,
+        )
+        yield np.where(none | bad2 | csch, 0.0, values)
+
+
 def _total_count_once(
     config: EmissionConfig,
     half_angle: float,
@@ -275,60 +328,42 @@ def _total_count_once(
 
     The integrand is emission._density_kernel, the density of the point,
     curve and grid paths, averaged over the relative azimuth phi of the
-    pair on (theta1, theta2, phi) arrays, with kz = 0 and the partner
-    wavelength fixed by the constraint at every node.  The pass builds one
-    partner table of its theta2 nodes (the lam2 part of the residual on the
-    400-point scan grid, kinematics.partner_table); for each lambda1 row,
+    pair, with kz = 0 and the partner wavelength fixed by the constraint at
+    every node.  The pass builds one partner table of its theta2 nodes (the
+    lam2 part of the residual on the 400-point scan grid,
+    kinematics.partner_table); for each lambda1 row,
     kinematics.solve_tabulated finds every bracket in it by binary search
     and refines the brackets by safeguarded Newton steps.
 
-    Known gap: the kernel gets ky = k1 sin(theta1) + k2 sin(theta2) cos(phi)
-    and kz = 0, so this is not the average of the density that
-    density_gaussian gives, where kz = k2 sin(theta2) sin(phi).  Restoring
-    kz moves the beta = 20 Gaussian total at (17, 9, 65, 33) from 6.87e-4 to
-    1.00e-4 and the Gaussian/tanh ratio to 1.41, outside the [1.5, 3] band
-    of the acceptance checks; the fix waits on the derivation of the
-    total-count measure.
+    The density depends on phi only through 1 + cos(psi)^2, with
+    cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),
+    and the transverse weight of the form factor, exp(-sigma_y^2 ky^2),
+    with ky = k1 sin(theta1) + k2 sin(theta2) cos(phi); every other factor
+    depends on the (theta1, theta2) cell only, the longitudinal form factor
+    ff(kx, 0, 0) and the csch^2 mask included.  So the pass builds
+    1 + cos(psi)^2 on (theta1, theta2, phi) and the Simpson weights of the
+    phi-mean once; each row forms the weighted mean of 1 + cos(psi)^2 times
+    the transverse weight with one matrix product and evaluates the kernel
+    on (theta1, theta2) with ksum = (kx, 0, 0).  This is the Simpson rule
+    over phi of the kernel on every (theta1, theta2, phi) node, reordered.
+
+    Known gap: the transverse weight gets kz = 0, so this is not the
+    average of the density that density_gaussian gives, where
+    kz = k2 sin(theta2) sin(phi) and the weight is
+    exp(-sigma_y^2 ky^2 - sigma_z^2 kz^2).  Restoring kz moves the
+    beta = 20 Gaussian total at (17, 9, 65, 33) from 6.87e-4 to 1.00e-4 and
+    the Gaussian/tanh ratio to 1.41, outside the [1.5, 3] band of the
+    acceptance checks; the fix waits on the derivation of the total-count
+    measure.
     """
-    kin = config.kin
     lam1_grid = np.geomspace(lam_window[0], lam_window[1], n_lam)
     t1 = np.linspace(0.0, half_angle, n_t1)
     # the backward photon of an allowed pair always lies in the backward
     # hemisphere relative to the propagation axis
     t2 = np.linspace(math.pi / 2.0, math.pi, n_t2)
     phi = np.linspace(0.0, math.pi, n_phi)  # the integrand is even in phi
-    cos_phi = np.cos(phi)
-    theta1, theta2 = t1[:, None, None], t2[None, :, None]
-    cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
-    cos_t2, sin_t2 = np.cos(theta2), np.sin(theta2)
-    partners = kinematics.partner_table(cos_t2, kin, config.material)
     row_vals = np.zeros(n_lam)
-    for i, lam1 in enumerate(lam1_grid):
-        lam1 = float(lam1)
-        n1a, ng1a, bad1 = _index_fields(config.material, np.asarray([lam1]))
-        if bool(bad1[0]):
-            continue
-        n1, ng1 = float(n1a[0]), float(ng1a[0])
-        lam2 = kinematics.solve_tabulated(lam1, theta1, partners)
-        none = np.isnan(lam2)
-        lam2 = np.where(none, 1.0, lam2)
-        n2, ng2, bad2 = _index_fields(config.material, lam2)
-        k1 = TWO_PI * n1 / lam1
-        k2 = TWO_PI * n2 / lam2
-        kx = kinematics._on_shell_sum(lam1, lam2, kin)
-        ky = k1 * sin_t1 + k2 * sin_t2 * cos_phi
-        cos_psi = cos_t1 * cos_t2 + sin_t1 * sin_t2 * cos_phi
-        values, csch = emission._density_kernel(
-            config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, ky, 0.0),
-            cos_t1, cos_t2, cos_psi,
-        )
-        # mean over the relative azimuth (the integrand is even, so half the
-        # period suffices); the mask does not depend on phi, so it is applied
-        # to the mean
-        mean = simpson(values, x=phi, axis=2) / math.pi
-        density = np.where((none | bad2 | csch)[:, :, 0], 0.0, mean)
-        # free the (theta1, theta2, phi) arrays before the next row makes its own
-        del ky, cos_psi, values
+    for i, density in enumerate(_row_densities(config, lam1_grid, t1, t2, phi)):
         over_t2 = simpson(density, x=t2, axis=1)
         row_vals[i] = float(simpson(over_t2, x=t1, axis=0))
     return float(simpson(row_vals, x=lam1_grid))

@@ -173,6 +173,11 @@ def _check_finite(what: str, values) -> None:
             raise NonFiniteResultError(f"non-finite {what}: {value!r}")
 
 
+def _extremes(grid) -> list[float]:
+    """Minimum and maximum of a grid's densities: both finite iff every cell is."""
+    return [float(grid.values.min()), float(grid.values.max())]
+
+
 def _emit(args, text: str) -> None:
     if args.verbose:
         print(text, file=sys.stderr)
@@ -208,6 +213,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("spectrum needs 'lambda1_window_um' and 'lambda2_window_um'")
     resolution = _number(doc, "resolution", 121, integer=True)
     grid = emission.collinear_grid(config, window1, window2, resolution)
+    _check_finite("density", _extremes(grid))
     _emit(args, f"grid {resolution}x{resolution}, max density {grid.max_value():.6g}")
     lam1, lam2 = grid.lambda1_um.tolist(), grid.lambda2_um.tolist()
     values, flags = grid.values.tolist(), grid.flags.tolist()
@@ -337,6 +343,9 @@ def cmd_fastlight(args) -> int:
         resonance,
         window=_window(doc, "fastlight_window_um", None),
         resolution=_number(doc, "resolution", 161, integer=True),
+    )
+    _check_finite(
+        "density", [*_extremes(study.grid_base), *_extremes(study.grid_modified)]
     )
     _check_finite("enhancement", [study.enhancement])
     print(

@@ -200,6 +200,22 @@ def tanh_form_factor(profile: TanhProfile, kx, ky, kz):
     )
 
 
+def _transverse_weight(profile, ky, kz):
+    """exp(-sy^2 ky^2 - sz^2 kz^2), with sy = sz = sigma for the Gaussian.
+
+    The transverse part of either form factor: ff(kx, ky, kz) equals
+    ff(kx, 0, 0) times this weight, up to rounding.  The form factors keep
+    their own arithmetic, because the location of the collinear maximum is
+    flat enough that a last-bit change of the density moves it (see
+    analysis.find_maximum).
+    """
+    if isinstance(profile, GaussianProfile):
+        sy = sz = profile.sigma
+    else:
+        sy, sz = profile.sigma_y, profile.sigma_z
+    return np.exp(-sy * sy * np.square(ky) - sz * sz * np.square(kz))
+
+
 # ---------------------------------------------------------------------------
 # scalar point densities
 
@@ -241,7 +257,7 @@ def _mode_pair_density(mode1: PhotonMode, mode2: PhotonMode, config: EmissionCon
     cos_psi = float(np.dot(kvec1, kvec2)) / (k1 * k2)
     values, _ = _density_kernel(
         config, lam[:1], lam[1:], (n[:1], ng[:1]), (n[1:], ng[1:]),
-        ksum, cos_t1, cos_t2, cos_psi,
+        ksum, cos_t1, cos_t2, 1.0 + cos_psi * cos_psi,
     )
     return float(values[0])
 
@@ -285,7 +301,8 @@ class PairDensityGrid:
     photon 2 takes the polar angle implied by the pair constraint (theta2 =
     pi exactly on the constraint curve).  Cells with no real emission angle
     are flagged FORBIDDEN and cells hitting numerical singularities are
-    flagged HOLE; both carry density 0.
+    flagged HOLE; both carry density 0.  An ok cell whose density overflows
+    (huge sizes) keeps its inf or nan.
     """
 
     lambda1_um: np.ndarray
@@ -298,15 +315,18 @@ class PairDensityGrid:
 
 
 def _density_kernel(
-    config: EmissionConfig, lam1, lam2, fields1, fields2, ksum, cos_t1, cos_t2, cos_psi
+    config: EmissionConfig, lam1, lam2, fields1, fields2, ksum, cos_t1, cos_t2, angular
 ):
-    """Calibrated pair density of any pair geometry; the point, curve and grid paths call it.
+    """Calibrated pair density of any pair geometry; every density path calls it.
 
     fields1/fields2 are (n, n_g) of each photon, cos_t1/cos_t2 the cosines
-    of their polar angles, ksum = (kx, ky, kz) the summed pair momentum
-    (um^-1) and cos_psi the cosine of the angle between the two photons.
-    Returns (values, csch), where csch marks the tanh cells on the csch^2
-    pole, evaluated at kx = 1; no cell is masked.
+    of their polar angles and ksum = (kx, ky, kz) the summed pair momentum
+    (um^-1).  angular multiplies the density: 1 + cos(psi)^2 of one pair
+    geometry, with psi the angle between the two photons, or a mean of
+    that factor times the transverse weight over an azimuth (the total
+    count, with ksum = (kx, 0, 0)).  Returns (values, csch), where csch
+    marks the tanh cells on the csch^2 pole, evaluated at kx = 1; no cell
+    is masked.
     """
     kin = config.kin
     profile = config.profile
@@ -333,7 +353,7 @@ def _density_kernel(
             * w1
             * w2
             * (n1 + n2) ** 2
-            * (1.0 + cos_psi * cos_psi)
+            * angular
             / (n1 * n1 * ng1 * ng1 * n2 * n2 * ng2 * ng2)
         )
         # inverse gradient norm of the residual over (k1x, k2x): symmetric in
@@ -357,20 +377,22 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     n1, ng1, bad1 = _index_fields(model, lam1)
     n2, ng2, bad2 = _index_fields(model, lam2)
     s_total = kinematics._on_shell_sum(lam1, lam2, config.kin)
-    k2x = s_total - TWO_PI * n1 / lam1
     k2 = TWO_PI * n2 / lam2
+    # cos(theta2) = k2x / k2; no full-grid k2x outlives it, so the angular
+    # factor below costs no memory at the peak in the kernel
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos_t2 = k2x / k2
+        cos_t2 = (s_total - TWO_PI * n1 / lam1) / k2
     forbidden = np.abs(cos_t2) > 1.0
     cos_t2 = np.clip(cos_t2, -1.0, 1.0)
     ky = k2 * np.sqrt(np.clip(1.0 - cos_t2 * cos_t2, 0.0, None))
     values, csch = _density_kernel(
-        config, lam1, lam2, (n1, ng1), (n2, ng2), (s_total, ky, 0.0), 1.0, cos_t2, cos_t2
+        config, lam1, lam2, (n1, ng1), (n2, ng2), (s_total, ky, 0.0), 1.0, cos_t2,
+        1.0 + cos_t2 * cos_t2,
     )
     hole = bad1 | bad2 | csch
     flags = np.where(hole, FLAG_HOLE, np.where(forbidden, FLAG_FORBIDDEN, FLAG_OK))
+    # an ok cell keeps a density that overflowed, so callers can reject it
     values = np.where(flags == FLAG_OK, values, 0.0)
-    values = np.where(np.isfinite(values), values, 0.0)
     return values, flags
 
 
@@ -394,8 +416,9 @@ def _curve_density(config: EmissionConfig, lam1, lam2):
     residual = kinematics.constraint_residual(lam1, n1, 1.0, lam2, n2, -1.0, config.kin)
     violated = np.abs(residual) > kinematics.constraint_tolerance(lam1, lam2, config.kin)
     kx = TWO_PI * n1 / lam1 - TWO_PI * n2 / lam2
+    # 1 + cos(psi)^2 = 2 for antiparallel photons
     values, csch = _density_kernel(
-        config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0), 1.0, -1.0, -1.0
+        config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0), 1.0, -1.0, 2.0
     )
     return np.where(none | bad1 | bad2 | violated | csch, 0.0, values)
 

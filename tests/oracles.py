@@ -3,8 +3,9 @@
 import math
 
 import numpy as np
+from scipy.integrate import simpson
 
-from vacuumpairs import dispersion
+from vacuumpairs import dispersion, emission, kinematics
 from vacuumpairs.dispersion import wavelength_to_omega
 from vacuumpairs.emission import GaussianProfile
 from vacuumpairs.kinematics import _SCAN_POINTS
@@ -93,3 +94,37 @@ def smallest_root_bracket(part1, cos_t2, inv_b, model):
     lo = np.where(n_roots > 0, grid[first], np.nan)
     hi = np.where(flip, grid[np.minimum(first + 1, _SCAN_POINTS - 1)], lo)
     return lo, hi, up, n_roots
+
+
+def total_row_density_3d(config, lam1, t1, t2, phi):
+    """The phi-mean density of one lambda1 row of the total count, phi node by node.
+
+    The kernel runs on every (theta1, theta2, phi) node with
+    ksum = (kx, ky, 0) and 1 + cos(psi)^2, and the Simpson rule over phi
+    takes the mean; total_count factors the phi-independent part out.
+    Returns the (t1.size, t2.size) array, zero where there is no partner or
+    the density is undefined.
+    """
+    theta1, theta2 = t1[:, None, None], t2[None, :, None]
+    cos_phi = np.cos(phi)
+    cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
+    cos_t2, sin_t2 = np.cos(theta2), np.sin(theta2)
+    n1, ng1, bad1 = emission._index_fields(config.material, np.asarray([lam1]))
+    if bad1[0]:
+        return np.zeros((t1.size, t2.size))
+    partners = kinematics.partner_table(cos_t2, config.kin, config.material)
+    lam2 = kinematics.solve_tabulated(lam1, theta1, partners)
+    none = np.isnan(lam2)
+    lam2 = np.where(none, 1.0, lam2)
+    n2, ng2, bad2 = emission._index_fields(config.material, lam2)
+    k1 = TWO_PI * float(n1[0]) / lam1
+    k2 = TWO_PI * n2 / lam2
+    kx = kinematics._on_shell_sum(lam1, lam2, config.kin)
+    ky = k1 * sin_t1 + k2 * sin_t2 * cos_phi
+    cos_psi = cos_t1 * cos_t2 + sin_t1 * sin_t2 * cos_phi
+    values, csch = emission._density_kernel(
+        config, lam1, lam2, (float(n1[0]), float(ng1[0])), (n2, ng2), (kx, ky, 0.0),
+        cos_t1, cos_t2, 1.0 + cos_psi * cos_psi,
+    )
+    mean = simpson(values, x=phi, axis=2) / math.pi
+    return np.where((none | bad2 | csch)[:, :, 0], 0.0, mean)

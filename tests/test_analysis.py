@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from vacuumpairs import analysis, dispersion, emission, kinematics
 from vacuumpairs.analysis import (
@@ -27,6 +28,8 @@ from vacuumpairs.emission import (
 )
 from vacuumpairs.kinematics import PerturbationKinematics
 from vacuumpairs.materials import get_material
+
+from oracles import total_row_density_3d
 
 
 def silica_config(beta=10.0, sigma=1.0, eta=0.001, length_m=0.05):
@@ -338,6 +341,32 @@ class TestTotalCount:
                 base_resolution=self.RES,
                 max_refinements=0,
             )
+
+
+class TestPhiFactoring:
+    """The total's row density, phi factored out, against the kernel on every phi node."""
+
+    @pytest.mark.parametrize("name", ["silica_beta10", "silica_tanh", "fast_light"])
+    @pytest.mark.parametrize("lam1", [0.3, 0.6, 1.5])
+    def test_row_matches_phi_nodes(self, name, lam1):
+        config = SCAN_CASES[name]()
+        t1 = np.linspace(0.0, math.radians(30.0), 9)
+        t2 = np.linspace(math.pi / 2.0, math.pi, 65)
+        phi = np.linspace(0.0, math.pi, 33)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
+            (row,) = analysis._row_densities(config, [lam1], t1, t2, phi)
+            expected = total_row_density_3d(config, lam1, t1, t2, phi)
+        assert np.count_nonzero(expected) > 0
+        assert row == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n_phi", [3, 4, 33])
+    def test_phi_weights_are_simpson(self, n_phi):
+        phi = np.linspace(0.0, math.pi, n_phi)
+        f = np.exp(np.cos(phi)) * (1.0 + np.sin(phi) ** 2)
+        assert f @ analysis._phi_mean_weights(phi) == pytest.approx(
+            simpson(f, x=phi) / math.pi, rel=1e-14, abs=0.0
+        )
 
 
 class TestCountPeaks:

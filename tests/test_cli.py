@@ -544,10 +544,13 @@ class TestNonFiniteSizes:
 class TestNonFiniteResult:
     # a numpy overflow warning would print more lines to stderr
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["maxima", "total"])
+    @pytest.mark.parametrize("command", ["maxima", "total", "spectrum", "fastlight"])
     def test_overflowing_length_is_numerical_error(self, tmp_path, capsys, command):
-        # L_m = 1e300 makes the density overflow: inf from maxima, nan from total
-        config = write_config(tmp_path, {"L_m": 1e300, **SMALL_TOTAL})
+        # L_m = 1e300 makes the density overflow: inf from maxima and
+        # spectrum, nan from total and fastlight
+        config = write_config(
+            tmp_path, {"L_m": 1e300, **SMALL_TOTAL, **GRID_WINDOWS, **FASTLIGHT_WINDOW}
+        )
         out = tmp_path / "result.json"
         assert main([command, "--config", config, "--out", str(out)]) == EXIT_NUMERICAL
         captured = capsys.readouterr()

@@ -4,7 +4,8 @@ Every run configuration, however malformed, ends in a documented exit code
 (0 ok, 1 bad configuration, 2 unknown material, 3 numerical failure) with
 no traceback, and a run that exits 0 prints and writes only finite numbers.
 The configs start small and valid and are mutated by dropping keys, changing
-types and inserting NaN, +-inf and negatives.
+types and inserting NaN, +-inf and negatives, and the sizes also by huge
+finite values.
 """
 
 import contextlib
@@ -57,6 +58,10 @@ KEEP = {("base_resolution",), ("max_refinements",)}
 # valid request for a long run, not a contract question.
 BAD_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0, 0.5, 1, "x", None, True, [], {}, [1.0]]
 
+# Huge finite sizes: valid numbers whose powers, or the density, overflow.
+HUGE_SIZES = [1e200, 1e300]
+SIZES = {("L_m",), ("profile", "eta"), ("profile", "sigma_um")}
+
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
@@ -88,7 +93,8 @@ def mutated_configs(draw, command):
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(paths(doc))))
         drop = path not in KEEP and draw(st.booleans())
-        doc = mutate(doc, path, draw(st.sampled_from(BAD_VALUES)), drop)
+        values = BAD_VALUES + HUGE_SIZES if path in SIZES else BAD_VALUES
+        doc = mutate(doc, path, draw(st.sampled_from(values)), drop)
     return doc
 
 

@@ -237,6 +237,28 @@ class TestScalingLaws:
         assert ratio == pytest.approx(5.0, rel=1e-12)
 
 
+class TestTransverseWeight:
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            GaussianProfile(eta=0.001, sigma=1.3),
+            TanhProfile(eta=0.001, sigma_x=1.1, sigma_y=0.7, sigma_z=1.6),
+        ],
+        ids=["gaussian", "tanh"],
+    )
+    def test_transverse_weight_factors_form_factor(self, profile):
+        form_factor = (
+            gaussian_form_factor if isinstance(profile, GaussianProfile) else tanh_form_factor
+        )
+        kx = np.linspace(0.2, 3.0, 7)[:, None, None]
+        ky = np.linspace(-2.0, 2.5, 5)[None, :, None]
+        kz = np.linspace(-1.5, 1.0, 4)
+        weight = emission._transverse_weight(profile, ky, kz)
+        assert weight * form_factor(profile, kx, 0.0, 0.0) == pytest.approx(
+            form_factor(profile, kx, ky, kz), rel=1e-14, abs=0.0
+        )
+
+
 class TestTanhDensity:
     def tanh_config(self, **kw):
         return EmissionConfig(
