@@ -26,7 +26,6 @@ from .materials import (
     model_to_dict,
 )
 from .kinematics import (
-    ConeClassification,
     KinematicsError,
     MultipleRootsWarning,
     NoSignChangeError,
@@ -34,10 +33,8 @@ from .kinematics import (
     PhotonMode,
     SubluminalError,
     cerenkov_angle,
-    classify_cones,
     pair_constraint_residual,
     solve_partner,
-    wavenumber,
 )
 from .emission import (
     DEFAULT_CALIBRATION,

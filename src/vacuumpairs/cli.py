@@ -416,20 +416,10 @@ def main(argv=None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_UNKNOWN_MATERIAL
     except (ConfigError, ValueError) as exc:
-        if isinstance(
-            exc,
-            (
-                DispersionError,
-                KinematicsError,
-                NonFiniteResultError,
-                emission.EmissionError,
-                analysis.AnalysisError,
-            ),
-        ):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        numerical = (DispersionError, KinematicsError, NonFiniteResultError,
+                     emission.EmissionError, analysis.AnalysisError)
+        return EXIT_NUMERICAL if isinstance(exc, numerical) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -139,19 +139,42 @@ def as_model(model) -> DispersionModel:
     raise TypeError(f"not a dispersion model: {model!r}")
 
 
+def _sellmeier_term(rad, drad, lam, lam2, denom, a_i, l_i):
+    """rad and drad plus one Sellmeier term a_i lam^2/(lam^2 - l_i) and its lam-derivative.
+
+    The per-term arithmetic of both evaluators: +, -, * and / round
+    correctly in IEEE 754, so a float gets the bits of an array element.
+    Arrays are updated in place.
+    """
+    rad += a_i * lam2 / denom
+    # d/dlam [lam^2/(lam^2 - l)] = -2 lam l / (lam^2 - l)^2
+    drad -= 2.0 * a_i * lam * l_i / (denom * denom)
+    return rad, drad
+
+
+def _lorentzian_term(n, dn, lam, res: LorentzianResonance):
+    """n and dn plus one Lorentzian and its lam-derivative, as in _sellmeier_term."""
+    w2 = res.width * res.width
+    d = lam - res.center
+    q = d * d + w2
+    n += res.amplitude * w2 / q
+    dn -= 2.0 * res.amplitude * w2 * d / (q * q)
+    return n, dn
+
+
 def _evaluate(model: DispersionModel, lam: np.ndarray):
     """n, dn/dlambda and a bad-sample mask over an array of wavelengths.
 
-    The one Sellmeier/Lorentzian evaluator; never raises.  Samples where the
-    model is invalid (non-positive or non-finite wavelength, Sellmeier pole
-    within POLE_GUARD_UM2, negative radicand) are flagged in the mask; their
-    n, dn values are placeholders.
+    The array Sellmeier/Lorentzian evaluator; never raises.  Samples where
+    the model is invalid (non-positive or non-finite wavelength, Sellmeier
+    pole within POLE_GUARD_UM2, negative radicand) are flagged in the mask;
+    their n, dn values are placeholders.
     """
     bad = ~np.isfinite(lam) | (lam <= 0.0)
     lam_safe = np.where(bad, 1.0, lam)
     base = model.base
     if isinstance(base, ConstantIndex):
-        n = np.full(lam.shape, base.n0)
+        n = np.full(lam.shape, float(base.n0))
         dn = np.zeros(lam.shape)
     else:
         lam2 = lam_safe * lam_safe
@@ -162,27 +185,53 @@ def _evaluate(model: DispersionModel, lam: np.ndarray):
             pole = np.abs(denom) <= POLE_GUARD_UM2
             bad |= pole
             denom = np.where(pole, 1.0, denom)
-            rad = rad + a_i * lam2 / denom
-            # d/dlam [lam^2/(lam^2 - l)] = -2 lam l / (lam^2 - l)^2
-            drad = drad - 2.0 * a_i * lam_safe * l_i / (denom * denom)
+            rad, drad = _sellmeier_term(rad, drad, lam_safe, lam2, denom, a_i, l_i)
         bad |= rad < 0.0
         rad = np.where(rad < 0.0, 1.0, rad)
         n = np.sqrt(rad)
         dn = 0.5 * drad / n
     for res in model.resonances:
-        w2 = res.width * res.width
-        d = lam_safe - res.center
-        n = n + res.amplitude * w2 / (d * d + w2)
-        dn = dn - 2.0 * res.amplitude * w2 * d / (d * d + w2) ** 2
+        n, dn = _lorentzian_term(n, dn, lam_safe, res)
     return n, dn, bad
 
 
-def _bad_sample_error(model: DispersionModel, lam: np.ndarray) -> DispersionError:
-    """The error for wavelengths lam that _evaluate flagged as bad.
+def _evaluate_float(model: DispersionModel, lam: float):
+    """_evaluate at one float wavelength, with the same masks and per-term arithmetic.
+
+    math.sqrt rounds correctly like np.sqrt, so n and dn, placeholders
+    included, have the bits of the array element; bad is a bool.
+    """
+    bad = not (math.isfinite(lam) and lam > 0.0)
+    if bad:
+        lam = 1.0
+    base = model.base
+    if isinstance(base, ConstantIndex):
+        n, dn = float(base.n0), 0.0
+    else:
+        lam2 = lam * lam
+        rad, drad = 1.0, 0.0
+        for a_i, l_i in base.terms:
+            denom = lam2 - l_i
+            if abs(denom) <= POLE_GUARD_UM2:
+                bad, denom = True, 1.0
+            rad, drad = _sellmeier_term(rad, drad, lam, lam2, denom, a_i, l_i)
+        if rad < 0.0:
+            bad, rad = True, 1.0
+        n = math.sqrt(rad)
+        dn = 0.5 * drad / n
+    for res in model.resonances:
+        n, dn = _lorentzian_term(n, dn, lam, res)
+    return n, dn, bad
+
+
+def _bad_sample_error(model: DispersionModel, lam) -> DispersionError:
+    """The error for wavelengths lam (a float or an array) with a bad sample.
 
     Checked in order: non-positive or non-finite, then a Sellmeier pole,
-    else a negative radicand.
+    else a negative radicand.  A valid sample meets none of these, so only
+    the bad samples decide the class.
     """
+    lam = np.asarray(lam)
     if not (np.isfinite(lam) & (lam > 0.0)).all():
         return NonPositiveError("wavelength must be positive and finite (um)")
     if isinstance(model.base, SellmeierModel):
@@ -198,22 +247,28 @@ def _bad_sample_error(model: DispersionModel, lam: np.ndarray) -> DispersionErro
 
 
 def _checked(model, wavelength):
-    """(lam, n, dn/dlambda) with lam at least 1-d; raises on any bad sample.
+    """(lam, n, dn/dlambda); raises on any bad sample.
 
-    A scalar is evaluated as a 1-element array, so scalar and array callers
-    get the same arithmetic.
+    A float wavelength (np.float64 included) takes _evaluate_float and
+    gives floats, bit for bit the element an array call gives.  Anything
+    else is evaluated as an array, at least 1-d.
     """
     model = as_model(model)
-    lam = np.atleast_1d(np.asarray(wavelength, dtype=float))
-    n, dn, bad = _evaluate(model, lam)
-    if bad.any():
-        raise _bad_sample_error(model, lam[bad])
+    if isinstance(wavelength, float):
+        lam = float(wavelength)
+        n, dn, bad = _evaluate_float(model, lam)
+    else:
+        lam = np.atleast_1d(np.asarray(wavelength, dtype=float))
+        n, dn, bad = _evaluate(model, lam)
+        bad = bad.any()
+    if bad:
+        raise _bad_sample_error(model, lam)
     return lam, n, dn
 
 
 def _like(wavelength, values):
     """values as a float for a scalar wavelength, else as the array."""
-    return float(values[0]) if np.ndim(wavelength) == 0 else values
+    return values if isinstance(wavelength, float) or np.ndim(wavelength) else float(values[0])
 
 
 def refractive_index(model, wavelength):
@@ -247,9 +302,16 @@ def index_fields(model, wavelength):
     pole within POLE_GUARD_UM2, negative radicand) are flagged in the
     returned boolean mask; their n, n_g values are placeholders.  A group
     index near 0 is not flagged here; emission._index_fields adds that floor.
+    A float wavelength gives (float, float, bool), bit for bit the element
+    of an array call.
     """
+    model = as_model(model)
+    if isinstance(wavelength, float):
+        lam = float(wavelength)
+        n, dn, bad = _evaluate_float(model, lam)
+        return n, n - (1.0 if bad else lam) * dn, bad
     lam = np.asarray(wavelength, dtype=float)
-    n, dn, bad = _evaluate(as_model(model), lam)
+    n, dn, bad = _evaluate(model, lam)
     if bad.any():
         lam = np.where(bad, 1.0, lam)
     return n, n - lam * dn, bad
@@ -278,32 +340,20 @@ def _transparency_window(model: DispersionModel) -> tuple[float, float]:
         lam2 = lam * lam
         for _, l_i in model.base.terms:
             bad |= np.abs(lam2 - l_i) <= 0.01 * l_i
-    good = ~bad
-    if not np.any(good):
+    if bad.all():
         raise DispersionError("model is invalid everywhere in the scan bounds")
-    best_len, best = -1.0, None
-    i = 0
-    while i < _WINDOW_POINTS:
-        if good[i]:
-            j = i
-            while j + 1 < _WINDOW_POINTS and good[j + 1]:
-                j += 1
-            span = math.log(lam[j] / lam[i])
-            if span > best_len:
-                best_len, best = span, (i, j)
-            i = j + 1
-        else:
-            i += 1
-    i, j = best
-    return float(lam[i]), float(lam[j])
+    # the first and last index of every run of valid samples; the first longest wins
+    edges = np.diff(np.concatenate(([True], bad, [True])).astype(np.int8))
+    firsts, lasts = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1) - 1
+    spans = [math.log(lam[j] / lam[i]) for i, j in zip(firsts, lasts)]
+    k = spans.index(max(spans))
+    return float(lam[firsts[k]]), float(lam[lasts[k]])
 
 
 def sample_group_index(model, wavelength: float) -> GroupIndexSample:
     """Evaluate n and n_g at one wavelength, with the regime tag attached."""
     lam, n, dn = _checked(model, float(wavelength))
-    return GroupIndexSample(
-        wavelength=float(wavelength), n=float(n[0]), n_g=float((n - lam * dn)[0])
-    )
+    return GroupIndexSample(wavelength=lam, n=n, n_g=n - lam * dn)
 
 
 def wavelength_to_omega(wavelength_um):

@@ -222,42 +222,38 @@ def _transverse_weight(profile, ky, kz):
 def _mode_pair_density(mode1: PhotonMode, mode2: PhotonMode, config: EmissionConfig) -> float:
     """The scalar wrapper of _density_kernel behind density_gaussian/density_tanh.
 
-    Both photons are evaluated in one index_fields call.  Raises where the
-    density is undefined, in this order: a bad wavelength (its
+    Each photon's (n, n_g) comes from a float index_fields call.  Raises
+    where the density is undefined, in this order: a bad wavelength (its
     DispersionError, photon 1 first), a pair off the constraint, the tanh
     csch^2 pole, |n_g| below NG_FLOOR.  The kernel runs on 1-element arrays,
     so its arithmetic is that of the array paths.
     """
     model = config.material
     kin = config.kin
-    lam = np.array([mode1.wavelength, mode2.wavelength])
-    n, ng, bad = dispersion.index_fields(model, lam)
-    if bad.any():
-        raise dispersion._bad_sample_error(model, lam[bad][:1])
+    lam1, lam2 = float(mode1.wavelength), float(mode2.wavelength)
+    n1, ng1, bad1 = dispersion.index_fields(model, lam1)
+    n2, ng2, bad2 = dispersion.index_fields(model, lam2)
+    if bad1 or bad2:
+        raise dispersion._bad_sample_error(model, lam1 if bad1 else lam2)
     cos_t1, cos_t2 = math.cos(mode1.theta), math.cos(mode2.theta)
-    residual = float(
-        kinematics.constraint_residual(lam[0], n[0], cos_t1, lam[1], n[1], cos_t2, kin)
-    )
-    tol = kinematics.constraint_tolerance(mode1.wavelength, mode2.wavelength, kin)
+    residual = float(kinematics.constraint_residual(lam1, n1, cos_t1, lam2, n2, cos_t2, kin))
+    tol = kinematics.constraint_tolerance(lam1, lam2, kin)
     if abs(residual) > tol:
         raise ConstraintViolatedError(
             f"pair constraint residual {residual:.3e} um^-1 exceeds tolerance {tol:.3e}"
         )
-    k1, k2 = (float(k) for k in TWO_PI * n / lam)
+    k1, k2 = float(TWO_PI * n1 / lam1), float(TWO_PI * n2 / lam2)
     kvec1, kvec2 = _wavevector(k1, mode1), _wavevector(k2, mode2)
     ksum = (kvec1 + kvec2)[:, None]
     if isinstance(config.profile, TanhProfile) and abs(ksum[0, 0]) < KX_FLOOR:
         raise CschSingularError("k1x + k2x too close to the csch^2 pole")
-    singular = np.abs(ng) < NG_FLOOR
-    if singular.any():
-        i = int(np.argmax(singular))
-        raise GroupIndexSingularError(
-            f"|n_g| = {abs(ng[i]):.2e} < {NG_FLOOR} at {lam[i]} um"
-        )
+    for lam, ng in ((lam1, ng1), (lam2, ng2)):
+        if abs(ng) < NG_FLOOR:
+            raise GroupIndexSingularError(f"|n_g| = {abs(ng):.2e} < {NG_FLOOR} at {lam} um")
     cos_psi = float(np.dot(kvec1, kvec2)) / (k1 * k2)
     values, _ = _density_kernel(
-        config, lam[:1], lam[1:], (n[:1], ng[:1]), (n[1:], ng[1:]),
-        ksum, cos_t1, cos_t2, 1.0 + cos_psi * cos_psi,
+        config, np.array([lam1]), np.array([lam2]), (np.array([n1]), np.array([ng1])),
+        (np.array([n2]), np.array([ng2])), ksum, cos_t1, cos_t2, 1.0 + cos_psi * cos_psi,
     )
     return float(values[0])
 

@@ -21,7 +21,6 @@ from scipy.optimize import brentq
 from . import dispersion
 from .dispersion import C_M_S, C_UM_S
 
-TOL_ANGLE = 1e-9  # rad, degenerate-cone classification
 _XTOL, _RTOL = 1e-14, 1e-15  # um and relative, partner-wavelength tolerance
 _SCAN_POINTS = 400  # log-grid points of the partner bracket scan
 
@@ -74,20 +73,6 @@ class PhotonMode:
             raise ValueError("wavelength must be positive")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
-
-
-@dataclass(frozen=True)
-class ConeClassification:
-    variant: str  # "overlap" | "gap" | "degenerate"
-    theta_cone1: float
-    theta_cone2: float
-
-
-def wavenumber(model, wavelength):
-    """k = 2 pi n / lambda in um^-1."""
-    lam = np.asarray(wavelength, dtype=float)
-    k = 2.0 * np.pi * dispersion.refractive_index(model, wavelength) / lam
-    return float(k) if lam.ndim == 0 else k
 
 
 def cerenkov_angle(wavelength: float, kin: PerturbationKinematics, model) -> float:
@@ -145,15 +130,6 @@ def _on_shell_sum(lam1, lam2, kin: PerturbationKinematics):
 def constraint_tolerance(lam1: float, lam2: float, kin: PerturbationKinematics) -> float:
     """Absolute residual tolerance 1e-10 * (omega1+omega2)/v, in um^-1."""
     return 1e-10 * _on_shell_sum(lam1, lam2, kin)
-
-
-def _partner_term(lam2, cos_t2, inv_b, model):
-    """The lam2 part of the residual over 2 pi, nan where the model is invalid, and n_g2.
-
-    The group index gives the slope of the term for a Newton step.
-    """
-    n2, n_g2, bad = dispersion.index_fields(model, lam2)
-    return np.where(bad, np.nan, _photon_term(lam2, n2, cos_t2, inv_b)), n_g2
 
 
 @lru_cache(maxsize=256)
@@ -220,6 +196,15 @@ def partner_table(cos_t2, kin: PerturbationKinematics, model) -> PartnerTable:
     return PartnerTable(model, kin, cos_t2, grid, start, keys, rest_lo, rest_hi)
 
 
+@lru_cache(maxsize=8)
+def _solo_table(cos_t2: float, kin: PerturbationKinematics, model) -> PartnerTable:
+    """solve_partner's partner_table of one cos(theta2); shared, so its arrays are read-only."""
+    table = partner_table(cos_t2, kin, model)
+    for values in (table.cos_t2, table.start, table.keys, table.rest_lo, table.rest_hi):
+        values.flags.writeable = False
+    return table
+
+
 def _smallest_root_bracket(part1, table: PartnerTable):
     """Bracket of the smallest partner root: the search both solvers share.
 
@@ -233,10 +218,9 @@ def _smallest_root_bracket(part1, table: PartnerTable):
     monotonic, so a binary search finds k.  Another root follows when v
     lies within the range of part2 after the first root.
 
-    Returns (lo, hi, up): the bracket, with lo == hi at an exact zero and
-    both nan where there is no root, and whether the residual is positive
-    at lo.  Warns once with MultipleRootsWarning when any element has more
-    than one root.
+    Returns (lo, hi, up, multiple): the bracket, with lo == hi at an exact
+    zero and both nan where there is no root, whether the residual is
+    positive at lo, and whether any element has more than one root.
     """
     v = -np.asarray(part1, dtype=float)
     column = np.arange(table.start.size).reshape(table.cos_t2.shape)
@@ -257,13 +241,14 @@ def _smallest_root_bracket(part1, table: PartnerTable):
     hi = np.where(found, table.grid[k], np.nan)
     rest = np.where(zero, k + 1, k)  # the scan points after the first root
     second = found & (table.rest_lo[column, rest] <= v) & (v <= table.rest_hi[column, rest])
-    if np.any(second):
-        warnings.warn(
-            "more than one partner root found; returning the smallest",
-            MultipleRootsWarning,
-            stacklevel=3,
-        )
-    return lo, hi, found & down & ~zero
+    return lo, hi, found & down & ~zero, bool(np.any(second))
+
+
+def _warn_multiple(multiple: bool) -> None:
+    """Warn with MultipleRootsWarning at the line that called the public solver."""
+    if multiple:
+        message = "more than one partner root found; returning the smallest"
+        warnings.warn(message, MultipleRootsWarning, stacklevel=3)
 
 
 def solve_partner(
@@ -278,12 +263,15 @@ def solve_partner(
     MultipleRootsWarning when the window holds more than one root (possible
     for non-monotonic, fast-light dispersion).  Raises NoSignChangeError
     when it holds none (in particular in the subluminal regime, where there
-    is no pair emission at all).
+    is no pair emission at all).  A float lam1 and every brentq step take
+    the float path of the dispersion evaluators.
     """
+    model = dispersion.as_model(model)
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta
     part1 = _photon_term(lam1, dispersion.refractive_index(model, lam1), cos_t1, inv_b)
-    lo, hi, _ = _smallest_root_bracket(part1, partner_table(cos_t2, kin, model))
+    lo, hi, _, multiple = _smallest_root_bracket(part1, _solo_table(cos_t2, kin, model))
+    _warn_multiple(multiple)
     lo, hi = float(lo), float(hi)
     if math.isnan(lo):
         raise NoSignChangeError(
@@ -292,8 +280,12 @@ def solve_partner(
         )
     if lo == hi:
         return lo
-    f = lambda l2: float(2.0 * np.pi * (part1 + _partner_term(float(l2), cos_t2, inv_b, model)[0]))
-    return brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
+
+    def residual(lam2: float) -> float:
+        n2, _, bad = dispersion.index_fields(model, lam2)
+        return math.nan if bad else 2.0 * math.pi * (part1 + _photon_term(lam2, n2, cos_t2, inv_b))
+
+    return brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL)
 
 
 def solve_partners(lam1, theta1, theta2, kin: PerturbationKinematics, model) -> np.ndarray:
@@ -304,7 +296,9 @@ def solve_partners(lam1, theta1, theta2, kin: PerturbationKinematics, model) -> 
     Newton steps (see solve_tabulated).  A lam1 where the model is invalid
     has no partner.
     """
-    return solve_tabulated(lam1, theta1, partner_table(np.cos(theta2), kin, model))
+    lam2, multiple = _refine(lam1, theta1, partner_table(np.cos(theta2), kin, model))
+    _warn_multiple(multiple)
+    return lam2
 
 
 def solve_tabulated(lam1, theta1, table: PartnerTable) -> np.ndarray:
@@ -320,16 +314,24 @@ def solve_tabulated(lam1, theta1, table: PartnerTable) -> np.ndarray:
     one shorter than half the tolerance is lengthened to it, so the far end
     of the bracket closes in.
     """
+    lam2, multiple = _refine(lam1, theta1, table)
+    _warn_multiple(multiple)
+    return lam2
+
+
+def _refine(lam1, theta1, table: PartnerTable):
+    """The partners of solve_tabulated, and whether any element has more than one root."""
     model, cos_t2 = table.model, table.cos_t2
     lam1 = np.asarray(lam1, dtype=float)
     inv_b = 1.0 / table.kin.beta
     n1, _, bad1 = dispersion.index_fields(model, lam1)
     part1 = np.where(bad1, np.nan, _photon_term(lam1, n1, np.cos(theta1), inv_b))
-    lo, hi, up_lo = _smallest_root_bracket(part1, table)
+    lo, hi, up_lo, multiple = _smallest_root_bracket(part1, table)
     x = 0.5 * (lo + hi)
     last = before = hi - lo  # lengths of the last two steps
     while np.any(hi - lo >= _XTOL + _RTOL * hi):
-        part2, n_g2 = _partner_term(x, cos_t2, inv_b, model)
+        n2, n_g2, bad2 = dispersion.index_fields(model, x)
+        part2 = np.where(bad2, np.nan, _photon_term(x, n2, cos_t2, inv_b))
         up = np.where(up_lo, part2 > -part1, part2 < -part1)
         lo = np.where(up, x, lo)
         hi = np.where(up, hi, x)
@@ -341,19 +343,4 @@ def solve_tabulated(lam1, theta1, table: PartnerTable) -> np.ndarray:
         newton = (lo < x_new) & (x_new < hi) & (np.abs(step) < 0.5 * before)
         x = np.where(newton, x_new, 0.5 * (lo + hi))
         before, last = last, np.where(newton, np.abs(step), 0.5 * (hi - lo))
-    return 0.5 * (lo + hi)
-
-
-def classify_cones(
-    lam1: float, lam2: float, kin: PerturbationKinematics, model
-) -> ConeClassification:
-    """Overlap/gap/degenerate classification of the two Cerenkov cones."""
-    theta_c1 = cerenkov_angle(lam1, kin, model)
-    theta_c2 = cerenkov_angle(lam2, kin, model)
-    if abs(theta_c1 - theta_c2) <= TOL_ANGLE:
-        variant = "degenerate"
-    elif theta_c1 > theta_c2:
-        variant = "overlap"
-    else:
-        variant = "gap"
-    return ConeClassification(variant=variant, theta_cone1=theta_c1, theta_cone2=theta_c2)
+    return 0.5 * (lo + hi), multiple

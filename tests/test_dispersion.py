@@ -211,6 +211,40 @@ class TestTransparencyWindow:
         assert hi > 11.0
 
 
+def fast_light_silica(amplitude):
+    return DispersionModel(
+        base=silica().base, resonances=(fast_light_resonance(amplitude, 0.01, 0.3349),)
+    )
+
+
+# models of the float-path tests: Sellmeier with and without resonances, and constant
+FLOAT_PATH_MODELS = {
+    "fused_silica": silica,
+    "silicon": lambda: get_material("silicon"),
+    "constant": lambda: DispersionModel(base=ConstantIndex(1.5)),
+    "fast_light": lambda: fast_light_silica(0.06),
+    "fast_light_multiroot": lambda: fast_light_silica(0.3),
+}
+
+# the invalid samples of test_flags_invalid_cells_without_raising, and nan
+INVALID_SAMPLES = [-1.0, 0.114, 9.0, np.inf, np.nan]
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def assert_float_path_matches(model, lams):
+    """index_fields of each float, and of each np.float64, equals the array call's element."""
+    n_arr, ng_arr, bad_arr = dispersion.index_fields(model, lams)
+    for i, lam in enumerate(lams):
+        for scalar in (float(lam), lam):
+            n, ng, bad = dispersion.index_fields(model, scalar)
+            assert type(n) is float and type(ng) is float and type(bad) is bool
+            assert _bits(n, ng) == _bits(n_arr[i], ng_arr[i]), (lam, n, ng)
+            assert bad == bad_arr[i]
+
+
 class TestIndexFields:
     def test_matches_pointwise_on_valid_cells(self):
         model = silica()
@@ -225,6 +259,46 @@ class TestIndexFields:
         lams = np.array([-1.0, 0.114, 1.0, 9.0, np.inf])
         _, _, bad = dispersion.index_fields(model, lams)
         assert bad.tolist() == [True, True, False, True, True]
+
+    # the float path of the evaluators gives the bits of the array path
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_PATH_MODELS))
+    def test_index_fields_on_valid_and_invalid_samples(self, name):
+        model = FLOAT_PATH_MODELS[name]()
+        lams = np.geomspace(*transparency_window(model), 201)
+        assert_float_path_matches(model, lams)
+        assert_float_path_matches(model, np.array(INVALID_SAMPLES + [0.0, 1.0]))
+        for evaluate in (refractive_index, index_derivative, group_index):
+            for lam in lams[::10]:
+                assert _bits(evaluate(model, float(lam))) == _bits(evaluate(model, lam[None])[0])
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_PATH_MODELS))
+    @given(u=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_index_fields_over_the_transparency_window(self, name, u):
+        model = FLOAT_PATH_MODELS[name]()
+        lo, hi = transparency_window(model)
+        lam = min(max(lo * (hi / lo) ** u, lo), hi)
+        assert_float_path_matches(model, np.array([lam]))
+
+    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
+    @pytest.mark.parametrize(
+        "lam, error",
+        [
+            (math.sqrt(SILICA_TERMS[0][1]), PoleProximityError),
+            (9.0, NegativeRadicandError),
+            (0.0, NonPositiveError),
+            (-1.0, NonPositiveError),
+            (math.inf, NonPositiveError),
+            (math.nan, NonPositiveError),
+        ],
+    )
+    def test_raises_the_class_of_the_array_path(self, evaluate, lam, error):
+        with pytest.raises(error) as from_float:
+            evaluate(silica(), lam)
+        with pytest.raises(error) as from_array:
+            evaluate(silica(), np.array([lam]))
+        assert type(from_float.value) is type(from_array.value)
 
 
 class TestValidation:

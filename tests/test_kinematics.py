@@ -16,14 +16,12 @@ from vacuumpairs.kinematics import (
     PhotonMode,
     SubluminalError,
     cerenkov_angle,
-    classify_cones,
     constraint_residual,
     constraint_tolerance,
     MultipleRootsWarning,
     pair_constraint_residual,
     solve_partner,
     solve_partners,
-    wavenumber,
 )
 from vacuumpairs.materials import get_material
 
@@ -38,20 +36,6 @@ def closed_form_partner(lam1, beta, n0):
     """Collinear partner for a dispersionless medium."""
     bn = beta * n0
     return lam1 * (bn + 1.0) / (bn - 1.0)
-
-
-class TestWavenumber:
-    def test_definition(self):
-        model = constant(1.5)
-        assert wavenumber(model, 0.5) == pytest.approx(2.0 * math.pi * 1.5 / 0.5)
-
-    def test_array(self):
-        model = get_material("fused_silica")
-        lams = np.array([0.5, 1.0, 2.0])
-        np.testing.assert_allclose(
-            wavenumber(model, lams),
-            [wavenumber(model, float(l)) for l in lams],
-        )
 
 
 class TestCerenkov:
@@ -106,7 +90,7 @@ class TestResidual:
         res = pair_constraint_residual(
             PhotonMode(2.51, 0.0), PhotonMode(4.98, math.pi), kin, model
         )
-        k1 = wavenumber(model, 2.51)
+        k1 = 2.0 * math.pi * dispersion.refractive_index(model, 2.51) / 2.51
         assert abs(res) / k1 < 0.02
 
 
@@ -287,6 +271,36 @@ class TestSolvePartners:
             solve_partners(lams, 0.0, math.pi, kin, fast_light_silica(0.3))
         assert [w.category for w in caught] == [MultipleRootsWarning]
 
+    def test_scalar_solves_share_one_read_only_table(self, monkeypatch):
+        kinematics._solo_table.cache_clear()
+        built = []
+        partner_table = kinematics.partner_table
+        monkeypatch.setattr(
+            kinematics, "partner_table", lambda *args: built.append(1) or partner_table(*args)
+        )
+        kin = PerturbationKinematics(beta=10.0)
+        model = get_material("fused_silica")
+        for lam1 in (0.5, 1.0, 2.0):
+            solve_partner(lam1, 0.0, math.pi, kin, model)
+        assert len(built) == 1
+        table = kinematics._solo_table(-1.0, kin, model)
+        assert not (table.start.flags.writeable or table.keys.flags.writeable)
+
+    def test_multiple_roots_warning_names_the_caller(self):
+        # fast_light_multiroot: lam1 = 0.28 um has more than one collinear partner
+        kin = PerturbationKinematics(beta=20.0)
+        model = self.MODELS["fast_light_multiroot"]()
+        with pytest.warns(MultipleRootsWarning) as record:
+            solve_partner(0.28, 0.0, math.pi, kin, model)
+        assert record[0].filename == __file__
+        with pytest.warns(MultipleRootsWarning) as record:
+            solve_partners(np.array([0.25, 0.28]), 0.0, math.pi, kin, model)
+        assert record[0].filename == __file__
+        table = kinematics.partner_table(-1.0, kin, model)
+        with pytest.warns(MultipleRootsWarning) as record:
+            kinematics.solve_tabulated(0.28, 0.0, table)
+        assert record[0].filename == __file__
+
 
 class TestBracketSearch:
     """The binary search of the partner table against the sweep it replaced."""
@@ -302,23 +316,19 @@ class TestBracketSearch:
     THETA2 = np.linspace(0.0, math.pi, 41)[None, :]
 
     def check_rows(self, model, kin, part1, cos_t2):
-        """Compare each row of part1 with the oracle, the warning included."""
+        """Compare each row of part1 with the oracle, the multiple-root flag included."""
         table = kinematics.partner_table(cos_t2, kin, model)
         for row in part1:
             lo_want, hi_want, up_want, n_roots = smallest_root_bracket(
                 row, cos_t2, 1.0 / kin.beta, model
             )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                lo, hi, up = kinematics._smallest_root_bracket(row, table)
+            lo, hi, up, multiple = kinematics._smallest_root_bracket(row, table)
             root = n_roots > 0
             np.testing.assert_array_equal(lo, lo_want)
             np.testing.assert_array_equal(hi[root], hi_want[root])
             np.testing.assert_array_equal(up[root], up_want[root])
             assert np.all(np.isnan(hi[~root]))
-            warned = [w.category for w in caught] == [MultipleRootsWarning]
-            assert warned == bool(np.any(n_roots > 1))
-            assert warned or not caught
+            assert multiple == bool(np.any(n_roots > 1))
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("beta", [0.5, 2.0, 20.0])
@@ -355,30 +365,8 @@ class TestBracketSearch:
         kin = PerturbationKinematics(beta=20.0)
         table = kinematics.partner_table(np.cos([math.pi, math.nan]), kin, model)
         part1 = kinematics._photon_term(0.5, dispersion.refractive_index(model, 0.5), 1.0, 0.05)
-        lo, hi, _ = kinematics._smallest_root_bracket(part1, table)
+        lo, hi, _, _ = kinematics._smallest_root_bracket(part1, table)
         assert not math.isnan(lo[0]) and np.isnan(lo[1]) and np.isnan(hi[1])
-
-
-class TestCones:
-    def test_overlap_for_normal_dispersion(self):
-        model = get_material("fused_silica")
-        kin = PerturbationKinematics(beta=2.0)
-        # n(lam1) > n(lam2) in the normal region: the short-wavelength cone
-        # is wider
-        cones = classify_cones(0.5, 2.0, kin, model)
-        assert cones.variant == "overlap"
-        assert cones.theta_cone1 > cones.theta_cone2
-
-    def test_gap_when_order_reversed(self):
-        model = get_material("fused_silica")
-        kin = PerturbationKinematics(beta=2.0)
-        cones = classify_cones(2.0, 0.5, kin, model)
-        assert cones.variant == "gap"
-
-    def test_degenerate_for_equal_wavelengths(self):
-        model = get_material("fused_silica")
-        kin = PerturbationKinematics(beta=2.0)
-        assert classify_cones(1.0, 1.0, kin, model).variant == "degenerate"
 
 
 class TestValidation:
