@@ -302,8 +302,9 @@ def index_fields(model, wavelength):
     pole within POLE_GUARD_UM2, negative radicand) are flagged in the
     returned boolean mask; their n, n_g values are placeholders.  A group
     index near 0 is not flagged here; emission._index_fields adds that floor.
-    A float wavelength gives (float, float, bool), bit for bit the element
-    of an array call.
+    A float wavelength, np.float64 included, gives Python (float, float,
+    bool), bit for bit the element of an array call; an array, a 0-d array
+    included, gives arrays.
     """
     model = as_model(model)
     if isinstance(wavelength, float):

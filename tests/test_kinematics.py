@@ -322,13 +322,17 @@ class TestBracketSearch:
             lo_want, hi_want, up_want, n_roots = smallest_root_bracket(
                 row, cos_t2, 1.0 / kin.beta, model
             )
-            lo, hi, up, multiple = kinematics._smallest_root_bracket(row, table)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                lo, hi, up, multiple = kinematics._smallest_root_bracket(row, table)
             root = n_roots > 0
             np.testing.assert_array_equal(lo, lo_want)
             np.testing.assert_array_equal(hi[root], hi_want[root])
             np.testing.assert_array_equal(up[root], up_want[root])
             assert np.all(np.isnan(hi[~root]))
             assert multiple == bool(np.any(n_roots > 1))
+            # the flag replaces the warning here: no warning of any kind
+            assert not caught
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("beta", [0.5, 2.0, 20.0])
@@ -350,7 +354,7 @@ class TestBracketSearch:
         # part1 equal to minus a scan value puts an exact zero on the grid:
         # every 23rd point, and every local extreme, where the residual
         # touches zero without crossing it; one theta2 at a time, so the
-        # warning is checked element by element
+        # multiple-root flag is checked element by element
         model = self.MODELS[name]()
         kin = PerturbationKinematics(beta=20.0)
         for cos_t2 in np.cos(self.THETA2[0]):
