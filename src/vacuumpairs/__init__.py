@@ -33,7 +33,6 @@ from .kinematics import (
     PhotonMode,
     SubluminalError,
     cerenkov_angle,
-    pair_constraint_residual,
     solve_partner,
 )
 from .emission import (
@@ -59,7 +58,6 @@ from .analysis import (
     TotalCount,
     beta_sweep,
     constraint_density,
-    correlation_curve,
     count_peaks,
     fast_light_study,
     find_maximum,

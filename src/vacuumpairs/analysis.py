@@ -1,8 +1,7 @@
 """Higher-level computations on top of the pair-emission densities.
 
-Maxima of the collinear spectral density, beta sweeps, correlated-wavelength
-curves, total pair counts over a collection cone, and fast-light comparison
-studies.
+Maxima of the collinear spectral density, beta sweeps, total pair counts
+over a collection cone, and fast-light comparison studies.
 """
 
 from __future__ import annotations
@@ -135,8 +134,9 @@ def find_maximum(
     brackets.  The refinement, and every value it is compared with, call
     the scalar constraint_density with its brentq partners: the density is
     flat at the maximum, so root-solver rounding far below its precision
-    moves the location.  Its dispersion calls take the float path, which
-    gives the bits of the array path without numpy's per-call overhead.
+    moves the location.  Its dispersion calls, bracket searches and density
+    kernel run on Python floats, which give the bits of the array paths
+    without numpy's per-call overhead.
     """
     clear = dispersion.transparency_window(config.material)
     window = (max(window[0], clear[0]), min(window[1], clear[1]))
@@ -223,24 +223,6 @@ def beta_sweep(
         density_increasing=strictly(dens, lambda a, b: a < b),
         ratio_decreasing=strictly(ratio, lambda a, b: a > b),
     )
-
-
-def correlation_curve(
-    config: EmissionConfig,
-    lambda1_range: tuple[float, float],
-    points: int = 100,
-) -> list[tuple[float, float | None]]:
-    """(lambda1, lambda2) pairs along the collinear constraint curve.
-
-    lambda2 is None where no partner exists (gap).
-    """
-    lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], points)
-    # raises where lambda1 lies outside the model's domain
-    dispersion.refractive_index(config.material, lam1)
-    lam2 = kinematics.solve_partners(lam1, 0.0, math.pi, config.kin, config.material)
-    return [
-        (float(l1), None if math.isnan(l2) else float(l2)) for l1, l2 in zip(lam1, lam2)
-    ]
 
 
 # ---------------------------------------------------------------------------

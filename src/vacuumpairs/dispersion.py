@@ -360,10 +360,15 @@ def sample_group_index(model, wavelength: float) -> GroupIndexSample:
 def wavelength_to_omega(wavelength_um):
     """Angular frequency in rad/s for a vacuum wavelength in um."""
     lam = np.asarray(wavelength_um, dtype=float)
-    if (lam <= 0.0).any():
-        raise NonPositiveError("wavelength must be positive")
-    omega = 2.0 * np.pi * C_UM_S / lam
+    if not (np.isfinite(lam) & (lam > 0.0)).all():
+        raise NonPositiveError("wavelength must be positive and finite (um)")
+    omega = _omega(lam)
     return float(omega) if lam.ndim == 0 else omega
+
+
+def _omega(lam):
+    """2 pi c / lam in rad/s for a float or array lam in um, unchecked."""
+    return 2.0 * math.pi * C_UM_S / lam
 
 
 def fast_light_resonance(

@@ -188,15 +188,13 @@ def gaussian_form_factor(profile: GaussianProfile, kx, ky, kz):
 def tanh_form_factor(profile: TanhProfile, kx, ky, kz):
     """sx^2 sy^2 sz^2 (pi/2) csch^2(pi sx kx / 2) exp(-sy^2 ky^2 - sz^2 kz^2)."""
     arg = 0.5 * math.pi * profile.sigma_x * np.asarray(kx, dtype=float)
-    csch2 = 1.0 / np.sinh(arg) ** 2
+    # np.square, not ** 2, which on a float is libm pow (see _density_kernel)
+    csch2 = 1.0 / np.square(np.sinh(arg))
     return (
         (profile.sigma_x * profile.sigma_y * profile.sigma_z) ** 2
         * (math.pi / 2.0)
         * csch2
-        * np.exp(
-            -profile.sigma_y**2 * np.asarray(ky) ** 2
-            - profile.sigma_z**2 * np.asarray(kz) ** 2
-        )
+        * np.exp(-profile.sigma_y**2 * np.square(ky) - profile.sigma_z**2 * np.square(kz))
     )
 
 
@@ -225,8 +223,8 @@ def _mode_pair_density(mode1: PhotonMode, mode2: PhotonMode, config: EmissionCon
     Each photon's (n, n_g) comes from a float index_fields call.  Raises
     where the density is undefined, in this order: a bad wavelength (its
     DispersionError, photon 1 first), a pair off the constraint, the tanh
-    csch^2 pole, |n_g| below NG_FLOOR.  The kernel runs on 1-element arrays,
-    so its arithmetic is that of the array paths.
+    csch^2 pole, |n_g| below NG_FLOOR.  The kernel runs on Python floats and
+    gives the bits of a 1-element array call (see _density_kernel).
     """
     model = config.material
     kin = config.kin
@@ -244,18 +242,18 @@ def _mode_pair_density(mode1: PhotonMode, mode2: PhotonMode, config: EmissionCon
         )
     k1, k2 = float(TWO_PI * n1 / lam1), float(TWO_PI * n2 / lam2)
     kvec1, kvec2 = _wavevector(k1, mode1), _wavevector(k2, mode2)
-    ksum = (kvec1 + kvec2)[:, None]
-    if isinstance(config.profile, TanhProfile) and abs(ksum[0, 0]) < KX_FLOOR:
+    ksum = (kvec1 + kvec2).tolist()
+    if isinstance(config.profile, TanhProfile) and abs(ksum[0]) < KX_FLOOR:
         raise CschSingularError("k1x + k2x too close to the csch^2 pole")
     for lam, ng in ((lam1, ng1), (lam2, ng2)):
         if abs(ng) < NG_FLOOR:
             raise GroupIndexSingularError(f"|n_g| = {abs(ng):.2e} < {NG_FLOOR} at {lam} um")
     cos_psi = float(np.dot(kvec1, kvec2)) / (k1 * k2)
-    values, _ = _density_kernel(
-        config, np.array([lam1]), np.array([lam2]), (np.array([n1]), np.array([ng1])),
-        (np.array([n2]), np.array([ng2])), ksum, cos_t1, cos_t2, 1.0 + cos_psi * cos_psi,
+    value, _ = _density_kernel(
+        config, lam1, lam2, (n1, ng1), (n2, ng2), ksum, cos_t1, cos_t2,
+        1.0 + cos_psi * cos_psi,
     )
-    return float(values[0])
+    return float(value)
 
 
 def _wavevector(k: float, mode: PhotonMode) -> np.ndarray:
@@ -322,7 +320,12 @@ def _density_kernel(
     that factor times the transverse weight over an azimuth (the total
     count, with ksum = (kx, 0, 0)).  Returns (values, csch), where csch
     marks the tanh cells on the csch^2 pole, evaluated at kx = 1; no cell
-    is masked.
+    is masked.  The wavelengths must be valid: they are not checked here.
+
+    Any argument may be a Python float or an array.  On floats the kernel
+    gives the bits of a 1-element array call, because every square is
+    np.square (a float ** 2 is libm pow), the products keep their order,
+    and exp, hypot and sinh stay numpy's.
     """
     kin = config.kin
     profile = config.profile
@@ -337,8 +340,7 @@ def _density_kernel(
     else:
         csch = np.abs(kx) < KX_FLOOR
         ff = tanh_form_factor(profile, np.where(csch, 1.0, kx), ky, kz)
-    w1 = dispersion.wavelength_to_omega(np.asarray(lam1, dtype=float))
-    w2 = dispersion.wavelength_to_omega(np.asarray(lam2, dtype=float))
+    w1, w2 = dispersion._omega(lam1), dispersion._omega(lam2)
     v_um = kin.v_um_s
     # huge sizes overflow to inf or nan here; callers mask or reject those
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -348,7 +350,7 @@ def _density_kernel(
             / (v_um * v_um)
             * w1
             * w2
-            * (n1 + n2) ** 2
+            * np.square(n1 + n2)
             * angular
             / (n1 * n1 * ng1 * ng1 * n2 * n2 * ng2 * ng2)
         )

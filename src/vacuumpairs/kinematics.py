@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,26 +86,10 @@ def cerenkov_angle(wavelength: float, kin: PerturbationKinematics, model) -> flo
     return math.acos(1.0 / bn)
 
 
-def pair_constraint_residual(
-    mode1: PhotonMode, mode2: PhotonMode, kin: PerturbationKinematics, model
-) -> float:
-    """k1x + k2x - (omega1 + omega2)/v, in um^-1.
-
-    Zero iff the pair is kinematically allowed.  Symmetric under exchange of
-    the two modes.
-    """
-    lam1, lam2 = mode1.wavelength, mode2.wavelength
-    return constraint_residual(
-        lam1, dispersion.refractive_index(model, lam1), math.cos(mode1.theta),
-        lam2, dispersion.refractive_index(model, lam2), math.cos(mode2.theta),
-        kin,
-    )
-
-
 def constraint_residual(lam1, n1, cos_t1, lam2, n2, cos_t2, kin: PerturbationKinematics):
     """The pair-constraint residual from given indices n1, n2, in um^-1.
 
-    Takes scalars or broadcastable arrays; pair_constraint_residual and the
+    Takes scalars or broadcastable arrays; the point densities and the
     array density along the collinear curve share this arithmetic.
     """
     inv_b = 1.0 / kin.beta
@@ -197,16 +182,22 @@ def partner_table(cos_t2, kin: PerturbationKinematics, model) -> PartnerTable:
 
 
 @lru_cache(maxsize=8)
-def _solo_table(cos_t2: float, kin: PerturbationKinematics, model) -> PartnerTable:
-    """solve_partner's partner_table of one cos(theta2); shared, so its arrays are read-only."""
+def _solo_table(cos_t2: float, kin: PerturbationKinematics, model) -> tuple:
+    """solve_partner's partner_table of one cos(theta2), as immutable Python floats.
+
+    The tuple (grid, start, low, high, rest_lo, rest_hi) of the one column
+    holds the scan grid, the first scan value, -(prefix minimum) and the
+    prefix maximum (both nondecreasing), and the suffix extremes.
+    """
     table = partner_table(cos_t2, kin, model)
-    for values in (table.cos_t2, table.start, table.keys, table.rest_lo, table.rest_hi):
-        values.flags.writeable = False
-    return table
+    low, high = table.keys.imag
+    columns = (table.grid, low, high, table.rest_lo[0], table.rest_hi[0])
+    grid, low, high, rest_lo, rest_hi = (tuple(values.tolist()) for values in columns)
+    return grid, float(table.start[0]), low, high, rest_lo, rest_hi
 
 
 def _smallest_root_bracket(part1, table: PartnerTable):
-    """Bracket of the smallest partner root: the search both solvers share.
+    """Bracket of the smallest partner root: the rule of every partner solver, on arrays.
 
     part1 is the lam1 part of the residual over 2 pi; it broadcasts with
     table.cos_t2.  On the scan grid, the first exact zero of the residual
@@ -244,6 +235,27 @@ def _smallest_root_bracket(part1, table: PartnerTable):
     return lo, hi, found & down & ~zero, bool(np.any(second))
 
 
+def _column_bracket(part1: float, column: tuple):
+    """_smallest_root_bracket of one float part1 in one _solo_table column, by bisect_left.
+
+    The same rule on Python floats; it only compares values, so the
+    bracket is the one the array search gives.
+    """
+    grid, start, low, high, rest_lo, rest_hi = column
+    v = -part1
+    if not math.isfinite(v) or math.isnan(start):
+        return math.nan, math.nan, False, False
+    down = start > v
+    prefix, target = (low, -v) if down else (high, v)
+    k = bisect_left(prefix, target)
+    if k == len(prefix):
+        return math.nan, math.nan, False, False
+    zero = prefix[k] == target
+    rest = k + 1 if zero else k
+    second = rest_lo[rest] <= v <= rest_hi[rest]
+    return grid[k if zero else k - 1], grid[k], down and not zero, second
+
+
 def _warn_multiple(multiple: bool) -> None:
     """Warn with MultipleRootsWarning at the line that called the public solver."""
     if multiple:
@@ -258,21 +270,21 @@ def solve_partner(
 
     Searches the transparency window of the model, which keeps the search
     off any unphysical branch beyond an infrared pole, and returns its
-    smallest root: the binary search of _smallest_root_bracket brackets it
-    on the scan grid, and brentq refines the bracket.  Warns via
-    MultipleRootsWarning when the window holds more than one root (possible
-    for non-monotonic, fast-light dispersion).  Raises NoSignChangeError
-    when it holds none (in particular in the subluminal regime, where there
-    is no pair emission at all).  A float lam1 and every brentq step take
-    the float path of the dispersion evaluators.
+    smallest root: _column_bracket brackets it on the scan grid, by bisect
+    in the partner-table column cached per (cos(theta2), kin, model), and
+    brentq refines the bracket.  Warns via MultipleRootsWarning when the
+    window holds more than one root (possible for non-monotonic, fast-light
+    dispersion).  Raises NoSignChangeError when it holds none (in
+    particular in the subluminal regime, where there is no pair emission at
+    all).  lam1, the search and every brentq step run on Python floats,
+    through the float path of the dispersion evaluators.
     """
     model = dispersion.as_model(model)
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta
     part1 = _photon_term(lam1, dispersion.refractive_index(model, lam1), cos_t1, inv_b)
-    lo, hi, _, multiple = _smallest_root_bracket(part1, _solo_table(cos_t2, kin, model))
+    lo, hi, _, multiple = _column_bracket(part1, _solo_table(cos_t2, kin, model))
     _warn_multiple(multiple)
-    lo, hi = float(lo), float(hi)
     if math.isnan(lo):
         raise NoSignChangeError(
             f"no partner wavelength in the transparency window for lam1={lam1} um "

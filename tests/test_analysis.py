@@ -13,7 +13,6 @@ from vacuumpairs.analysis import (
     NoEmissionError,
     beta_sweep,
     calibrate_reference_row,
-    correlation_curve,
     count_peaks,
     fast_light_study,
     find_maximum,
@@ -168,18 +167,6 @@ class TestBetaSweep:
         assert len(sweep.rows) == 1
         assert len(sweep.failures) == 1
         assert sweep.failures[0][0] == 0.5
-
-
-class TestCorrelationCurve:
-    def test_monotone_partners(self):
-        pairs = correlation_curve(silica_config(beta=10.0), (0.4, 1.5), points=15)
-        lams2 = [p[1] for p in pairs if p[1] is not None]
-        assert len(lams2) == 15
-        assert all(a < b for a, b in zip(lams2, lams2[1:]))
-
-    def test_subluminal_gap(self):
-        pairs = correlation_curve(silica_config(beta=0.5), (0.4, 1.5), points=5)
-        assert all(p[1] is None for p in pairs)
 
 
 class TestTotalCount:

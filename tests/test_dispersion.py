@@ -192,6 +192,13 @@ class TestConversions:
         with pytest.raises(NonPositiveError):
             wavelength_to_omega(0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, lam):
+        with pytest.raises(NonPositiveError, match="positive and finite"):
+            wavelength_to_omega(lam)
+        with pytest.raises(NonPositiveError, match="positive and finite"):
+            wavelength_to_omega(np.array([1.0, lam]))
+
 
 class TestTransparencyWindow:
     def test_silica_window(self):

@@ -23,7 +23,12 @@ from vacuumpairs.emission import (
     gaussian_form_factor,
     tanh_form_factor,
 )
-from vacuumpairs.kinematics import PerturbationKinematics, PhotonMode, solve_partner
+from vacuumpairs.kinematics import (
+    NoSignChangeError,
+    PerturbationKinematics,
+    PhotonMode,
+    solve_partner,
+)
 from vacuumpairs.materials import get_material
 
 from oracles import density_nondispersive
@@ -257,6 +262,107 @@ class TestTransverseWeight:
         assert weight * form_factor(profile, kx, 0.0, 0.0) == pytest.approx(
             form_factor(profile, kx, ky, kz), rel=1e-14, abs=0.0
         )
+
+
+class TestScalarKernelBits:
+    """The point densities run the kernel on floats: the bits of a 1-element array call."""
+
+    PROFILES = {
+        "gaussian": GaussianProfile(eta=0.001, sigma=1.0),
+        "tanh": TanhProfile(eta=0.001, sigma_x=1.1, sigma_y=1.0, sigma_z=1.0),
+    }
+    MODELS = {
+        "fused_silica": lambda: get_material("fused_silica"),
+        "silicon": lambda: get_material("silicon"),
+        "fast_light": lambda: DispersionModel(
+            base=get_material("fused_silica").base,
+            resonances=(dispersion.fast_light_resonance(0.06, 0.01, 0.3349),),
+        ),
+    }
+    # (theta1, theta2, phi2): collinear, and non-collinear out of the xy plane
+    GEOMETRIES = {"collinear": (0.0, math.pi, 0.0), "noncollinear": (0.3, 2.5, 1.1)}
+    # kx where the sinh(pi sigma_x kx / 2) of the tanh profile above squares
+    # differently with libm pow (a float ** 2) than with np.square
+    POW_KX = (0.778, 2.312)
+    # fused-silica (lam1, lam2) where (n1 + n2) ** 2 on floats is not the square
+    POW_LAMS = ((0.31, 1.28), (0.53, 1.23), (0.95, 1.35))
+
+    @staticmethod
+    def kernel_both_ways(config, lam1, lam2, ksum, cos_t1, cos_t2, angular):
+        """_density_kernel on Python floats and on 1-element arrays."""
+        fields1 = dispersion.index_fields(config.material, lam1)[:2]
+        fields2 = dispersion.index_fields(config.material, lam2)[:2]
+        scalar, _ = emission._density_kernel(
+            config, lam1, lam2, fields1, fields2, ksum, cos_t1, cos_t2, angular
+        )
+        one = lambda x: np.array([x])
+        array, _ = emission._density_kernel(
+            config, one(lam1), one(lam2), tuple(map(one, fields1)), tuple(map(one, fields2)),
+            tuple(map(one, ksum)), cos_t1, cos_t2, angular,
+        )
+        return float(scalar), float(array[0])
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_form_factors(self, profile):
+        profile = self.PROFILES[profile]
+        form_factor = (
+            gaussian_form_factor if isinstance(profile, GaussianProfile) else tanh_form_factor
+        )
+        rng = np.random.default_rng(7)
+        kx = np.append(rng.uniform(0.05, 4.0, 200), self.POW_KX).tolist()
+        ky, kz = rng.uniform(-3.0, 3.0, 202).tolist(), rng.normal(size=202).tolist()
+        for x, y, z in zip(kx, ky, kz):
+            value = form_factor(profile, x, y, z)
+            assert value == form_factor(profile, np.array([x]), np.array([y]), np.array([z]))[0]
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_point_pairs(self, profile, model, geometry):
+        model = self.MODELS[model]()
+        config = EmissionConfig(
+            material=model, profile=self.PROFILES[profile],
+            kin=PerturbationKinematics(beta=10.0), length_m=0.05,
+        )
+        theta1, theta2, phi2 = self.GEOMETRIES[geometry]
+        lo, hi = dispersion.transparency_window(model)
+        checked = 0
+        for lam1 in np.geomspace(1.05 * lo, min(hi, 3.0), 40).tolist():
+            try:
+                lam2 = solve_partner(lam1, theta1, theta2, config.kin, model)
+            except NoSignChangeError:
+                continue
+            m1, m2 = PhotonMode(lam1, theta1), PhotonMode(lam2, theta2, phi2)
+            k1 = 2.0 * math.pi * dispersion.refractive_index(model, lam1) / lam1
+            k2 = 2.0 * math.pi * dispersion.refractive_index(model, lam2) / lam2
+            kvec1, kvec2 = emission._wavevector(k1, m1), emission._wavevector(k2, m2)
+            cos_psi = float(np.dot(kvec1, kvec2)) / (k1 * k2)
+            scalar, array = self.kernel_both_ways(
+                config, lam1, lam2, (kvec1 + kvec2).tolist(), math.cos(theta1),
+                math.cos(theta2), 1.0 + cos_psi * cos_psi,
+            )
+            assert scalar == array
+            checked += 1
+        assert checked >= 10
+
+    def test_pinned_pow_cases(self):
+        # the kernel need not see a pair on the constraint, so the pinned
+        # values go in directly
+        for profile in self.PROFILES.values():
+            config = EmissionConfig(
+                material=get_material("fused_silica"), profile=profile,
+                kin=PerturbationKinematics(beta=10.0), length_m=0.05,
+            )
+            for kx in self.POW_KX:
+                scalar, array = self.kernel_both_ways(
+                    config, 0.4, 0.5, (kx, 0.3, -0.2), 0.9, -0.8, 1.5
+                )
+                assert scalar == array
+            for lam1, lam2 in self.POW_LAMS:
+                scalar, array = self.kernel_both_ways(
+                    config, lam1, lam2, (1.3, 0.3, 0.0), 1.0, -1.0, 2.0
+                )
+                assert scalar == array
 
 
 class TestTanhDensity:

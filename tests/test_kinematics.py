@@ -19,7 +19,6 @@ from vacuumpairs.kinematics import (
     constraint_residual,
     constraint_tolerance,
     MultipleRootsWarning,
-    pair_constraint_residual,
     solve_partner,
     solve_partners,
 )
@@ -30,6 +29,16 @@ from oracles import partner_nondispersive, smallest_root_bracket
 
 def constant(n0):
     return DispersionModel(base=ConstantIndex(n0))
+
+
+def pair_residual(mode1, mode2, kin, model):
+    """The constraint residual of two modes, with n from refractive_index."""
+    lam1, lam2 = mode1.wavelength, mode2.wavelength
+    return constraint_residual(
+        lam1, dispersion.refractive_index(model, lam1), math.cos(mode1.theta),
+        lam2, dispersion.refractive_index(model, lam2), math.cos(mode2.theta),
+        kin,
+    )
 
 
 def closed_form_partner(lam1, beta, n0):
@@ -69,7 +78,7 @@ class TestResidual:
         kin = PerturbationKinematics(beta=beta)
         lam1 = 1.0
         lam2 = closed_form_partner(lam1, beta, n0)
-        res = pair_constraint_residual(
+        res = pair_residual(
             PhotonMode(lam1, 0.0), PhotonMode(lam2, math.pi), kin, constant(n0)
         )
         assert abs(res) < constraint_tolerance(lam1, lam2, kin)
@@ -79,7 +88,7 @@ class TestResidual:
         model = get_material("fused_silica")
         m1 = PhotonMode(0.8, 0.3)
         m2 = PhotonMode(1.9, 2.6)
-        assert pair_constraint_residual(m1, m2, kin, model) == pair_constraint_residual(
+        assert pair_residual(m1, m2, kin, model) == pair_residual(
             m2, m1, kin, model
         )
 
@@ -87,7 +96,7 @@ class TestResidual:
         # beta = 2 reference pair (2.51, 4.98) um in fused silica
         kin = PerturbationKinematics(beta=2.0)
         model = get_material("fused_silica")
-        res = pair_constraint_residual(
+        res = pair_residual(
             PhotonMode(2.51, 0.0), PhotonMode(4.98, math.pi), kin, model
         )
         k1 = 2.0 * math.pi * dispersion.refractive_index(model, 2.51) / 2.51
@@ -136,7 +145,7 @@ class TestSolvePartner:
         model = get_material("fused_silica")
         lam1, theta1, theta2 = 0.7, 0.2, 2.9
         lam2 = solve_partner(lam1, theta1, theta2, kin, model)
-        res = pair_constraint_residual(
+        res = pair_residual(
             PhotonMode(lam1, theta1), PhotonMode(lam2, theta2), kin, model
         )
         assert abs(res) < constraint_tolerance(lam1, lam2, kin)
@@ -283,8 +292,12 @@ class TestSolvePartners:
         for lam1 in (0.5, 1.0, 2.0):
             solve_partner(lam1, 0.0, math.pi, kin, model)
         assert len(built) == 1
-        table = kinematics._solo_table(-1.0, kin, model)
-        assert not (table.start.flags.writeable or table.keys.flags.writeable)
+        column = kinematics._solo_table(-1.0, kin, model)
+        assert len(built) == 1
+        # floats and tuples of floats, so immutable; hash raises on a mutable part
+        assert isinstance(column, tuple)
+        assert all(isinstance(part, (float, tuple)) for part in column)
+        hash(column)
 
     def test_multiple_roots_warning_names_the_caller(self):
         # fast_light_multiroot: lam1 = 0.28 um has more than one collinear partner
@@ -316,8 +329,14 @@ class TestBracketSearch:
     THETA2 = np.linspace(0.0, math.pi, 41)[None, :]
 
     def check_rows(self, model, kin, part1, cos_t2):
-        """Compare each row of part1 with the oracle, the multiple-root flag included."""
+        """Compare each row of part1 with the oracle, the multiple-root flag included.
+
+        The float search of solve_partner is compared with both, element by
+        element, in the _solo_table column of each cos(theta2).
+        """
         table = kinematics.partner_table(cos_t2, kin, model)
+        columns = [kinematics._solo_table(c, kin, model) for c in np.ravel(cos_t2).tolist()]
+        index = np.arange(len(columns)).reshape(np.shape(cos_t2))
         for row in part1:
             lo_want, hi_want, up_want, n_roots = smallest_root_bracket(
                 row, cos_t2, 1.0 / kin.beta, model
@@ -325,13 +344,21 @@ class TestBracketSearch:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 lo, hi, up, multiple = kinematics._smallest_root_bracket(row, table)
+                values = np.broadcast_to(row, lo.shape).ravel().tolist()
+                which = np.broadcast_to(index, lo.shape).ravel().tolist()
+                solo = [kinematics._column_bracket(v, columns[j]) for v, j in zip(values, which)]
             root = n_roots > 0
             np.testing.assert_array_equal(lo, lo_want)
             np.testing.assert_array_equal(hi[root], hi_want[root])
             np.testing.assert_array_equal(up[root], up_want[root])
             assert np.all(np.isnan(hi[~root]))
             assert multiple == bool(np.any(n_roots > 1))
-            # the flag replaces the warning here: no warning of any kind
+            lo_s, hi_s, up_s, multiple_s = (np.reshape(x, lo.shape) for x in zip(*solo))
+            np.testing.assert_array_equal(lo_s, lo)
+            np.testing.assert_array_equal(hi_s, hi)
+            np.testing.assert_array_equal(up_s, up)
+            np.testing.assert_array_equal(multiple_s, n_roots > 1)
+            # the flags replace the warning here: no warning of any kind
             assert not caught
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -354,7 +381,7 @@ class TestBracketSearch:
         # part1 equal to minus a scan value puts an exact zero on the grid:
         # every 23rd point, and every local extreme, where the residual
         # touches zero without crossing it; one theta2 at a time, so the
-        # multiple-root flag is checked element by element
+        # multiple-root flag of the array search is checked element by element
         model = self.MODELS[name]()
         kin = PerturbationKinematics(beta=20.0)
         for cos_t2 in np.cos(self.THETA2[0]):
@@ -371,6 +398,10 @@ class TestBracketSearch:
         part1 = kinematics._photon_term(0.5, dispersion.refractive_index(model, 0.5), 1.0, 0.05)
         lo, hi, _, _ = kinematics._smallest_root_bracket(part1, table)
         assert not math.isnan(lo[0]) and np.isnan(lo[1]) and np.isnan(hi[1])
+        for cos_t2, lo_want, hi_want in zip((-1.0, math.nan), lo, hi):
+            column = kinematics._solo_table(cos_t2, kin, model)
+            lo_s, hi_s, _, _ = kinematics._column_bracket(part1, column)
+            np.testing.assert_array_equal([lo_s, hi_s], [lo_want, hi_want])
 
 
 class TestValidation:
