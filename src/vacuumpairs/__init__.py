@@ -12,11 +12,9 @@ from .dispersion import (
     PoleProximityError,
     SellmeierModel,
     fast_light_resonance,
-    group_index,
     index_derivative,
     refractive_index,
     sample_group_index,
-    wavelength_to_omega,
 )
 from .materials import (
     UnknownMaterialError,

@@ -286,15 +286,6 @@ def index_derivative(model, wavelength):
     return _like(wavelength, dn)
 
 
-def group_index(model, wavelength):
-    """Group index n_g = n - lambda * dn/dlambda.
-
-    May be < 1 or <= 0 for fast-light models; returned as-is.
-    """
-    lam, n, dn = _checked(model, wavelength)
-    return _like(wavelength, n - lam * dn)
-
-
 def index_fields(model, wavelength):
     """Array-safe n, n_g and a bad-sample mask; never raises on bad cells.
 
@@ -355,15 +346,6 @@ def sample_group_index(model, wavelength: float) -> GroupIndexSample:
     """Evaluate n and n_g at one wavelength, with the regime tag attached."""
     lam, n, dn = _checked(model, float(wavelength))
     return GroupIndexSample(wavelength=lam, n=n, n_g=n - lam * dn)
-
-
-def wavelength_to_omega(wavelength_um):
-    """Angular frequency in rad/s for a vacuum wavelength in um."""
-    lam = np.asarray(wavelength_um, dtype=float)
-    if not (np.isfinite(lam) & (lam > 0.0)).all():
-        raise NonPositiveError("wavelength must be positive and finite (um)")
-    omega = _omega(lam)
-    return float(omega) if lam.ndim == 0 else omega
 
 
 def _omega(lam):

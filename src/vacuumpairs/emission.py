@@ -49,6 +49,8 @@ FLAG_HOLE = 2  # numerical singularity (pole, negative radicand, n_g ~ 0)
 
 FLAG_LEGEND = {FLAG_OK: "ok", FLAG_FORBIDDEN: "forbidden", FLAG_HOLE: "hole"}
 
+_BLOCK_CELLS = 15_000  # cells per row block of a collinear grid (see _grid_fields)
+
 
 class EmissionError(ValueError):
     """Base class for emission-evaluation failures."""
@@ -366,31 +368,43 @@ def _density_kernel(
 
 
 def _grid_fields(config: EmissionConfig, lam1, lam2):
-    """Vectorized density over broadcast (lambda1, lambda2) arrays.
+    """Density over the grid of two 1-D wavelength axes, in row blocks.
 
-    Returns (values, flags).  lam1 is the forward photon (theta1 = 0); the
-    partner angle follows from the constraint at each cell.
+    Returns (values, flags) of shape (len(lam1), len(lam2)).  lam1 is the
+    forward photon (theta1 = 0); the partner angle follows from the
+    constraint at each cell.  The per-axis fields are evaluated once; the
+    cells are evaluated in blocks of whole rows of at most _BLOCK_CELLS
+    cells, so that a float64 temporary of a block stays below glibc's
+    128 KiB mmap threshold and is reused from the heap instead of being
+    mapped and zeroed afresh.  Every cell runs the same operations on the
+    same operands in any blocking.
     """
     model = config.material
+    lam1, lam2 = lam1[:, None], lam2[None, :]
     n1, ng1, bad1 = _index_fields(model, lam1)
     n2, ng2, bad2 = _index_fields(model, lam2)
-    s_total = kinematics._on_shell_sum(lam1, lam2, config.kin)
+    k1 = TWO_PI * n1 / lam1
     k2 = TWO_PI * n2 / lam2
-    # cos(theta2) = k2x / k2; no full-grid k2x outlives it, so the angular
-    # factor below costs no memory at the peak in the kernel
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_t2 = (s_total - TWO_PI * n1 / lam1) / k2
-    forbidden = np.abs(cos_t2) > 1.0
-    cos_t2 = np.clip(cos_t2, -1.0, 1.0)
-    ky = k2 * np.sqrt(np.clip(1.0 - cos_t2 * cos_t2, 0.0, None))
-    values, csch = _density_kernel(
-        config, lam1, lam2, (n1, ng1), (n2, ng2), (s_total, ky, 0.0), 1.0, cos_t2,
-        1.0 + cos_t2 * cos_t2,
-    )
-    hole = bad1 | bad2 | csch
-    flags = np.where(hole, FLAG_HOLE, np.where(forbidden, FLAG_FORBIDDEN, FLAG_OK))
-    # an ok cell keeps a density that overflowed, so callers can reject it
-    values = np.where(flags == FLAG_OK, values, 0.0)
+    values = np.empty((lam1.size, lam2.size))
+    flags = np.empty(values.shape, dtype=np.int64)
+    rows = max(1, _BLOCK_CELLS // lam2.size)
+    for i in range(0, lam1.size, rows):
+        b = slice(i, i + rows)
+        s_total = kinematics._on_shell_sum(lam1[b], lam2, config.kin)
+        # cos(theta2) = k2x / k2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos_t2 = (s_total - k1[b]) / k2
+        forbidden = np.abs(cos_t2) > 1.0
+        cos_t2 = np.clip(cos_t2, -1.0, 1.0)
+        ky = k2 * np.sqrt(np.clip(1.0 - cos_t2 * cos_t2, 0.0, None))
+        block, csch = _density_kernel(
+            config, lam1[b], lam2, (n1[b], ng1[b]), (n2, ng2), (s_total, ky, 0.0), 1.0,
+            cos_t2, 1.0 + cos_t2 * cos_t2,
+        )
+        hole = bad1[b] | bad2 | csch
+        flags[b] = np.where(hole, FLAG_HOLE, forbidden * FLAG_FORBIDDEN)
+        # an ok cell keeps a density that overflowed, so callers can reject it
+        values[b] = np.where(hole | forbidden, 0.0, block)
     return values, flags
 
 
@@ -429,8 +443,10 @@ def collinear_grid(
 ) -> PairDensityGrid:
     """Pair density on a log-spaced (lambda1, lambda2) grid, resolution points per axis.
 
-    Deterministic: cells are evaluated in one vectorized pass and reductions
-    are taken in fixed index order.  resolution must be an integer >= 2.
+    Deterministic: cells are evaluated in row blocks that keep every
+    temporary small (see _grid_fields), each cell by the same operations
+    whatever the blocking, and reductions are taken in fixed index order.
+    resolution must be an integer >= 2.
     """
     if min(lambda1_range) <= 0.0 or min(lambda2_range) <= 0.0:
         raise ValueError("wavelength ranges must be positive")
@@ -438,7 +454,7 @@ def collinear_grid(
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], resolution)
     lam2 = np.geomspace(lambda2_range[0], lambda2_range[1], resolution)
-    values, flags = _grid_fields(config, lam1[:, None], lam2[None, :])
+    values, flags = _grid_fields(config, lam1, lam2)
     return PairDensityGrid(
         lambda1_um=lam1,
         lambda2_um=lam2,

@@ -6,11 +6,11 @@ import numpy as np
 from scipy.integrate import simpson
 
 from vacuumpairs import dispersion, emission, kinematics
-from vacuumpairs.dispersion import wavelength_to_omega
 from vacuumpairs.emission import GaussianProfile
 from vacuumpairs.kinematics import _SCAN_POINTS
 
 TWO_PI = 2.0 * math.pi
+C_UM_S = 299_792_458.0 * 1e6  # speed of light in um/s, exact by the SI definition
 
 
 def partner_nondispersive(lam1, theta1, theta2, beta, n0):
@@ -36,8 +36,8 @@ def density_nondispersive(mode1, mode2, n0, config):
     assert isinstance(profile, GaussianProfile)
     kin = config.kin
     lam1, lam2 = mode1.wavelength, mode2.wavelength
-    w1 = wavelength_to_omega(lam1)
-    w2 = wavelength_to_omega(lam2)
+    w1 = TWO_PI * C_UM_S / lam1
+    w2 = TWO_PI * C_UM_S / lam2
     k1, k2 = TWO_PI * n0 / lam1, TWO_PI * n0 / lam2
     st1, ct1 = math.sin(mode1.theta), math.cos(mode1.theta)
     st2, ct2 = math.sin(mode2.theta), math.cos(mode2.theta)

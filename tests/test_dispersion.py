@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from vacuumpairs import dispersion
 from vacuumpairs.dispersion import (
-    C_UM_S,
     ConstantIndex,
     DispersionModel,
     LorentzianResonance,
@@ -20,12 +19,10 @@ from vacuumpairs.dispersion import (
     PoleProximityError,
     SellmeierModel,
     fast_light_resonance,
-    group_index,
     index_derivative,
     refractive_index,
     sample_group_index,
     transparency_window,
-    wavelength_to_omega,
 )
 from vacuumpairs.materials import get_material
 
@@ -55,7 +52,6 @@ def mp_silica_n(lam, dps=50):
 RAISING_EVALUATORS = [
     pytest.param(refractive_index, id="refractive_index"),
     pytest.param(index_derivative, id="index_derivative"),
-    pytest.param(group_index, id="group_index"),
 ]
 
 
@@ -81,12 +77,12 @@ class TestRefractiveIndex:
         model = DispersionModel(base=ConstantIndex(1.5))
         assert refractive_index(model, 0.7) == 1.5
         assert index_derivative(model, 0.7) == 0.0
-        assert group_index(model, 0.7) == 1.5
+        assert sample_group_index(model, 0.7).n_g == 1.5
 
     def test_vacuum_limit(self):
         model = DispersionModel(base=ConstantIndex(1.0))
         assert refractive_index(model, 1.0) == 1.0
-        assert group_index(model, 1.0) == 1.0
+        assert sample_group_index(model, 1.0).n_g == 1.0
 
     def test_resonance_adds_peak(self):
         res = LorentzianResonance(center=1.0, amplitude=0.05, width=0.01)
@@ -141,12 +137,6 @@ class TestDerivative:
             ) / (2.0 * h)
             assert index_derivative(model, lam) == pytest.approx(fd, rel=1e-5)
 
-    def test_group_index_identity(self):
-        model = silica()
-        for lam in (0.4, 0.8, 1.55):
-            ng = refractive_index(model, lam) - lam * index_derivative(model, lam)
-            assert group_index(model, lam) == ng
-
 
 class TestRegimes:
     @given(st.floats(min_value=0.25, max_value=2.5))
@@ -164,7 +154,7 @@ class TestRegimes:
     def test_lorentzian_wing_produces_fast_light(self):
         res = fast_light_resonance(amplitude=0.06, width=0.01, max_slope_at=0.335)
         model = DispersionModel(base=silica().base, resonances=(res,))
-        assert group_index(model, 0.335) < 1.0
+        assert sample_group_index(model, 0.335).n_g < 1.0
 
     def test_fast_light_resonance_slope_placement(self):
         res = fast_light_resonance(amplitude=0.05, width=0.02, max_slope_at=1.0)
@@ -174,30 +164,6 @@ class TestRegimes:
         slopes = [index_derivative(model, float(l)) for l in lams]
         lam_star = lams[int(np.argmax(slopes))]
         assert lam_star == pytest.approx(1.0, abs=1e-3)
-
-
-class TestConversions:
-    def test_known_frequency(self):
-        # omega(1 um) = 2 pi c / 1 um
-        assert wavelength_to_omega(1.0) == pytest.approx(1.8836516e15, rel=1e-6)
-
-    @given(st.floats(min_value=0.05, max_value=100.0))
-    @settings(max_examples=50, deadline=None)
-    def test_omega_times_wavelength(self, lam):
-        assert wavelength_to_omega(lam) * lam == pytest.approx(
-            2.0 * math.pi * C_UM_S, rel=1e-14
-        )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveError):
-            wavelength_to_omega(0.0)
-
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite(self, lam):
-        with pytest.raises(NonPositiveError, match="positive and finite"):
-            wavelength_to_omega(lam)
-        with pytest.raises(NonPositiveError, match="positive and finite"):
-            wavelength_to_omega(np.array([1.0, lam]))
 
 
 class TestTransparencyWindow:
@@ -259,7 +225,7 @@ class TestIndexFields:
         n, ng, bad = dispersion.index_fields(model, lams)
         assert not bad.any()
         np.testing.assert_array_equal(n, refractive_index(model, lams))
-        np.testing.assert_array_equal(ng, group_index(model, lams))
+        np.testing.assert_array_equal(ng, n - lams * index_derivative(model, lams))
 
     def test_flags_invalid_cells_without_raising(self):
         model = silica()
@@ -275,7 +241,7 @@ class TestIndexFields:
         lams = np.geomspace(*transparency_window(model), 201)
         assert_float_path_matches(model, lams)
         assert_float_path_matches(model, np.array(INVALID_SAMPLES + [0.0, 1.0]))
-        for evaluate in (refractive_index, index_derivative, group_index):
+        for evaluate in (refractive_index, index_derivative):
             for lam in lams[::10]:
                 assert _bits(evaluate(model, float(lam))) == _bits(evaluate(model, lam[None])[0])
 

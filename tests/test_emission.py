@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -410,9 +411,7 @@ class TestGrid:
         model = config.material
         lam1 = 0.335
         lam2 = solve_partner(lam1, 0.0, math.pi, config.kin, model) * (1.0 - 1e-6)
-        values, flags = emission._grid_fields(
-            config, np.array([[lam1]]), np.array([[lam2]])
-        )
+        values, flags = emission._grid_fields(config, np.array([lam1]), np.array([lam2]))
         assert int(flags[0, 0]) == FLAG_OK
         k1 = 2.0 * math.pi * dispersion.refractive_index(model, lam1) / lam1
         k2 = 2.0 * math.pi * dispersion.refractive_index(model, lam2) / lam2
@@ -447,6 +446,55 @@ class TestGrid:
         grid = collinear_grid(config, (0.3, 3.0), (0.3, 3.0), 31)
         assert grid.max_value() == 0.0
         assert (grid.flags[grid.flags != emission.FLAG_HOLE] == FLAG_FORBIDDEN).all()
+
+
+class TestGridBlocks:
+    """A grid keeps its bits in any row blocking, and its temporaries stay small."""
+
+    # (model, profile, beta, window in um, resolution), with the models and
+    # profiles of TestScalarKernelBits
+    CASES = {
+        "gaussian": ("fused_silica", "gaussian", 20.0, (0.25, 0.5), 41),
+        "tanh": ("fused_silica", "tanh", 20.0, (0.25, 0.5), 41),
+        "silicon": ("silicon", "gaussian", 20.0, (1.2, 4.0), 41),
+        "fast_light": ("fast_light", "gaussian", 20.0, (0.2512, 0.4825), 41),
+        # holds all three flags: 3365 ok, 2564 forbidden, 3480 hole
+        "all_flags": ("fused_silica", "gaussian", 10.0, (0.05, 0.3), 97),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocking_keeps_bits(self, monkeypatch, case):
+        model, profile, beta, window, resolution = self.CASES[case]
+        config = EmissionConfig(
+            material=TestScalarKernelBits.MODELS[model](),
+            profile=TestScalarKernelBits.PROFILES[profile],
+            kin=PerturbationKinematics(beta=beta),
+            length_m=0.05,
+        )
+        grids = []
+        # one block; one row per block; three rows per block and a partial last block
+        for cells in (10**9, 7, 3 * resolution + 2):
+            monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
+            grids.append(collinear_grid(config, window, window, resolution))
+        one = grids[0]
+        assert np.bincount(one.flags.ravel(), minlength=3)[FLAG_OK] > 0
+        for grid in grids[1:]:
+            assert grid.values.tobytes() == one.values.tobytes()
+            assert grid.flags.dtype == one.flags.dtype
+            assert np.array_equal(grid.flags, one.flags)
+        if case == "all_flags":
+            assert np.bincount(one.flags.ravel(), minlength=3).tolist() == [3365, 2564, 3480]
+
+    def test_peak_memory_near_the_outputs(self):
+        # no temporary spans the grid: those of a row block are small beside the outputs
+        config = silica_config(beta=20.0)
+        tracemalloc.start()
+        try:
+            grid = collinear_grid(config, (0.25, 0.5), (0.25, 0.5), 401)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (grid.values.nbytes + grid.flags.nbytes)
 
 
 class TestSerialization:
