@@ -54,6 +54,21 @@ RAISING_EVALUATORS = [
     pytest.param(index_derivative, id="index_derivative"),
 ]
 
+# ... and the scalar group index, which raises on a bad sample but has no array path
+REJECTING_EVALUATORS = RAISING_EVALUATORS + [
+    pytest.param(lambda model, lam: sample_group_index(model, lam).n_g, id="group_index"),
+]
+
+# bad samples of fused silica and the error each raises
+BAD_SAMPLES = [
+    (math.sqrt(SILICA_TERMS[0][1]), PoleProximityError),
+    (9.0, NegativeRadicandError),
+    (0.0, NonPositiveError),
+    (-1.0, NonPositiveError),
+    (math.inf, NonPositiveError),
+    (math.nan, NonPositiveError),
+]
+
 
 class TestRefractiveIndex:
     def test_against_high_precision_oracle(self):
@@ -91,21 +106,21 @@ class TestRefractiveIndex:
         # far from the resonance the correction is negligible
         assert refractive_index(model, 2.0) == pytest.approx(1.4, abs=1e-5)
 
-    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
+    @pytest.mark.parametrize("evaluate", REJECTING_EVALUATORS)
     def test_nonpositive_wavelength_rejected(self, evaluate):
         with pytest.raises(NonPositiveError):
             evaluate(silica(), -1.0)
         with pytest.raises(NonPositiveError):
             evaluate(silica(), 0.0)
 
-    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
+    @pytest.mark.parametrize("evaluate", REJECTING_EVALUATORS)
     def test_pole_proximity_rejected(self, evaluate):
         l_i = SILICA_TERMS[0][1]
         lam_pole = math.sqrt(l_i)
         with pytest.raises(PoleProximityError):
             evaluate(silica(), lam_pole)
 
-    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
+    @pytest.mark.parametrize("evaluate", REJECTING_EVALUATORS)
     def test_negative_radicand_rejected(self, evaluate):
         # fused silica Sellmeier bracket is negative near 9 um
         with pytest.raises(NegativeRadicandError):
@@ -137,6 +152,13 @@ class TestDerivative:
             ) / (2.0 * h)
             assert index_derivative(model, lam) == pytest.approx(fd, rel=1e-5)
 
+    def test_group_index_identity(self):
+        model = silica()
+        for lam in (0.4, 0.8, 1.55):
+            ng = refractive_index(model, lam) - lam * index_derivative(model, lam)
+            assert sample_group_index(model, lam).n_g == ng
+            assert dispersion.index_fields(model, lam)[1] == ng
+
 
 class TestRegimes:
     @given(st.floats(min_value=0.25, max_value=2.5))
@@ -164,6 +186,28 @@ class TestRegimes:
         slopes = [index_derivative(model, float(l)) for l in lams]
         lam_star = lams[int(np.argmax(slopes))]
         assert lam_star == pytest.approx(1.0, abs=1e-3)
+
+
+class TestConversions:
+    """dispersion._omega, the 2 pi c / lambda of the emission kernel."""
+
+    def test_known_frequency(self):
+        # omega(1 um) = 2 pi c / 1 um
+        assert dispersion._omega(1.0) == pytest.approx(1.8836516e15, rel=1e-6)
+
+    @given(st.floats(min_value=0.05, max_value=100.0))
+    @settings(max_examples=50, deadline=None)
+    def test_omega_times_wavelength(self, lam):
+        assert dispersion._omega(lam) * lam == pytest.approx(
+            2.0 * math.pi * 299_792_458.0e6, rel=1e-14
+        )
+
+    def test_float_and_array_paths_agree(self):
+        lams = np.geomspace(0.05, 100.0, 41)
+        omegas = dispersion._omega(lams)
+        assert omegas.shape == lams.shape
+        for lam, omega in zip(lams, omegas):
+            assert dispersion._omega(float(lam)) == omega
 
 
 class TestTransparencyWindow:
@@ -255,23 +299,21 @@ class TestIndexFields:
         assert_float_path_matches(model, np.array([lam]))
 
     @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
-    @pytest.mark.parametrize(
-        "lam, error",
-        [
-            (math.sqrt(SILICA_TERMS[0][1]), PoleProximityError),
-            (9.0, NegativeRadicandError),
-            (0.0, NonPositiveError),
-            (-1.0, NonPositiveError),
-            (math.inf, NonPositiveError),
-            (math.nan, NonPositiveError),
-        ],
-    )
+    @pytest.mark.parametrize("lam, error", BAD_SAMPLES)
     def test_raises_the_class_of_the_array_path(self, evaluate, lam, error):
         with pytest.raises(error) as from_float:
             evaluate(silica(), lam)
         with pytest.raises(error) as from_array:
             evaluate(silica(), np.array([lam]))
         assert type(from_float.value) is type(from_array.value)
+
+    @pytest.mark.parametrize("lam, error", BAD_SAMPLES)
+    def test_sample_group_index_raises_the_class_of_the_array_path(self, lam, error):
+        with pytest.raises(error) as from_sample:
+            sample_group_index(silica(), lam)
+        with pytest.raises(error) as from_array:
+            refractive_index(silica(), np.array([lam]))
+        assert type(from_sample.value) is type(from_array.value)
 
 
 class TestValidation:
