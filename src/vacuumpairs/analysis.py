@@ -125,18 +125,13 @@ def find_maximum(
     """Collinear emission maximum in the given lambda1 window.
 
     The window is clipped to the transparency window of the material, then
-    scanned along the constraint curve on a coarse log grid; every lobe
-    above half the scan maximum is refined by golden section (fast-light
-    media can be multimodal) and the highest lobe wins.  Deterministic.
-
-    The scan is one array pass (kinematics.solve_partners and the array
-    kernel of the collinear grid) that only selects the lobes and their
-    brackets.  The refinement, and every value it is compared with, call
-    the scalar constraint_density with its brentq partners: the density is
-    flat at the maximum, so root-solver rounding far below its precision
-    moves the location.  Its dispersion calls, bracket searches and density
-    kernel run on Python floats, which give the bits of the array paths
-    without numpy's per-call overhead.
+    scanned along the constraint curve on a coarse log grid in one array
+    pass; every lobe above half the scan maximum is refined by golden
+    section (fast-light media can be multimodal) and the highest lobe wins.
+    Deterministic.  The refinement, and every value it is compared with,
+    call the scalar constraint_density with its brentq partners: the
+    density is flat at the maximum, so root-solver rounding far below its
+    precision moves the location.
     """
     clear = dispersion.transparency_window(config.material)
     window = (max(window[0], clear[0]), min(window[1], clear[1]))
@@ -243,9 +238,11 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
     phi holds the Simpson nodes of the mean over [0, pi].  Yields arrays of
     shape (t1.size, t2.size), zero where there is no partner or the density
     is undefined, and all zero for a lambda1 where the model is invalid.
-    See _total_count_once for the factoring.
+    The partners come from _solved_rows; the density is formed one row at
+    a time.  See _total_count_once for the factoring.
     """
     kin = config.kin
+    lam1_grid = np.asarray(lam1_grid, dtype=float)
     cos_phi = np.cos(phi)
     theta1, theta2 = t1[:, None], t2[None, :]
     cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
@@ -256,14 +253,13 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
     psi_factor = 1.0 + cos_psi * cos_psi
     del cos_psi
     weights = _phi_mean_weights(phi)
-    for lam1 in lam1_grid:
-        lam1 = float(lam1)
-        n1a, ng1a, bad1 = _index_fields(config.material, np.asarray([lam1]))
-        if bool(bad1[0]):
+    n1_grid, ng1_grid, bad1 = _index_fields(config.material, lam1_grid)
+    solved = _solved_rows(lam1_grid, bad1, theta1, partners)
+    for lam1, n1, ng1 in zip(lam1_grid.tolist(), n1_grid.tolist(), ng1_grid.tolist()):
+        lam2 = next(solved)  # a view of its block; a zip's result tuple would keep it alive
+        if lam2 is None:
             yield np.zeros((t1.size, t2.size))
             continue
-        n1, ng1 = float(n1a[0]), float(ng1a[0])
-        lam2 = kinematics.solve_tabulated(lam1, theta1, partners)
         none = np.isnan(lam2)
         lam2 = np.where(none, 1.0, lam2)
         n2, ng2, bad2 = _index_fields(config.material, lam2)
@@ -281,6 +277,22 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
         yield np.where(none | bad2 | csch, 0.0, values)
 
 
+def _solved_rows(lam1_grid, bad1, theta1, partners):
+    """The partners of each lambda1 row, or None where bad1 marks it invalid.
+
+    One solve_tabulated call per block: the fewest blocks of whole rows, of
+    near-equal size, at most emission._BLOCK_CELLS cells or else one row.
+    """
+    cells = np.broadcast(theta1, partners.cos_t2).size
+    blocks = -(-lam1_grid.size // max(1, emission._BLOCK_CELLS // cells))
+    rows = -(-lam1_grid.size // blocks)
+    for i in range(0, lam1_grid.size, rows):
+        valid = ~bad1[i : i + rows]
+        block = iter(kinematics.solve_tabulated(lam1_grid[i : i + rows][valid], theta1, partners))
+        yield from (next(block) if ok else None for ok in valid.tolist())
+        del block  # before the next block is solved
+
+
 def _total_count_once(
     config: EmissionConfig,
     half_angle: float,
@@ -292,30 +304,24 @@ def _total_count_once(
 ) -> float:
     """One quadrature pass of the density over (lambda1, theta1, theta2).
 
-    The integrand is emission._density_kernel, the density of the point,
-    curve and grid paths, averaged over the relative azimuth phi of the
-    pair, with kz = 0 and the partner wavelength fixed by the constraint at
-    every node.  The pass builds one partner table of its theta2 nodes (the
-    lam2 part of the residual on the 400-point scan grid,
-    kinematics.partner_table); for each lambda1 row,
-    kinematics.solve_tabulated finds every bracket in it by binary search
-    and refines the brackets by safeguarded Newton steps.
+    The integrand is emission._density_kernel averaged over the relative
+    azimuth phi of the pair, with kz = 0 and the partner wavelength fixed
+    by the constraint at every node.  The pass builds one partner table of
+    its theta2 nodes (kinematics.partner_table) and solves the partners of
+    its lambda1 rows in blocks of rows (_solved_rows).
 
     The density depends on phi only through 1 + cos(psi)^2, with
     cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),
-    and the transverse weight of the form factor, exp(-sigma_y^2 ky^2),
-    with ky = k1 sin(theta1) + k2 sin(theta2) cos(phi); every other factor
-    depends on the (theta1, theta2) cell only, the longitudinal form factor
-    ff(kx, 0, 0) and the csch^2 mask included.  So the pass builds
-    1 + cos(psi)^2 on (theta1, theta2, phi) and the Simpson weights of the
-    phi-mean once; each row forms the weighted mean of 1 + cos(psi)^2 times
-    the transverse weight with one matrix product and evaluates the kernel
-    on (theta1, theta2) with ksum = (kx, 0, 0).  This is the Simpson rule
-    over phi of the kernel on every (theta1, theta2, phi) node, reordered.
+    and the transverse weight exp(-sigma_y^2 ky^2) of the form factor, with
+    ky = k1 sin(theta1) + k2 sin(theta2) cos(phi); ff(kx, 0, 0), the csch^2
+    mask and every other factor depend on the (theta1, theta2) cell alone.
+    So the pass builds 1 + cos(psi)^2 and the Simpson weights of the
+    phi-mean once; each row averages their product with the transverse
+    weight by one matrix product and evaluates the kernel on the cells with
+    ksum = (kx, 0, 0): the Simpson rule over phi on every node, reordered.
 
-    Known gap: the transverse weight gets kz = 0, so this is not the
-    average of density_gaussian, which has kz = k2 sin(theta2) sin(phi);
-    the fix waits on the derivation of the total-count measure.
+    Known gap: with kz = 0 this is not the average of density_gaussian
+    (kz = k2 sin(theta2) sin(phi)); the fix waits on the total-count measure.
     """
     lam1_grid = np.geomspace(lam_window[0], lam_window[1], n_lam)
     t1 = np.linspace(0.0, half_angle, n_t1)
@@ -347,14 +353,17 @@ def total_count(
     error estimate comes from doubling every axis; refinement repeats until
     the relative change drops below rel_tol or the budget is exhausted, and
     QuadratureNotConvergedError is raised if it is exhausted above rel_tol.
-    Raises ValueError unless 0 < cone_half_angle_rad <= pi, rel_tol is
-    positive and finite, base_resolution holds four integers of at least 3
-    (the smallest Simpson rule) and max_refinements is an integer >= 0.
+    Raises ValueError unless 0 < cone_half_angle_rad <= pi, lam_window is
+    finite with 0 < min < max, rel_tol is positive and finite,
+    base_resolution holds four integers of at least 3 (the smallest
+    Simpson rule) and max_refinements is an integer >= 0.
     """
     if not 0.0 < cone_half_angle_rad <= math.pi:  # also rejects nan
         raise ValueError(
             f"cone half angle must lie in (0, pi] rad, got {cone_half_angle_rad!r}"
         )
+    if not (0.0 < lam_window[0] < lam_window[1] and math.isfinite(lam_window[1])):
+        raise ValueError(f"lam_window must be finite with 0 < min < max, got {lam_window!r}")
     if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     if not (
@@ -416,10 +425,9 @@ FAST_LIGHT_WIDTH_UM = 0.01
 def count_peaks(values: np.ndarray) -> int:
     """Distinct maxima above half the global maximum.
 
-    A 3x3 box smoothing is applied first so single-cell grid noise does not
-    create spurious peaks; distinct maxima are then the connected components
-    of the above-threshold region (8-connectivity), which is robust against
-    fragmentation of a narrow ridge into neighbouring grid cells.
+    A 3x3 box smoothing first keeps single-cell grid noise from making
+    peaks; the maxima are then the connected components (8-connectivity)
+    of the above-threshold region, which a narrow ridge does not fragment.
     """
     smooth = uniform_filter(values, size=3, mode="nearest")
     vmax = float(smooth.max())

@@ -142,9 +142,8 @@ def as_model(model) -> DispersionModel:
 def _sellmeier_term(rad, drad, lam, lam2, denom, a_i, l_i):
     """rad and drad plus one Sellmeier term a_i lam^2/(lam^2 - l_i) and its lam-derivative.
 
-    The per-term arithmetic of both evaluators: +, -, * and / round
-    correctly in IEEE 754, so a float gets the bits of an array element.
-    Arrays are updated in place.
+    The per-term arithmetic of both evaluators, arrays updated in place: +, -,
+    * and / round correctly in IEEE 754, so a float gets the bits of an array element.
     """
     rad += a_i * lam2 / denom
     # d/dlam [lam^2/(lam^2 - l)] = -2 lam l / (lam^2 - l)^2
@@ -249,9 +248,8 @@ def _bad_sample_error(model: DispersionModel, lam) -> DispersionError:
 def _checked(model, wavelength):
     """(lam, n, dn/dlambda); raises on any bad sample.
 
-    A float wavelength (np.float64 included) takes _evaluate_float and
-    gives floats, bit for bit the element an array call gives.  Anything
-    else is evaluated as an array, at least 1-d.
+    A float wavelength (np.float64 included) gives floats by _evaluate_float,
+    anything else arrays, at least 1-d, by _evaluate.
     """
     model = as_model(model)
     if isinstance(wavelength, float):
@@ -289,13 +287,11 @@ def index_derivative(model, wavelength):
 def index_fields(model, wavelength):
     """Array-safe n, n_g and a bad-sample mask; never raises on bad cells.
 
-    Samples where the model is invalid (non-positive wavelength, Sellmeier
-    pole within POLE_GUARD_UM2, negative radicand) are flagged in the
-    returned boolean mask; their n, n_g values are placeholders.  A group
-    index near 0 is not flagged here; emission._index_fields adds that floor.
-    A float wavelength, np.float64 included, gives Python (float, float,
-    bool), bit for bit the element of an array call; an array, a 0-d array
-    included, gives arrays.
+    The mask flags the samples where _evaluate does; their n, n_g are
+    placeholders.  A group index near 0 is not flagged here;
+    emission._index_fields adds that floor.  A float wavelength, np.float64
+    included, gives Python (float, float, bool), bit for bit the element of
+    an array call; an array, a 0-d array included, gives arrays.
     """
     model = as_model(model)
     if isinstance(wavelength, float):
@@ -314,9 +310,8 @@ def transparency_window(model):
 
     Scans _WINDOW_BOUNDS on a log grid and returns the endpoints of the
     longest run (in log-wavelength) of samples that avoid Sellmeier poles
-    and negative radicands.  Root searches and maxima scans stay inside this
-    window so they cannot wander onto the unphysical branch beyond an
-    infrared pole.  Computed once per model.
+    and negative radicands, once per model.  Root searches and maxima scans
+    stay inside it, off the unphysical branch beyond an infrared pole.
     """
     return _transparency_window(as_model(model))
 

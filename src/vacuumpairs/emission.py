@@ -11,9 +11,8 @@ Normalization convention (stored in every config snapshot): wavenumbers in
 um^-1, mode measure d^3k/(2 pi)^3 per photon, a single 2 pi azimuthal
 factor, delta(0) = L/(2 pi) with L in um, and the constraint delta consumed
 with the inverse gradient norm of the residual over (k1x, k2x), and a
-spectral weight of half the summed inverse optical wavelength.  A single
-calibration constant multiplies the output; it was fixed once against the
-reference emission maximum at beta = 10, sigma = 1 um in fused silica.
+spectral weight of half the summed inverse optical wavelength, times one
+calibration constant (DEFAULT_CALIBRATION).
 """
 
 from __future__ import annotations
@@ -49,7 +48,10 @@ FLAG_HOLE = 2  # numerical singularity (pole, negative radicand, n_g ~ 0)
 
 FLAG_LEGEND = {FLAG_OK: "ok", FLAG_FORBIDDEN: "forbidden", FLAG_HOLE: "hole"}
 
-_BLOCK_CELLS = 15_000  # cells per row block of a collinear grid (see _grid_fields)
+# cells per row block of a collinear grid and of the total's partner solve:
+# a float64 temporary of a block stays below glibc's 128 KiB mmap threshold,
+# so it is reused from the heap instead of being mapped and zeroed afresh
+_BLOCK_CELLS = 15_000
 
 
 class EmissionError(ValueError):
@@ -204,10 +206,8 @@ def _transverse_weight(profile, ky, kz):
     """exp(-sy^2 ky^2 - sz^2 kz^2), with sy = sz = sigma for the Gaussian.
 
     The transverse part of either form factor: ff(kx, ky, kz) equals
-    ff(kx, 0, 0) times this weight, up to rounding.  The form factors keep
-    their own arithmetic, because the location of the collinear maximum is
-    flat enough that a last-bit change of the density moves it (see
-    analysis.find_maximum).
+    ff(kx, 0, 0) times this weight, up to rounding; the form factors keep
+    their own arithmetic, whose last bits the collinear maxima depend on.
     """
     if isinstance(profile, GaussianProfile):
         sy = sz = profile.sigma
@@ -222,11 +222,10 @@ def _transverse_weight(profile, ky, kz):
 def _mode_pair_density(mode1: PhotonMode, mode2: PhotonMode, config: EmissionConfig) -> float:
     """The scalar wrapper of _density_kernel behind density_gaussian/density_tanh.
 
-    Each photon's (n, n_g) comes from a float index_fields call.  Raises
-    where the density is undefined, in this order: a bad wavelength (its
-    DispersionError, photon 1 first), a pair off the constraint, the tanh
-    csch^2 pole, |n_g| below NG_FLOOR.  The kernel runs on Python floats and
-    gives the bits of a 1-element array call (see _density_kernel).
+    Raises where the density is undefined, in this order: a bad wavelength
+    (its DispersionError, photon 1 first), a pair off the constraint, the
+    tanh csch^2 pole, |n_g| below NG_FLOOR.  Runs on Python floats, with
+    the bits of a 1-element array call (see _density_kernel).
     """
     model = config.material
     kin = config.kin
@@ -329,10 +328,8 @@ def _density_kernel(
     np.square (a float ** 2 is libm pow), the products keep their order,
     and exp, hypot and sinh stay numpy's.
     """
-    kin = config.kin
-    profile = config.profile
-    n1, ng1 = fields1
-    n2, ng2 = fields2
+    kin, profile = config.kin, config.profile
+    (n1, ng1), (n2, ng2) = fields1, fields2
     kx, ky, kz = ksum
     k1 = TWO_PI * n1 / lam1
     k2 = TWO_PI * n2 / lam2
@@ -372,12 +369,9 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
 
     Returns (values, flags) of shape (len(lam1), len(lam2)).  lam1 is the
     forward photon (theta1 = 0); the partner angle follows from the
-    constraint at each cell.  The per-axis fields are evaluated once; the
-    cells are evaluated in blocks of whole rows of at most _BLOCK_CELLS
-    cells, so that a float64 temporary of a block stays below glibc's
-    128 KiB mmap threshold and is reused from the heap instead of being
-    mapped and zeroed afresh.  Every cell runs the same operations on the
-    same operands in any blocking.
+    constraint at each cell.  The per-axis fields are evaluated once, the
+    cells in blocks of whole rows of at most _BLOCK_CELLS cells; every cell
+    runs the same operations on the same operands in any blocking.
     """
     model = config.material
     lam1, lam2 = lam1[:, None], lam2[None, :]
@@ -443,10 +437,8 @@ def collinear_grid(
 ) -> PairDensityGrid:
     """Pair density on a log-spaced (lambda1, lambda2) grid, resolution points per axis.
 
-    Deterministic: cells are evaluated in row blocks that keep every
-    temporary small (see _grid_fields), each cell by the same operations
-    whatever the blocking, and reductions are taken in fixed index order.
-    resolution must be an integer >= 2.
+    Deterministic: every cell runs the same operations in any row
+    blocking (see _grid_fields).  resolution must be an integer >= 2.
     """
     if min(lambda1_range) <= 0.0 or min(lambda2_range) <= 0.0:
         raise ValueError("wavelength ranges must be positive")
@@ -455,9 +447,4 @@ def collinear_grid(
     lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], resolution)
     lam2 = np.geomspace(lambda2_range[0], lambda2_range[1], resolution)
     values, flags = _grid_fields(config, lam1, lam2)
-    return PairDensityGrid(
-        lambda1_um=lam1,
-        lambda2_um=lam2,
-        values=values,
-        flags=flags,
-    )
+    return PairDensityGrid(lambda1_um=lam1, lambda2_um=lam2, values=values, flags=flags)

@@ -121,9 +121,8 @@ def constraint_tolerance(lam1: float, lam2: float, kin: PerturbationKinematics) 
 def _scan_grid(model: dispersion.DispersionModel) -> tuple[np.ndarray, np.ndarray]:
     """The _SCAN_POINTS log grid over the transparency window and n on it, once per model.
 
-    The window is a run of valid samples of a finer grid with a guard band
-    at every pole, so no scan point should be invalid; a model where one is
-    raises DispersionError rather than being scanned with a gap.
+    A model invalid at a scan point raises DispersionError rather than
+    being scanned with a gap; the window's guard bands rule that out.
     """
     grid = np.geomspace(*dispersion.transparency_window(model), _SCAN_POINTS)
     n, _, bad = dispersion.index_fields(model, grid)
@@ -157,12 +156,10 @@ class PartnerTable:
 
 
 def partner_table(cos_t2, kin: PerturbationKinematics, model) -> PartnerTable:
-    """The partner table of one velocity and set of cos(theta2), for solve_tabulated.
+    """The partner table of one velocity and set of cos(theta2), for any lam1 and theta1.
 
-    It serves any number of lam1 and theta1 without evaluating the
-    dispersion model again.  Both are public so that a trace of the
-    package's public functions counts total_count's partner solve as
-    kinematics work.
+    Public, like solve_tabulated, so that a trace of the package's public
+    functions counts total_count's partner solve as kinematics work.
     """
     model = dispersion.as_model(model)
     grid, n = _scan_grid(model)
@@ -268,16 +265,13 @@ def solve_partner(
 ) -> float:
     """Partner wavelength lam2 with zero constraint residual.
 
-    Searches the transparency window of the model, which keeps the search
-    off any unphysical branch beyond an infrared pole, and returns its
-    smallest root: _column_bracket brackets it on the scan grid, by bisect
-    in the partner-table column cached per (cos(theta2), kin, model), and
-    brentq refines the bracket.  Warns via MultipleRootsWarning when the
-    window holds more than one root (possible for non-monotonic, fast-light
-    dispersion).  Raises NoSignChangeError when it holds none (in
-    particular in the subluminal regime, where there is no pair emission at
-    all).  lam1, the search and every brentq step run on Python floats,
-    through the float path of the dispersion evaluators.
+    Returns the smallest root in the transparency window of the model,
+    which keeps the search off any unphysical branch beyond an infrared
+    pole: _column_bracket brackets it in the cached partner-table column of
+    cos(theta2) and brentq, on Python floats, refines the bracket.  Warns
+    via MultipleRootsWarning when the window holds more than one root
+    (fast-light dispersion), and raises NoSignChangeError when it holds
+    none (in particular in the subluminal regime).
     """
     model = dispersion.as_model(model)
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
@@ -303,45 +297,60 @@ def solve_partner(
 def solve_partners(lam1, theta1, theta2, kin: PerturbationKinematics, model) -> np.ndarray:
     """solve_partner over broadcast lam1, theta1, theta2; nan where there is no partner.
 
-    The same bracket search and smallest-root rule, with each bracket
-    refined to the tolerance solve_partner gives brentq by vectorized
-    Newton steps (see solve_tabulated).  A lam1 where the model is invalid
-    has no partner.
+    The same smallest-root rule, refined to brentq's tolerance by _refine
+    with the whole call as one row.  An invalid lam1 has no partner.
     """
-    lam2, multiple = _refine(lam1, theta1, partner_table(np.cos(theta2), kin, model))
+    table = partner_table(np.cos(theta2), kin, model)
+    ndim = len(np.broadcast_shapes(np.shape(lam1), np.shape(theta1), table.cos_t2.shape))
+    lam1 = np.expand_dims(lam1, tuple(range(1 + ndim - np.ndim(lam1))))  # axis 0: one row
+    lam2, multiple = _refine(lam1, theta1, table)
     _warn_multiple(multiple)
-    return lam2
+    return lam2[0]
 
 
 def solve_tabulated(lam1, theta1, table: PartnerTable) -> np.ndarray:
-    """solve_partners with the partner table of theta2 built by the caller.
+    """solve_partners of each lam1, a float or 1-D array, as one row with the table's theta2.
 
-    The residual is a lam1 part plus a lam2 part, so one table serves every
-    lam1 and theta1: total_count builds it once per quadrature pass.  The
-    bracket comes from a binary search of the table.  The slope of the
-    lam2 part is (1/beta - n_g2 cos(theta2))/lam2^2, so index_fields gives
-    it with the residual.  A Newton step that leaves the bracket, has no
-    finite slope (fast light can give n_g2 cos(theta2) = 1/beta) or is not
-    shorter than half the step before last (Brent's rule) bisects instead;
-    one shorter than half the tolerance is lengthened to it, so the far end
-    of the bracket closes in.
+    The result has the shape of lam1 followed by the broadcast shape of
+    theta1 and table.cos_t2; each row has the bits of a call of its own.
     """
-    lam2, multiple = _refine(lam1, theta1, table)
+    lam1 = np.asarray(lam1, dtype=float)
+    cells = np.broadcast_shapes(np.shape(theta1), table.cos_t2.shape)
+    lam2, multiple = _refine(lam1.reshape((-1,) + (1,) * len(cells)), theta1, table)
     _warn_multiple(multiple)
-    return lam2
+    return lam2.reshape(lam1.shape + cells)
 
 
 def _refine(lam1, theta1, table: PartnerTable):
-    """The partners of solve_tabulated, and whether any element has more than one root."""
+    """Partners with rows on axis 0 of lam1, and whether any element has more than one root.
+
+    Each bracket of _smallest_root_bracket is refined by Newton steps on
+    the lam2 part, whose slope (1/beta - n_g2 cos(theta2))/lam2^2 comes
+    with it from index_fields.  A step that leaves the bracket, has no
+    finite slope (fast light can give n_g2 cos(theta2) = 1/beta) or is not
+    shorter than half the step before last (Brent's rule) bisects instead;
+    one below half the tolerance is lengthened to it, so the far end of
+    the bracket closes in.  A row steps until all its brackets close, then
+    leaves the working arrays: each element takes the steps of its row alone.
+    """
     model, cos_t2 = table.model, table.cos_t2
     lam1 = np.asarray(lam1, dtype=float)
     inv_b = 1.0 / table.kin.beta
     n1, _, bad1 = dispersion.index_fields(model, lam1)
     part1 = np.where(bad1, np.nan, _photon_term(lam1, n1, np.cos(theta1), inv_b))
     lo, hi, up_lo, multiple = _smallest_root_bracket(part1, table)
+    lam2 = np.empty(lo.shape)
+    rows = np.arange(len(lo))
     x = 0.5 * (lo + hi)
     last = before = hi - lo  # lengths of the last two steps
-    while np.any(hi - lo >= _XTOL + _RTOL * hi):
+    while rows.size:
+        live = np.any(hi - lo >= _XTOL + _RTOL * hi, axis=tuple(range(1, lo.ndim)))
+        if not live.all():
+            lam2[rows[~live]] = 0.5 * (lo[~live] + hi[~live])
+            rows, part1, lo, hi, up_lo, x, last, before = (
+                a[live] for a in (rows, part1, lo, hi, up_lo, x, last, before)
+            )
+            continue
         n2, n_g2, bad2 = dispersion.index_fields(model, x)
         part2 = np.where(bad2, np.nan, _photon_term(x, n2, cos_t2, inv_b))
         up = np.where(up_lo, part2 > -part1, part2 < -part1)
@@ -355,4 +364,5 @@ def _refine(lam1, theta1, table: PartnerTable):
         newton = (lo < x_new) & (x_new < hi) & (np.abs(step) < 0.5 * before)
         x = np.where(newton, x_new, 0.5 * (lo + hi))
         before, last = last, np.where(newton, np.abs(step), 0.5 * (hi - lo))
-    return 0.5 * (lo + hi), multiple
+        del n2, n_g2, bad2, part2, up, step, half_tol, x_new, newton  # before the next index_fields
+    return lam2, multiple

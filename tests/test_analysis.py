@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -302,6 +303,67 @@ class TestTotalCount:
                 base_resolution=base_resolution,
                 max_refinements=max_refinements,
             )
+
+    @pytest.mark.parametrize(
+        "lam_window",
+        [(5.0, 0.1), (-1.0, 5.0), (0.1, math.nan), (0.0, 5.0), (0.3, 0.3)],
+        ids=["reversed", "negative", "nan", "zero", "empty"],
+    )
+    def test_rejects_bad_window(self, lam_window):
+        with pytest.raises(ValueError, match="lam_window"):
+            total_count(
+                silica_config(beta=20.0),
+                cone_half_angle_rad=math.radians(30.0),
+                lam_window=lam_window,
+                base_resolution=self.RES,
+                max_refinements=0,
+            )
+
+    @pytest.mark.parametrize(
+        "name, lam_window, invalid",
+        [
+            ("silica_beta20", (0.1, 5.0), False),
+            ("silica_tanh", (0.1, 5.0), False),
+            ("fast_light_multiroot", (0.1, 5.0), False),
+            # a lambda1 node past the transparency window (8.3 um) is an invalid row
+            ("silica_beta20", (0.1, 12.0), True),
+        ],
+        ids=["gaussian", "tanh", "fast_light_multiroot", "invalid_row"],
+    )
+    def test_blocking_keeps_bits(self, monkeypatch, name, lam_window, invalid):
+        config = {"silica_beta20": lambda: silica_config(beta=20.0), **SCAN_CASES}[name]()
+        lam1 = np.geomspace(*lam_window, self.RES[0])
+        assert emission._index_fields(config.material, lam1)[2].any() == invalid
+        results = []
+        # one block; one row per block; three rows per block and a partial last block
+        for cells in (10**9, 1, 3 * self.RES[1] * self.RES[2] + 2):
+            monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
+                result = total_count(
+                    config,
+                    cone_half_angle_rad=math.radians(30.0),
+                    lam_window=lam_window,
+                    rel_tol=1.0,
+                    base_resolution=self.RES,
+                    max_refinements=1,
+                )
+            results.append((result.pairs_per_pulse.hex(), result.rel_error.hex()))
+        assert results[0][0] != (0.0).hex()
+        assert results[1:] == results[:1] * 2
+
+    def test_pass_memory_flat_in_n_lam(self):
+        # the partners are solved in row blocks of bounded size, not a whole pass at once
+        config = silica_config(beta=20.0)
+        peaks = []
+        for n_lam in (17, 17, 129):  # the first pass fills the per-model caches
+            tracemalloc.start()
+            try:
+                analysis._total_count_once(config, math.radians(30.0), (0.1, 5.0), n_lam, 9, 65, 33)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.2 * peaks[1]
 
     def test_one_partner_table_per_pass(self, monkeypatch):
         # the table depends on theta2 alone, so the 9 lambda1 rows share it
