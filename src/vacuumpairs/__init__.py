@@ -6,15 +6,12 @@ from .dispersion import (
     ConstantIndex,
     DispersionError,
     DispersionModel,
-    GroupIndexSample,
     LorentzianResonance,
     NegativeRadicandError,
     PoleProximityError,
     SellmeierModel,
     fast_light_resonance,
-    index_derivative,
     refractive_index,
-    sample_group_index,
 )
 from .materials import (
     UnknownMaterialError,

@@ -238,8 +238,9 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
     phi holds the Simpson nodes of the mean over [0, pi].  Yields arrays of
     shape (t1.size, t2.size), zero where there is no partner or the density
     is undefined, and all zero for a lambda1 where the model is invalid.
-    The partners come from _solved_rows; the density is formed one row at
-    a time.  See _total_count_once for the factoring.
+    The partners come from one solve_tabulated call per block of rows
+    (emission._row_blocks); the density is formed one row at a time.  See
+    _total_count_once for the factoring.
     """
     kin = config.kin
     lam1_grid = np.asarray(lam1_grid, dtype=float)
@@ -254,43 +255,30 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
     del cos_psi
     weights = _phi_mean_weights(phi)
     n1_grid, ng1_grid, bad1 = _index_fields(config.material, lam1_grid)
-    solved = _solved_rows(lam1_grid, bad1, theta1, partners)
-    for lam1, n1, ng1 in zip(lam1_grid.tolist(), n1_grid.tolist(), ng1_grid.tolist()):
-        lam2 = next(solved)  # a view of its block; a zip's result tuple would keep it alive
-        if lam2 is None:
-            yield np.zeros((t1.size, t2.size))
-            continue
-        none = np.isnan(lam2)
-        lam2 = np.where(none, 1.0, lam2)
-        n2, ng2, bad2 = _index_fields(config.material, lam2)
-        k1 = TWO_PI * n1 / lam1
-        k2 = TWO_PI * n2 / lam2
-        kx = kinematics._on_shell_sum(lam1, lam2, kin)
-        ky = k1 * sin_t1[..., None] + (k2 * sin_t2)[..., None] * cos_phi
-        angular = (psi_factor * emission._transverse_weight(config.profile, ky, 0.0)) @ weights
-        # free the (theta1, theta2, phi) array before the next row makes its own
-        del ky
-        values, csch = emission._density_kernel(
-            config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0),
-            cos_t1, cos_t2, angular,
-        )
-        yield np.where(none | bad2 | csch, 0.0, values)
-
-
-def _solved_rows(lam1_grid, bad1, theta1, partners):
-    """The partners of each lambda1 row, or None where bad1 marks it invalid.
-
-    One solve_tabulated call per block: the fewest blocks of whole rows, of
-    near-equal size, at most emission._BLOCK_CELLS cells or else one row.
-    """
-    cells = np.broadcast(theta1, partners.cos_t2).size
-    blocks = -(-lam1_grid.size // max(1, emission._BLOCK_CELLS // cells))
-    rows = -(-lam1_grid.size // blocks)
-    for i in range(0, lam1_grid.size, rows):
-        valid = ~bad1[i : i + rows]
-        block = iter(kinematics.solve_tabulated(lam1_grid[i : i + rows][valid], theta1, partners))
-        yield from (next(block) if ok else None for ok in valid.tolist())
-        del block  # before the next block is solved
+    rows = lam1_grid, n1_grid, ng1_grid, bad1
+    for b in emission._row_blocks(lam1_grid.size, t1.size * t2.size):
+        solved = iter(kinematics.solve_tabulated(lam1_grid[b][~bad1[b]], theta1, partners))
+        for lam1, n1, ng1, bad in zip(*(a[b].tolist() for a in rows)):
+            if bad:
+                yield np.zeros((t1.size, t2.size))
+                continue
+            lam2 = next(solved)
+            none = np.isnan(lam2)
+            lam2 = np.where(none, 1.0, lam2)
+            n2, ng2, bad2 = _index_fields(config.material, lam2)
+            k1 = TWO_PI * n1 / lam1
+            k2 = TWO_PI * n2 / lam2
+            kx = kinematics._on_shell_sum(lam1, lam2, kin)
+            ky = k1 * sin_t1[..., None] + (k2 * sin_t2)[..., None] * cos_phi
+            angular = (psi_factor * emission._transverse_weight(config.profile, ky, 0.0)) @ weights
+            # free the (theta1, theta2, phi) array before the next row makes its own
+            del ky
+            values, csch = emission._density_kernel(
+                config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0),
+                cos_t1, cos_t2, angular,
+            )
+            yield np.where(none | bad2 | csch, 0.0, values)
+        del solved  # the block's partners, before the next block is solved
 
 
 def _total_count_once(
@@ -308,7 +296,7 @@ def _total_count_once(
     azimuth phi of the pair, with kz = 0 and the partner wavelength fixed
     by the constraint at every node.  The pass builds one partner table of
     its theta2 nodes (kinematics.partner_table) and solves the partners of
-    its lambda1 rows in blocks of rows (_solved_rows).
+    its lambda1 rows in blocks of rows (_row_densities).
 
     The density depends on phi only through 1 + cos(psi)^2, with
     cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),

@@ -192,15 +192,14 @@ def cmd_material(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     lams = np.geomspace(lo, hi, args.samples)
+    fields = dispersion.index_fields(model, lams)
     print(f"# material: {args.name}")
     print("lambda_um,n,n_g,regime")
-    for lam in lams:
-        try:
-            s = dispersion.sample_group_index(model, float(lam))
-        except DispersionError:
-            print(f"{float(lam)!r},nan,nan,invalid")
-            continue
-        print(f"{s.wavelength!r},{s.n!r},{s.n_g!r},{s.regime}")
+    for lam, n, n_g, bad in zip(lams.tolist(), *(a.tolist() for a in fields)):
+        if bad:
+            print(f"{lam!r},nan,nan,invalid")
+        else:
+            print(f"{lam!r},{n!r},{n_g!r},{dispersion.group_regime(n_g)}")
     return EXIT_OK
 
 

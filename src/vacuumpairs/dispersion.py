@@ -108,19 +108,6 @@ class DispersionModel:
         object.__setattr__(self, "resonances", tuple(self.resonances))
 
 
-@dataclass(frozen=True)
-class GroupIndexSample:
-    """One (wavelength, n, n_g) sample with its regime tag."""
-
-    wavelength: float
-    n: float
-    n_g: float
-
-    @property
-    def regime(self) -> str:
-        return group_regime(self.n_g)
-
-
 def group_regime(n_g: float) -> str:
     """Classify a group index: normal (>=1), fast (0<n_g<1), anomalous (<=0)."""
     if n_g <= 0.0:
@@ -245,55 +232,13 @@ def _bad_sample_error(model: DispersionModel, lam) -> DispersionError:
     )
 
 
-def _checked(model, wavelength):
-    """(lam, n, dn/dlambda); raises on any bad sample.
+def _fields(model: DispersionModel, wavelength):
+    """n, n_g and the bad-sample mask of _evaluate; the one float/array dispatch.
 
-    A float wavelength (np.float64 included) gives floats by _evaluate_float,
-    anything else arrays, at least 1-d, by _evaluate.
+    A float wavelength, np.float64 included, gives Python (float, float,
+    bool) by _evaluate_float, bit for bit the element of an array call;
+    anything else gives numpy values of the input's shape by _evaluate.
     """
-    model = as_model(model)
-    if isinstance(wavelength, float):
-        lam = float(wavelength)
-        n, dn, bad = _evaluate_float(model, lam)
-    else:
-        lam = np.atleast_1d(np.asarray(wavelength, dtype=float))
-        n, dn, bad = _evaluate(model, lam)
-        bad = bad.any()
-    if bad:
-        raise _bad_sample_error(model, lam)
-    return lam, n, dn
-
-
-def _like(wavelength, values):
-    """values as a float for a scalar wavelength, else as the array."""
-    return values if isinstance(wavelength, float) or np.ndim(wavelength) else float(values[0])
-
-
-def refractive_index(model, wavelength):
-    """Refractive index at vacuum wavelength(s) in um.
-
-    Accepts a scalar or an ndarray and returns the same shape.
-    """
-    _, n, _ = _checked(model, wavelength)
-    return _like(wavelength, n)
-
-
-def index_derivative(model, wavelength):
-    """Analytic dn/dlambda in um^-1 (same shape as the input)."""
-    _, _, dn = _checked(model, wavelength)
-    return _like(wavelength, dn)
-
-
-def index_fields(model, wavelength):
-    """Array-safe n, n_g and a bad-sample mask; never raises on bad cells.
-
-    The mask flags the samples where _evaluate does; their n, n_g are
-    placeholders.  A group index near 0 is not flagged here;
-    emission._index_fields adds that floor.  A float wavelength, np.float64
-    included, gives Python (float, float, bool), bit for bit the element of
-    an array call; an array, a 0-d array included, gives arrays.
-    """
-    model = as_model(model)
     if isinstance(wavelength, float):
         lam = float(wavelength)
         n, dn, bad = _evaluate_float(model, lam)
@@ -303,6 +248,30 @@ def index_fields(model, wavelength):
     if bad.any():
         lam = np.where(bad, 1.0, lam)
     return n, n - lam * dn, bad
+
+
+def refractive_index(model, wavelength):
+    """Refractive index at vacuum wavelength(s) in um; raises on any bad sample.
+
+    A float or 0-d input gives a float, an array of the input's shape otherwise.
+    """
+    model = as_model(model)
+    n, _, bad = _fields(model, wavelength)
+    if bad is False:  # the float path, kept free of numpy calls
+        return n
+    if bad is True or bad.any():
+        raise _bad_sample_error(model, wavelength)
+    return n if n.ndim else float(n)
+
+
+def index_fields(model, wavelength):
+    """n, n_g and a bad-sample mask; never raises on bad cells.
+
+    The mask flags the samples where _evaluate does; their n, n_g are
+    placeholders.  A group index near 0 is not flagged here;
+    emission._index_fields adds that floor.  dn/dlambda is (n - n_g)/lambda.
+    """
+    return _fields(as_model(model), wavelength)
 
 
 def transparency_window(model):
@@ -335,12 +304,6 @@ def _transparency_window(model: DispersionModel) -> tuple[float, float]:
     spans = [math.log(lam[j] / lam[i]) for i, j in zip(firsts, lasts)]
     k = spans.index(max(spans))
     return float(lam[firsts[k]]), float(lam[lasts[k]])
-
-
-def sample_group_index(model, wavelength: float) -> GroupIndexSample:
-    """Evaluate n and n_g at one wavelength, with the regime tag attached."""
-    lam, n, dn = _checked(model, float(wavelength))
-    return GroupIndexSample(wavelength=lam, n=n, n_g=n - lam * dn)
 
 
 def _omega(lam):

@@ -364,6 +364,13 @@ def _density_kernel(
         return config.calibration * common * ff * measure, csch
 
 
+def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
+    """The fewest near-equal slices of whole rows, each of at most _BLOCK_CELLS cells or one row."""
+    blocks = -(-rows // max(1, _BLOCK_CELLS // cells_per_row))
+    size = -(-rows // blocks) if blocks else 1
+    return [slice(i, i + size) for i in range(0, rows, size)]
+
+
 def _grid_fields(config: EmissionConfig, lam1, lam2):
     """Density over the grid of two 1-D wavelength axes, in row blocks.
 
@@ -381,9 +388,7 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     k2 = TWO_PI * n2 / lam2
     values = np.empty((lam1.size, lam2.size))
     flags = np.empty(values.shape, dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // lam2.size)
-    for i in range(0, lam1.size, rows):
-        b = slice(i, i + rows)
+    for b in _row_blocks(lam1.size, lam2.size):
         s_total = kinematics._on_shell_sum(lam1[b], lam2, config.kin)
         # cos(theta2) = k2x / k2
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -70,10 +70,12 @@ class PhotonMode:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
+        if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
+            raise ValueError("wavelength must be positive and finite")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
+        if not math.isfinite(self.phi):
+            raise ValueError("phi must be finite")
 
 
 def cerenkov_angle(wavelength: float, kin: PerturbationKinematics, model) -> float:

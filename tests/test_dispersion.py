@@ -19,9 +19,9 @@ from vacuumpairs.dispersion import (
     PoleProximityError,
     SellmeierModel,
     fast_light_resonance,
-    index_derivative,
+    group_regime,
+    index_fields,
     refractive_index,
-    sample_group_index,
     transparency_window,
 )
 from vacuumpairs.materials import get_material
@@ -51,12 +51,6 @@ def mp_silica_n(lam, dps=50):
 # the scalar APIs that evaluate, then raise on a bad sample
 RAISING_EVALUATORS = [
     pytest.param(refractive_index, id="refractive_index"),
-    pytest.param(index_derivative, id="index_derivative"),
-]
-
-# ... and the scalar group index, which raises on a bad sample but has no array path
-REJECTING_EVALUATORS = RAISING_EVALUATORS + [
-    pytest.param(lambda model, lam: sample_group_index(model, lam).n_g, id="group_index"),
 ]
 
 # bad samples of fused silica and the error each raises
@@ -91,13 +85,14 @@ class TestRefractiveIndex:
     def test_constant_index(self):
         model = DispersionModel(base=ConstantIndex(1.5))
         assert refractive_index(model, 0.7) == 1.5
-        assert index_derivative(model, 0.7) == 0.0
-        assert sample_group_index(model, 0.7).n_g == 1.5
+        n, n_g, _ = index_fields(model, 0.7)
+        assert (n - n_g) / 0.7 == 0.0
+        assert n_g == 1.5
 
     def test_vacuum_limit(self):
         model = DispersionModel(base=ConstantIndex(1.0))
         assert refractive_index(model, 1.0) == 1.0
-        assert sample_group_index(model, 1.0).n_g == 1.0
+        assert index_fields(model, 1.0)[1] == 1.0
 
     def test_resonance_adds_peak(self):
         res = LorentzianResonance(center=1.0, amplitude=0.05, width=0.01)
@@ -106,25 +101,31 @@ class TestRefractiveIndex:
         # far from the resonance the correction is negligible
         assert refractive_index(model, 2.0) == pytest.approx(1.4, abs=1e-5)
 
-    @pytest.mark.parametrize("evaluate", REJECTING_EVALUATORS)
+    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
     def test_nonpositive_wavelength_rejected(self, evaluate):
         with pytest.raises(NonPositiveError):
             evaluate(silica(), -1.0)
         with pytest.raises(NonPositiveError):
             evaluate(silica(), 0.0)
 
-    @pytest.mark.parametrize("evaluate", REJECTING_EVALUATORS)
+    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
     def test_pole_proximity_rejected(self, evaluate):
         l_i = SILICA_TERMS[0][1]
         lam_pole = math.sqrt(l_i)
         with pytest.raises(PoleProximityError):
             evaluate(silica(), lam_pole)
 
-    @pytest.mark.parametrize("evaluate", REJECTING_EVALUATORS)
+    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
     def test_negative_radicand_rejected(self, evaluate):
         # fused silica Sellmeier bracket is negative near 9 um
         with pytest.raises(NegativeRadicandError):
             evaluate(silica(), 9.0)
+
+
+def index_slope(model, lam):
+    """dn/dlambda = (n - n_g)/lambda from index_fields."""
+    n, n_g, _ = index_fields(model, lam)
+    return (n - n_g) / lam
 
 
 class TestDerivative:
@@ -138,9 +139,7 @@ class TestDerivative:
                 fd = (
                     refractive_index(model, lam + h) - refractive_index(model, lam - h)
                 ) / (2.0 * h)
-                assert index_derivative(model, float(lam)) == pytest.approx(
-                    fd, rel=1e-6
-                )
+                assert index_slope(model, float(lam)) == pytest.approx(fd, rel=1e-6)
 
     def test_lorentzian_derivative_finite_difference(self):
         res = LorentzianResonance(center=1.0, amplitude=0.05, width=0.02)
@@ -150,23 +149,23 @@ class TestDerivative:
             fd = (
                 refractive_index(model, lam + h) - refractive_index(model, lam - h)
             ) / (2.0 * h)
-            assert index_derivative(model, lam) == pytest.approx(fd, rel=1e-5)
+            assert index_slope(model, lam) == pytest.approx(fd, rel=1e-5)
 
     def test_group_index_identity(self):
         model = silica()
         for lam in (0.4, 0.8, 1.55):
-            ng = refractive_index(model, lam) - lam * index_derivative(model, lam)
-            assert sample_group_index(model, lam).n_g == ng
-            assert dispersion.index_fields(model, lam)[1] == ng
+            n, dn, _ = dispersion._evaluate(model, np.array([lam]))
+            n_g = n[0] - lam * dn[0]
+            assert index_fields(model, lam) == (refractive_index(model, lam), n_g, False)
 
 
 class TestRegimes:
     @given(st.floats(min_value=0.25, max_value=2.5))
     @settings(max_examples=60, deadline=None)
     def test_silica_group_index_normal(self, lam):
-        sample = sample_group_index(silica(), lam)
-        assert sample.n_g >= 1.0
-        assert sample.regime == "normal"
+        n_g = index_fields(silica(), lam)[1]
+        assert n_g >= 1.0
+        assert group_regime(n_g) == "normal"
 
     def test_fast_and_anomalous_regimes(self):
         assert dispersion.group_regime(0.5) == "fast"
@@ -176,14 +175,14 @@ class TestRegimes:
     def test_lorentzian_wing_produces_fast_light(self):
         res = fast_light_resonance(amplitude=0.06, width=0.01, max_slope_at=0.335)
         model = DispersionModel(base=silica().base, resonances=(res,))
-        assert sample_group_index(model, 0.335).n_g < 1.0
+        assert group_regime(index_fields(model, 0.335)[1]) == "fast"
 
     def test_fast_light_resonance_slope_placement(self):
         res = fast_light_resonance(amplitude=0.05, width=0.02, max_slope_at=1.0)
         model = DispersionModel(base=ConstantIndex(1.4), resonances=(res,))
         # the rising-wing inflection carries the maximum dn/dlambda
         lams = np.linspace(0.9, res.center, 2001)
-        slopes = [index_derivative(model, float(l)) for l in lams]
+        slopes = index_slope(model, lams)
         lam_star = lams[int(np.argmax(slopes))]
         assert lam_star == pytest.approx(1.0, abs=1e-3)
 
@@ -269,7 +268,8 @@ class TestIndexFields:
         n, ng, bad = dispersion.index_fields(model, lams)
         assert not bad.any()
         np.testing.assert_array_equal(n, refractive_index(model, lams))
-        np.testing.assert_array_equal(ng, n - lams * index_derivative(model, lams))
+        _, dn, _ = dispersion._evaluate(model, lams)
+        np.testing.assert_array_equal(ng, n - lams * dn)
 
     def test_flags_invalid_cells_without_raising(self):
         model = silica()
@@ -285,9 +285,13 @@ class TestIndexFields:
         lams = np.geomspace(*transparency_window(model), 201)
         assert_float_path_matches(model, lams)
         assert_float_path_matches(model, np.array(INVALID_SAMPLES + [0.0, 1.0]))
-        for evaluate in (refractive_index, index_derivative):
-            for lam in lams[::10]:
-                assert _bits(evaluate(model, float(lam))) == _bits(evaluate(model, lam[None])[0])
+        # a Python float, an np.float64, a 0-d array and an int all give a
+        # Python float with the bits of the 1-element array call
+        for lam in lams[::10].tolist() + [2]:
+            for scalar in (float(lam), np.float64(lam), np.array(lam), lam):
+                n = refractive_index(model, scalar)
+                assert type(n) is float, type(scalar)
+                assert _bits(n) == _bits(refractive_index(model, np.array([lam]))[0]), scalar
 
     @pytest.mark.parametrize("name", sorted(FLOAT_PATH_MODELS))
     @given(u=st.floats(min_value=0.0, max_value=1.0))
@@ -303,17 +307,11 @@ class TestIndexFields:
     def test_raises_the_class_of_the_array_path(self, evaluate, lam, error):
         with pytest.raises(error) as from_float:
             evaluate(silica(), lam)
+        with pytest.raises(error) as from_0d:
+            evaluate(silica(), np.array(lam))
         with pytest.raises(error) as from_array:
             evaluate(silica(), np.array([lam]))
-        assert type(from_float.value) is type(from_array.value)
-
-    @pytest.mark.parametrize("lam, error", BAD_SAMPLES)
-    def test_sample_group_index_raises_the_class_of_the_array_path(self, lam, error):
-        with pytest.raises(error) as from_sample:
-            sample_group_index(silica(), lam)
-        with pytest.raises(error) as from_array:
-            refractive_index(silica(), np.array([lam]))
-        assert type(from_sample.value) is type(from_array.value)
+        assert type(from_float.value) is type(from_0d.value) is type(from_array.value)
 
 
 class TestValidation:

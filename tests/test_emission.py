@@ -485,6 +485,22 @@ class TestGridBlocks:
         if case == "all_flags":
             assert np.bincount(one.flags.ravel(), minlength=3).tolist() == [3365, 2564, 3480]
 
+    @pytest.mark.parametrize("cap", [1, 7, 100, 15_000])
+    def test_row_blocks(self, monkeypatch, cap):
+        monkeypatch.setattr(emission, "_BLOCK_CELLS", cap)
+        for rows in (0, 1, 2, 17, 33, 97, 1201):
+            for cells_per_row in (1, 3, 13, 585, 1201, 2193, 20_000):
+                blocks = emission._row_blocks(rows, cells_per_row)
+                # every row once, in order
+                assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
+                sizes = [len(range(rows)[b]) for b in blocks]
+                assert all(size * cells_per_row <= cap or size == 1 for size in sizes)
+                # as few blocks as the cap allows, all but the last of one size,
+                # the smallest size that needs no more blocks
+                assert len(blocks) == -(-rows // max(1, cap // cells_per_row))
+                assert len(set(sizes[:-1])) <= 1 and sizes[-1:] <= sizes[:1]
+                assert all((size - 1) * len(blocks) < rows for size in sizes[:1])
+
     def test_peak_memory_near_the_outputs(self):
         # no temporary spans the grid: those of a row block are small beside the outputs
         config = silica_config(beta=20.0)

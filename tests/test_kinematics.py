@@ -428,10 +428,19 @@ class TestValidation:
             PerturbationKinematics(beta=0.0)
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            PhotonMode(wavelength=-1.0, theta=0.0)
-        with pytest.raises(ValueError):
-            PhotonMode(wavelength=1.0, theta=4.0)
+        for wavelength, theta, phi in [
+            (-1.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0),
+            (math.nan, 0.0, 0.0),
+            (math.inf, 0.0, 0.0),
+            (1.0, 4.0, 0.0),
+            (1.0, math.nan, 0.0),
+            (0.68, 0.0, math.nan),
+            (0.68, 0.0, math.inf),
+            (0.68, 0.0, -math.inf),
+        ]:
+            with pytest.raises(ValueError):
+                PhotonMode(wavelength=wavelength, theta=theta, phi=phi)
 
     def test_velocity_properties(self):
         kin = PerturbationKinematics(beta=2.0)
