@@ -48,9 +48,33 @@ def mp_silica_n(lam, dps=50):
         return mpmath.sqrt(rad)
 
 
+def checked_fields(model, lam):
+    """n and n_g from index_fields, raising where its mask is set.
+
+    The rule the scalar point density applies: _bad_sample_error of the
+    flagged sample.  So dn/dlambda and n_g, which only index_fields gives,
+    are rejected on the same samples and with the same class as n.
+    """
+    n, n_g, bad = index_fields(model, lam)
+    if np.any(bad):
+        raise dispersion._bad_sample_error(dispersion.as_model(model), lam)
+    return n, n_g
+
+
+def checked_slope(model, lam):
+    n, n_g = checked_fields(model, lam)
+    return (n - n_g) / lam
+
+
 # the scalar APIs that evaluate, then raise on a bad sample
 RAISING_EVALUATORS = [
     pytest.param(refractive_index, id="refractive_index"),
+    pytest.param(checked_slope, id="index_derivative"),
+]
+
+# ... and the group index of a float sample
+REJECTING_EVALUATORS = RAISING_EVALUATORS + [
+    pytest.param(lambda model, lam: checked_fields(model, lam)[1], id="group_index"),
 ]
 
 # bad samples of fused silica and the error each raises
@@ -101,21 +125,21 @@ class TestRefractiveIndex:
         # far from the resonance the correction is negligible
         assert refractive_index(model, 2.0) == pytest.approx(1.4, abs=1e-5)
 
-    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
+    @pytest.mark.parametrize("evaluate", REJECTING_EVALUATORS)
     def test_nonpositive_wavelength_rejected(self, evaluate):
         with pytest.raises(NonPositiveError):
             evaluate(silica(), -1.0)
         with pytest.raises(NonPositiveError):
             evaluate(silica(), 0.0)
 
-    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
+    @pytest.mark.parametrize("evaluate", REJECTING_EVALUATORS)
     def test_pole_proximity_rejected(self, evaluate):
         l_i = SILICA_TERMS[0][1]
         lam_pole = math.sqrt(l_i)
         with pytest.raises(PoleProximityError):
             evaluate(silica(), lam_pole)
 
-    @pytest.mark.parametrize("evaluate", RAISING_EVALUATORS)
+    @pytest.mark.parametrize("evaluate", REJECTING_EVALUATORS)
     def test_negative_radicand_rejected(self, evaluate):
         # fused silica Sellmeier bracket is negative near 9 um
         with pytest.raises(NegativeRadicandError):
@@ -312,6 +336,17 @@ class TestIndexFields:
         with pytest.raises(error) as from_array:
             evaluate(silica(), np.array([lam]))
         assert type(from_float.value) is type(from_0d.value) is type(from_array.value)
+
+    @pytest.mark.parametrize("lam, error", BAD_SAMPLES)
+    def test_sample_group_index_raises_the_class_of_the_array_path(self, lam, error):
+        # the float path's mask flags each bad sample, so n_g of a float
+        # sample is rejected with the class of refractive_index's array path
+        assert index_fields(silica(), lam)[2] is True
+        with pytest.raises(error) as from_sample:
+            checked_fields(silica(), lam)[1]
+        with pytest.raises(error) as from_array:
+            refractive_index(silica(), np.array([lam]))
+        assert type(from_sample.value) is type(from_array.value)
 
 
 class TestValidation:
