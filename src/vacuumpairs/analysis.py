@@ -12,9 +12,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.ndimage import label, uniform_filter
-from scipy.optimize import minimize_scalar
 
 from . import dispersion, emission, kinematics
 from .dispersion import ConstantIndex, DispersionModel, LorentzianResonance
@@ -133,6 +130,8 @@ def find_maximum(
     density is flat at the maximum, so root-solver rounding far below its
     precision moves the location.
     """
+    from scipy.optimize import minimize_scalar
+
     clear = dispersion.transparency_window(config.material)
     window = (max(window[0], clear[0]), min(window[1], clear[1]))
     if not window[0] < window[1]:
@@ -229,6 +228,8 @@ def _phi_mean_weights(phi: np.ndarray) -> np.ndarray:
     The rule is linear in f, so column j of the identity gives w[j]; this
     keeps scipy's weights for any number of nodes, odd or even.
     """
+    from scipy.integrate import simpson
+
     return simpson(np.eye(phi.size), x=phi, axis=1) / math.pi
 
 
@@ -311,6 +312,8 @@ def _total_count_once(
     Known gap: with kz = 0 this is not the average of density_gaussian
     (kz = k2 sin(theta2) sin(phi)); the fix waits on the total-count measure.
     """
+    from scipy.integrate import simpson
+
     lam1_grid = np.geomspace(lam_window[0], lam_window[1], n_lam)
     t1 = np.linspace(0.0, half_angle, n_t1)
     # the backward photon of an allowed pair always lies in the backward
@@ -417,6 +420,8 @@ def count_peaks(values: np.ndarray) -> int:
     peaks; the maxima are then the connected components (8-connectivity)
     of the above-threshold region, which a narrow ridge does not fragment.
     """
+    from scipy.ndimage import label, uniform_filter
+
     smooth = uniform_filter(values, size=3, mode="nearest")
     vmax = float(smooth.max())
     if vmax <= 0.0:

@@ -237,7 +237,8 @@ def _fields(model: DispersionModel, wavelength):
 
     A float wavelength, np.float64 included, gives Python (float, float,
     bool) by _evaluate_float, bit for bit the element of an array call;
-    anything else gives numpy values of the input's shape by _evaluate.
+    anything else, an int or a 0-d array included, gives ndarrays of the
+    input's shape by _evaluate (numpy ops on 0-d arrays return scalars).
     """
     if isinstance(wavelength, float):
         lam = float(wavelength)
@@ -247,7 +248,7 @@ def _fields(model: DispersionModel, wavelength):
     n, dn, bad = _evaluate(model, lam)
     if bad.any():
         lam = np.where(bad, 1.0, lam)
-    return n, n - lam * dn, bad
+    return np.asarray(n), np.asarray(n - lam * dn), np.asarray(bad)
 
 
 def refractive_index(model, wavelength):

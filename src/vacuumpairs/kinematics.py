@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import dispersion
-from .dispersion import C_M_S, C_UM_S
+from .dispersion import C_UM_S
 
 _XTOL, _RTOL = 1e-14, 1e-15  # um and relative, partner-wavelength tolerance
 _SCAN_POINTS = 400  # log-grid points of the partner bracket scan
@@ -51,10 +50,6 @@ class PerturbationKinematics:
     def __post_init__(self) -> None:
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError("beta must be positive and finite")
-
-    @property
-    def v_m_s(self) -> float:
-        return self.beta * C_M_S
 
     @property
     def v_um_s(self) -> float:
@@ -275,6 +270,8 @@ def solve_partner(
     (fast-light dispersion), and raises NoSignChangeError when it holds
     none (in particular in the subluminal regime).
     """
+    from scipy.optimize import brentq
+
     model = dispersion.as_model(model)
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta

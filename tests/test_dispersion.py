@@ -317,6 +317,31 @@ class TestIndexFields:
                 assert type(n) is float, type(scalar)
                 assert _bits(n) == _bits(refractive_index(model, np.array([lam]))[0]), scalar
 
+    @pytest.mark.parametrize("name", ["fused_silica", "constant"])
+    @pytest.mark.parametrize(
+        "wavelength",
+        [np.array(1.0), 2, np.float64(1.0), 1.0, np.array([0.5, 1.0, 2.0])],
+        ids=["0-d", "int", "float64", "float", "1-d"],
+    )
+    def test_index_fields_types_per_input_kind(self, name, wavelength):
+        # a float gives Python (float, float, bool); anything else gives
+        # ndarrays of the input's shape, whatever the model
+        model = FLOAT_PATH_MODELS[name]()
+        n, n_g, bad = index_fields(model, wavelength)
+        if isinstance(wavelength, float):
+            assert (type(n), type(n_g), type(bad)) == (float, float, bool)
+        else:
+            shape = np.shape(wavelength)
+            for value, dtype in ((n, np.float64), (n_g, np.float64), (bad, np.bool_)):
+                assert type(value) is np.ndarray
+                assert value.shape == shape and value.dtype == dtype
+        # the values are those of the 1-d array call
+        lams = np.atleast_1d(np.asarray(wavelength, dtype=float))
+        n_arr, ng_arr, bad_arr = index_fields(model, lams)
+        assert _bits(*np.ravel(n)) == _bits(*n_arr)
+        assert _bits(*np.ravel(n_g)) == _bits(*ng_arr)
+        assert np.ravel(bad).tolist() == bad_arr.tolist() == [False] * lams.size
+
     @pytest.mark.parametrize("name", sorted(FLOAT_PATH_MODELS))
     @given(u=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60, deadline=None)

@@ -444,5 +444,5 @@ class TestValidation:
 
     def test_velocity_properties(self):
         kin = PerturbationKinematics(beta=2.0)
-        assert kin.v_m_s == pytest.approx(2.0 * 299792458.0)
-        assert kin.v_um_s == pytest.approx(kin.v_m_s * 1e6)
+        assert kin.v_um_s == kin.beta * dispersion.C_UM_S
+        assert dispersion.C_UM_S == 299792458.0e6
