@@ -239,9 +239,9 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
     phi holds the Simpson nodes of the mean over [0, pi].  Yields arrays of
     shape (t1.size, t2.size), zero where there is no partner or the density
     is undefined, and all zero for a lambda1 where the model is invalid.
-    The partners come from one solve_tabulated call per block of rows
-    (emission._row_blocks); the density is formed one row at a time.  See
-    _total_count_once for the factoring.
+    The partners come from one solve_tabulated call per block of rows, the
+    phi-mean from blocks of theta1 rows (emission._row_blocks); the density
+    is formed one row at a time.  See _total_count_once for the factoring.
     """
     kin = config.kin
     lam1_grid = np.asarray(lam1_grid, dtype=float)
@@ -270,10 +270,14 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
             k1 = TWO_PI * n1 / lam1
             k2 = TWO_PI * n2 / lam2
             kx = kinematics._on_shell_sum(lam1, lam2, kin)
-            ky = k1 * sin_t1[..., None] + (k2 * sin_t2)[..., None] * cos_phi
-            angular = (psi_factor * emission._transverse_weight(config.profile, ky, 0.0)) @ weights
-            # free the (theta1, theta2, phi) array before the next row makes its own
-            del ky
+            ky1, ky2 = k1 * sin_t1, k2 * sin_t2
+            angular = np.empty(lam2.shape)
+            for c in emission._row_blocks(t1.size, t2.size * phi.size):  # ky = ky1 + ky2 cos(phi)
+                w = ky2[c, :, None] * cos_phi
+                w += ky1[c, :, None]
+                emission._transverse_weight(config.profile, w)
+                w *= psi_factor[c]
+                np.matmul(w, weights, out=angular[c])
             values, csch = emission._density_kernel(
                 config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0),
                 cos_t1, cos_t2, angular,
@@ -306,7 +310,7 @@ def _total_count_once(
     mask and every other factor depend on the (theta1, theta2) cell alone.
     So the pass builds 1 + cos(psi)^2 and the Simpson weights of the
     phi-mean once; each row averages their product with the transverse
-    weight by one matrix product and evaluates the kernel on the cells with
+    weight by matrix products and evaluates the kernel on the cells with
     ksum = (kx, 0, 0): the Simpson rule over phi on every node, reordered.
 
     Known gap: with kz = 0 this is not the average of density_gaussian

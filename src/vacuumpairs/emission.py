@@ -202,18 +202,17 @@ def tanh_form_factor(profile: TanhProfile, kx, ky, kz):
     )
 
 
-def _transverse_weight(profile, ky, kz):
-    """exp(-sy^2 ky^2 - sz^2 kz^2), with sy = sz = sigma for the Gaussian.
+def _transverse_weight(profile, ky):
+    """exp(-sy^2 ky^2), with sy = sigma for the Gaussian, written over the float array ky.
 
-    The transverse part of either form factor: ff(kx, ky, kz) equals
-    ff(kx, 0, 0) times this weight, up to rounding; the form factors keep
-    their own arithmetic, whose last bits the collinear maxima depend on.
+    The transverse part of either form factor at kz = 0: ff(kx, ky, 0)
+    equals ff(kx, 0, 0) times this weight, up to rounding; the form factors
+    keep their own arithmetic, whose last bits the collinear maxima depend on.
     """
-    if isinstance(profile, GaussianProfile):
-        sy = sz = profile.sigma
-    else:
-        sy, sz = profile.sigma_y, profile.sigma_z
-    return np.exp(-sy * sy * np.square(ky) - sz * sz * np.square(kz))
+    sy = profile.sigma if isinstance(profile, GaussianProfile) else profile.sigma_y
+    np.square(ky, out=ky)
+    ky *= -sy * sy
+    return np.exp(ky, out=ky)
 
 
 # ---------------------------------------------------------------------------

@@ -138,15 +138,15 @@ class PartnerTable:
     so one searchsorted finds in every column the first scan point where
     the prefix minimum falls to a value or the prefix maximum reaches it.
     rest_lo/rest_hi are the suffix minimum and maximum, with an empty
-    suffix (+inf, -inf) at index _SCAN_POINTS.  start is the first scan
-    value of each column, nan where cos_t2 is nan.
+    suffix (+inf, -inf) at index _SCAN_POINTS.  part2 is the lam2 part
+    itself, one row per column, nan where cos_t2 is nan.
     """
 
     model: dispersion.DispersionModel
     kin: PerturbationKinematics
     cos_t2: np.ndarray
     grid: np.ndarray
-    start: np.ndarray
+    part2: np.ndarray
     keys: np.ndarray
     rest_lo: np.ndarray
     rest_hi: np.ndarray
@@ -162,17 +162,16 @@ def partner_table(cos_t2, kin: PerturbationKinematics, model) -> PartnerTable:
     grid, n = _scan_grid(model)
     cos_t2 = np.asarray(cos_t2, dtype=float)
     part2 = _photon_term(grid, n, cos_t2.reshape(-1, 1), 1.0 / kin.beta)
-    start = part2[:, 0].copy()
-    part2[np.isnan(part2)] = 0.0  # a nan column has no root; keep the keys sorted
+    filled = np.where(np.isnan(part2), 0.0, part2)  # a nan column has no root; keep the keys sorted
     columns = len(part2)
-    lowest = np.minimum.accumulate(part2, axis=1)
-    highest = np.maximum.accumulate(part2, axis=1)
+    lowest = np.minimum.accumulate(filled, axis=1)
+    highest = np.maximum.accumulate(filled, axis=1)
     keys = np.arange(2 * columns)[:, None] + 1j * np.concatenate([-lowest, highest])
     rest_lo = np.full((columns, _SCAN_POINTS + 1), np.inf)
     rest_hi = np.full((columns, _SCAN_POINTS + 1), -np.inf)
-    rest_lo[:, -2::-1] = np.minimum.accumulate(part2[:, ::-1], axis=1)
-    rest_hi[:, -2::-1] = np.maximum.accumulate(part2[:, ::-1], axis=1)
-    return PartnerTable(model, kin, cos_t2, grid, start, keys, rest_lo, rest_hi)
+    rest_lo[:, -2::-1] = np.minimum.accumulate(filled[:, ::-1], axis=1)
+    rest_hi[:, -2::-1] = np.maximum.accumulate(filled[:, ::-1], axis=1)
+    return PartnerTable(model, kin, cos_t2, grid, part2, keys, rest_lo, rest_hi)
 
 
 @lru_cache(maxsize=8)
@@ -187,7 +186,7 @@ def _solo_table(cos_t2: float, kin: PerturbationKinematics, model) -> tuple:
     low, high = table.keys.imag
     columns = (table.grid, low, high, table.rest_lo[0], table.rest_hi[0])
     grid, low, high, rest_lo, rest_hi = (tuple(values.tolist()) for values in columns)
-    return grid, float(table.start[0]), low, high, rest_lo, rest_hi
+    return grid, float(table.part2[0, 0]), low, high, rest_lo, rest_hi
 
 
 def _smallest_root_bracket(part1, table: PartnerTable):
@@ -207,14 +206,20 @@ def _smallest_root_bracket(part1, table: PartnerTable):
     zero and both nan where there is no root, whether the residual is
     positive at lo, and whether any element has more than one root.
     """
+    return _scan_bracket(part1, table)[:4]
+
+
+def _scan_bracket(part1, table: PartnerTable):
+    """_smallest_root_bracket, then the residuals over 2 pi at lo and at hi from the table."""
     v = -np.asarray(part1, dtype=float)
-    column = np.arange(table.start.size).reshape(table.cos_t2.shape)
+    column = np.arange(len(table.part2)).reshape(table.cos_t2.shape)
     v, column = np.broadcast_arrays(v, column)
+    start = table.part2[column, 0]
     # part2 is finite, so a non-finite v has no root
-    none = ~np.isfinite(v) | np.isnan(table.start[column])
+    none = ~np.isfinite(v) | np.isnan(start)
     v = np.where(none, 0.0, v)
     rows, points = table.keys.shape
-    down = table.start[column] > v
+    down = start > v
     row = np.where(down, column, column + rows // 2)
     target = np.where(down, -v, v)
     k = np.searchsorted(table.keys.ravel(), row + 1j * target) - row * points
@@ -222,11 +227,13 @@ def _smallest_root_bracket(part1, table: PartnerTable):
     k = np.minimum(k, points - 1)
     zero = table.keys.imag[row, k] == target
     # a zero at k is the first root; else the sign changes over [k - 1, k]
-    lo = np.where(found, table.grid[np.where(zero, k, k - 1)], np.nan)
+    below = np.where(zero, k, k - 1)
+    lo = np.where(found, table.grid[below], np.nan)
     hi = np.where(found, table.grid[k], np.nan)
     rest = np.where(zero, k + 1, k)  # the scan points after the first root
     second = found & (table.rest_lo[column, rest] <= v) & (v <= table.rest_hi[column, rest])
-    return lo, hi, found & down & ~zero, bool(np.any(second))
+    ends = table.part2[column, below] - v, table.part2[column, k] - v
+    return lo, hi, found & down & ~zero, bool(np.any(second)), *ends
 
 
 def _column_bracket(part1: float, column: tuple):
@@ -320,48 +327,58 @@ def solve_tabulated(lam1, theta1, table: PartnerTable) -> np.ndarray:
     return lam2.reshape(lam1.shape + cells)
 
 
+def _secant(lo, hi, f_lo, f_hi):
+    """The secant point of [lo, hi] from its end residuals, or the midpoint if not in [lo, hi]."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    # x is nan at an exact zero (lo == hi, both residuals 0) and for a nan residual
+    return np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+
+
 def _refine(lam1, theta1, table: PartnerTable):
     """Partners with rows on axis 0 of lam1, and whether any element has more than one root.
 
     Each bracket of _smallest_root_bracket is refined by Newton steps on
     the lam2 part, whose slope (1/beta - n_g2 cos(theta2))/lam2^2 comes
-    with it from index_fields.  A step that leaves the bracket, has no
-    finite slope (fast light can give n_g2 cos(theta2) = 1/beta) or is not
-    shorter than half the step before last (Brent's rule) bisects instead;
-    one below half the tolerance is lengthened to it, so the far end of
-    the bracket closes in.  A row steps until all its brackets close, then
-    leaves the working arrays: each element takes the steps of its row alone.
+    with it from index_fields, from the secant point of the scan bracket.
+    A step that leaves the bracket, has no finite slope (fast light can
+    give n_g2 cos(theta2) = 1/beta) or is not shorter than half the step
+    before last (Brent's rule) bisects instead; one below half the
+    tolerance is lengthened to it, so the far end of the bracket closes in.
+    A row steps until all its brackets close, then leaves the working
+    arrays with the secant point of each bracket, from the residuals kept
+    at both ends: each element takes the steps of its row alone.
     """
     model, cos_t2 = table.model, table.cos_t2
     lam1 = np.asarray(lam1, dtype=float)
     inv_b = 1.0 / table.kin.beta
     n1, _, bad1 = dispersion.index_fields(model, lam1)
     part1 = np.where(bad1, np.nan, _photon_term(lam1, n1, np.cos(theta1), inv_b))
-    lo, hi, up_lo, multiple = _smallest_root_bracket(part1, table)
+    lo, hi, up_lo, multiple, f_lo, f_hi = _scan_bracket(part1, table)
     lam2 = np.empty(lo.shape)
     rows = np.arange(len(lo))
-    x = 0.5 * (lo + hi)
+    x = _secant(lo, hi, f_lo, f_hi)
     last = before = hi - lo  # lengths of the last two steps
     while rows.size:
         live = np.any(hi - lo >= _XTOL + _RTOL * hi, axis=tuple(range(1, lo.ndim)))
         if not live.all():
-            lam2[rows[~live]] = 0.5 * (lo[~live] + hi[~live])
-            rows, part1, lo, hi, up_lo, x, last, before = (
-                a[live] for a in (rows, part1, lo, hi, up_lo, x, last, before)
+            lam2[rows[~live]] = _secant(lo[~live], hi[~live], f_lo[~live], f_hi[~live])
+            rows, part1, lo, hi, f_lo, f_hi, up_lo, x, last, before = (
+                a[live] for a in (rows, part1, lo, hi, f_lo, f_hi, up_lo, x, last, before)
             )
             continue
         n2, n_g2, bad2 = dispersion.index_fields(model, x)
-        part2 = np.where(bad2, np.nan, _photon_term(x, n2, cos_t2, inv_b))
-        up = np.where(up_lo, part2 > -part1, part2 < -part1)
-        lo = np.where(up, x, lo)
-        hi = np.where(up, hi, x)
+        f = part1 + np.where(bad2, np.nan, _photon_term(x, n2, cos_t2, inv_b))
+        up = np.where(up_lo, f > 0.0, f < 0.0)
+        lo, f_lo = np.where(up, x, lo), np.where(up, f, f_lo)
+        hi, f_hi = np.where(up, hi, x), np.where(up, f_hi, f)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = (part1 + part2) * x * x / (n_g2 * cos_t2 - inv_b)
+            step = f * x * x / (n_g2 * cos_t2 - inv_b)
         half_tol = 0.5 * (_XTOL + _RTOL * hi)
         step = np.where(np.abs(step) < half_tol, np.where(up, half_tol, -half_tol), step)
         x_new = x + step
         newton = (lo < x_new) & (x_new < hi) & (np.abs(step) < 0.5 * before)
         x = np.where(newton, x_new, 0.5 * (lo + hi))
         before, last = last, np.where(newton, np.abs(step), 0.5 * (hi - lo))
-        del n2, n_g2, bad2, part2, up, step, half_tol, x_new, newton  # before the next index_fields
+        del n2, n_g2, bad2, f, up, step, half_tol, x_new, newton  # before the next index_fields
     return lam2, multiple

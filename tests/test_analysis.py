@@ -409,6 +409,22 @@ class TestPhiFactoring:
         assert np.count_nonzero(expected) > 0
         assert row == pytest.approx(expected, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("name", ["silica_beta10", "silica_tanh"])
+    def test_phi_blocks_keep_bits(self, monkeypatch, name):
+        # at (17, 129, 65) nodes every theta1 row is a phi block of its own
+        config = SCAN_CASES[name]()
+        t1 = np.linspace(0.0, math.radians(30.0), 17)
+        t2 = np.linspace(math.pi / 2.0, math.pi, 129)
+        phi = np.linspace(0.0, math.pi, 65)
+        assert len(emission._row_blocks(t1.size, t2.size * phi.size)) == 17
+        rows = []
+        for cells in (emission._BLOCK_CELLS, 10**9):
+            monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
+            (row,) = analysis._row_densities(config, [0.6], t1, t2, phi)
+            rows.append(row)
+        assert np.count_nonzero(rows[0]) > 0
+        assert rows[0].tobytes() == rows[1].tobytes()
+
     @pytest.mark.parametrize("n_phi", [3, 4, 33])
     def test_phi_weights_are_simpson(self, n_phi):
         phi = np.linspace(0.0, math.pi, n_phi)

@@ -256,12 +256,12 @@ class TestTransverseWeight:
         form_factor = (
             gaussian_form_factor if isinstance(profile, GaussianProfile) else tanh_form_factor
         )
-        kx = np.linspace(0.2, 3.0, 7)[:, None, None]
-        ky = np.linspace(-2.0, 2.5, 5)[None, :, None]
-        kz = np.linspace(-1.5, 1.0, 4)
-        weight = emission._transverse_weight(profile, ky, kz)
+        kx = np.linspace(0.2, 3.0, 7)[:, None]
+        ky = np.linspace(-2.0, 2.5, 5)
+        weight = ky.copy()
+        assert emission._transverse_weight(profile, weight) is weight  # in place
         assert weight * form_factor(profile, kx, 0.0, 0.0) == pytest.approx(
-            form_factor(profile, kx, ky, kz), rel=1e-14, abs=0.0
+            form_factor(profile, kx, ky, 0.0), rel=1e-14, abs=0.0
         )
 
 

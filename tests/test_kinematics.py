@@ -253,7 +253,8 @@ class TestSolvePartners:
     @pytest.mark.parametrize("name", ["fused_silica", "fast_light_multiroot"])
     def test_refinement_passes_on_total_count_grid(self, name, monkeypatch):
         # dispersion passes over the (theta1, theta2) array after the bracket
-        # scan; bisection to the same tolerance needs about 41 per row
+        # scan; bisection to the same tolerance needs about 41 per row, Newton
+        # from the bracket midpoints 130-135 over these 17 rows
         model = self.MODELS[name]()
         kin = PerturbationKinematics(beta=20.0)
         index_fields = dispersion.index_fields
@@ -270,7 +271,25 @@ class TestSolvePartners:
             warnings.simplefilter("ignore", MultipleRootsWarning)
             for lam1 in rows:
                 solve_partners(lam1, self.GRID_THETA1, self.GRID_THETA2, kin, model)
-        assert len(passes) <= 15 * len(rows)
+        assert len(passes) <= 6.5 * len(rows)
+
+    def test_stays_in_bracket_on_fast_light_multiroot(self):
+        # the secant start and finish never leave the scan bracket of the smallest root
+        model = self.MODELS["fast_light_multiroot"]()
+        kin = PerturbationKinematics(beta=20.0)
+        table = kinematics.partner_table(np.cos(self.GRID_THETA2), kin, model)
+        lam1 = np.geomspace(0.1, 5.0, 17)[:, None, None]
+        n1, _, bad1 = dispersion.index_fields(model, lam1)
+        assert not bad1.any()
+        part1 = kinematics._photon_term(lam1, n1, np.cos(self.GRID_THETA1), 1.0 / kin.beta)
+        lo, hi, _, multiple = kinematics._smallest_root_bracket(part1, table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootsWarning)
+            lam2 = kinematics.solve_tabulated(lam1.ravel(), self.GRID_THETA1, table)
+        root = ~np.isnan(lo)
+        assert multiple and root.any() and not root.all()
+        assert np.all(np.isnan(lam2[~root]))
+        assert np.all((lo[root] <= lam2[root]) & (lam2[root] <= hi[root]))
 
     @pytest.mark.parametrize("name", ["fused_silica", "fast_light_multiroot"])
     def test_rows_solve_as_if_alone(self, name):
@@ -408,6 +427,25 @@ class TestBracketSearch:
             turns = np.diff(part2)[:-1] * np.diff(part2)[1:] < 0.0
             part1 = -np.append(part2[::23], part2[1:-1][turns])
             self.check_rows(model, kin, part1, cos_t2)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_secant_finish_at_exact_zeros(self, name):
+        # the part1 values of test_matches_sweep_at_exact_zeros: the finish of
+        # _refine returns the grid point of an exact zero, bit for bit
+        model = self.MODELS[name]()
+        kin = PerturbationKinematics(beta=20.0)
+        grid, n = kinematics._scan_grid(model)
+        for cos_t2 in np.cos(self.THETA2[0]):
+            table = kinematics.partner_table(cos_t2, kin, model)
+            part2 = kinematics._photon_term(grid, n, cos_t2, 1.0 / kin.beta)
+            turns = np.diff(part2)[:-1] * np.diff(part2)[1:] < 0.0
+            part1 = -np.append(part2[::23], part2[1:-1][turns])
+            lo, hi, _, _, f_lo, f_hi = kinematics._scan_bracket(part1, table)
+            x = kinematics._secant(lo, hi, f_lo, f_hi)
+            zero = lo == hi
+            assert zero[: part2[::23].size].all()
+            np.testing.assert_array_equal(x[zero], lo[zero])
+            assert np.all((lo <= x) & (x <= hi) | np.isnan(lo))
 
     def test_nan_theta2_has_no_root(self):
         model = get_material("fused_silica")
