@@ -222,26 +222,30 @@ def beta_sweep(
 # ---------------------------------------------------------------------------
 # total pair count
 
-def _phi_mean_weights(phi: np.ndarray) -> np.ndarray:
-    """Weights w with f @ w == simpson(f, x=phi) / pi, up to rounding.
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Rows w with f @ w[0] == simpson(f, x=x), f @ w[1] == simpson(f[::2], x=x[::2]).
 
-    The rule is linear in f, so column j of the identity gives w[j]; this
-    keeps scipy's weights for any number of nodes, odd or even.
+    Up to rounding.  The rules are linear in f, so column j of the identity
+    gives node j's weights; this keeps scipy's rule for any number of nodes.
     """
     from scipy.integrate import simpson
 
-    return simpson(np.eye(phi.size), x=phi, axis=1) / math.pi
+    weights = np.zeros((2, x.size))
+    weights[0] = simpson(np.eye(x.size), x=x, axis=1)
+    weights[1, ::2] = simpson(np.eye(x[::2].size), x=x[::2], axis=1)
+    return weights
 
 
 def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
-    """The phi-mean density on the (t1, t2) grid of theta1, theta2, one array per lambda1.
+    """The phi-mean density on the (t1, t2) grid of theta1, theta2, two rules per lambda1.
 
-    phi holds the Simpson nodes of the mean over [0, pi].  Yields arrays of
-    shape (t1.size, t2.size), zero where there is no partner or the density
-    is undefined, and all zero for a lambda1 where the model is invalid.
-    The partners come from one solve_tabulated call per block of rows, the
-    phi-mean from blocks of theta1 rows (emission._row_blocks); the density
-    is formed one row at a time.  See _total_count_once for the factoring.
+    phi holds the nodes of the mean over [0, pi].  Yields (2, t1.size,
+    t2.size) arrays, the means under the two rules of _simpson_weights(phi),
+    zero where there is no partner or the density is undefined, and all zero
+    for a lambda1 where the model is invalid.  The partners come from one
+    solve_tabulated call per block of rows, the phi-moments from blocks of
+    theta1 rows (emission._row_blocks); the density is formed one row at a
+    time.  See _total_count_once for the factoring.
     """
     kin = config.kin
     lam1_grid = np.asarray(lam1_grid, dtype=float)
@@ -250,18 +254,18 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
     cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
     cos_t2, sin_t2 = np.cos(theta2), np.sin(theta2)
     partners = kinematics.partner_table(cos_t2, kin, config.material)
-    # the factors of the phi axis that do not depend on lambda
-    cos_psi = (cos_t1 * cos_t2)[..., None] + (sin_t1 * sin_t2)[..., None] * cos_phi
-    psi_factor = 1.0 + cos_psi * cos_psi
-    del cos_psi
-    weights = _phi_mean_weights(phi)
+    # 1 + cos(psi)^2 = (1 + c1^2 c2^2) + 2 c1 c2 s1 s2 cos(phi) + s1^2 s2^2 cos(phi)^2
+    cc, ss = cos_t1 * cos_t2, sin_t1 * sin_t2
+    coef = np.stack([1.0 + cc * cc, 2.0 * cc * ss, ss * ss], axis=-1)
+    powers = np.stack([np.ones_like(cos_phi), cos_phi, cos_phi * cos_phi])
+    weights = (_simpson_weights(phi)[:, None, :] * powers).reshape(6, phi.size).T / math.pi
     n1_grid, ng1_grid, bad1 = _index_fields(config.material, lam1_grid)
     rows = lam1_grid, n1_grid, ng1_grid, bad1
     for b in emission._row_blocks(lam1_grid.size, t1.size * t2.size):
         solved = iter(kinematics.solve_tabulated(lam1_grid[b][~bad1[b]], theta1, partners))
         for lam1, n1, ng1, bad in zip(*(a[b].tolist() for a in rows)):
             if bad:
-                yield np.zeros((t1.size, t2.size))
+                yield np.zeros((2, t1.size, t2.size))
                 continue
             lam2 = next(solved)
             none = np.isnan(lam2)
@@ -271,47 +275,46 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
             k2 = TWO_PI * n2 / lam2
             kx = kinematics._on_shell_sum(lam1, lam2, kin)
             ky1, ky2 = k1 * sin_t1, k2 * sin_t2
-            angular = np.empty(lam2.shape)
+            moments = np.empty(lam2.shape + (6,))
             for c in emission._row_blocks(t1.size, t2.size * phi.size):  # ky = ky1 + ky2 cos(phi)
                 w = ky2[c, :, None] * cos_phi
                 w += ky1[c, :, None]
-                emission._transverse_weight(config.profile, w)
-                w *= psi_factor[c]
-                np.matmul(w, weights, out=angular[c])
+                np.matmul(emission._transverse_weight(config.profile, w), weights, out=moments[c])
+            angular = np.einsum("ijp,ijrp->rij", coef, moments.reshape(lam2.shape + (2, 3)))
             values, csch = emission._density_kernel(
-                config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0),
-                cos_t1, cos_t2, angular,
+                config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0), cos_t1, cos_t2, 1.0,
             )
-            yield np.where(none | bad2 | csch, 0.0, values)
+            with np.errstate(over="ignore", invalid="ignore"):  # a huge L_m overflows
+                values = np.where(none | bad2 | csch, 0.0, values) * angular
+            yield values
         del solved  # the block's partners, before the next block is solved
 
 
 def _total_count_once(
-    config: EmissionConfig,
-    half_angle: float,
-    lam_window: tuple[float, float],
-    n_lam: int,
-    n_t1: int,
-    n_t2: int,
-    n_phi: int,
-) -> float:
-    """One quadrature pass of the density over (lambda1, theta1, theta2).
+    config: EmissionConfig, half_angle: float, lam_window: tuple[float, float],
+    n_lam: int, n_t1: int, n_t2: int, n_phi: int,
+) -> tuple[float, float]:
+    """One quadrature pass of the density over (lambda1, theta1, theta2): (total, coarse).
 
-    The integrand is emission._density_kernel averaged over the relative
-    azimuth phi of the pair, with kz = 0 and the partner wavelength fixed
-    by the constraint at every node.  The pass builds one partner table of
-    its theta2 nodes (kinematics.partner_table) and solves the partners of
-    its lambda1 rows in blocks of rows (_row_densities).
+    total is the Simpson rule on every node of each axis, coarse the rule on
+    every other node of the same samples: on the grid 2(n - 1) + 1 it is the
+    total of the n-node pass, up to rounding.  The integrand is the kernel
+    averaged over the relative azimuth phi of the pair, with kz = 0 and the
+    partner wavelength fixed by the constraint at every node.  The pass
+    builds one partner table of its theta2 nodes (kinematics.partner_table)
+    and solves the partners of its lambda1 rows in blocks (_row_densities).
 
     The density depends on phi only through 1 + cos(psi)^2, with
     cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),
     and the transverse weight exp(-sigma_y^2 ky^2) of the form factor, with
     ky = k1 sin(theta1) + k2 sin(theta2) cos(phi); ff(kx, 0, 0), the csch^2
     mask and every other factor depend on the (theta1, theta2) cell alone.
-    So the pass builds 1 + cos(psi)^2 and the Simpson weights of the
-    phi-mean once; each row averages their product with the transverse
-    weight by matrix products and evaluates the kernel on the cells with
-    ksum = (kx, 0, 0): the Simpson rule over phi on every node, reordered.
+    1 + cos(psi)^2 is quadratic in cos(phi), so each row takes the moments
+    of the weight times 1, cos(phi) and cos(phi)^2 under both phi rules by
+    one matrix product, combines them with the cell's coefficients and
+    multiplies the kernel evaluated once per cell with ksum = (kx, 0, 0):
+    the Simpson rule over phi on every node, reordered.  The theta rules
+    are weight contractions of each row, the lambda1 rules scipy's simpson.
 
     Known gap: with kz = 0 this is not the average of density_gaussian
     (kz = k2 sin(theta2) sin(phi)); the fix waits on the total-count measure.
@@ -324,11 +327,11 @@ def _total_count_once(
     # hemisphere relative to the propagation axis
     t2 = np.linspace(math.pi / 2.0, math.pi, n_t2)
     phi = np.linspace(0.0, math.pi, n_phi)  # the integrand is even in phi
-    row_vals = np.zeros(n_lam)
+    w_t1, w_t2 = _simpson_weights(t1), _simpson_weights(t2)
+    rows = np.zeros((n_lam, 2))
     for i, density in enumerate(_row_densities(config, lam1_grid, t1, t2, phi)):
-        over_t2 = simpson(density, x=t2, axis=1)
-        row_vals[i] = float(simpson(over_t2, x=t1, axis=0))
-    return float(simpson(row_vals, x=lam1_grid))
+        rows[i] = np.einsum("rij,ri,rj->r", density, w_t1, w_t2)
+    return float(simpson(rows[:, 0], x=lam1_grid)), float(simpson(rows[::2, 1], x=lam1_grid[::2]))
 
 
 def total_count(
@@ -344,10 +347,12 @@ def total_count(
     Integrates the calibrated spectral density over wavelength and the two
     emission angles, with the partner wavelength fixed by the constraint at
     every node: the smallest root in the transparency window of the
-    material, as in solve_partner; nodes with no partner add nothing.  The
-    error estimate comes from doubling every axis; refinement repeats until
-    the relative change drops below rel_tol or the budget is exhausted, and
-    QuadratureNotConvergedError is raised if it is exhausted above rel_tol.
+    material, as in solve_partner; nodes with no partner add nothing.  Each
+    refinement doubles every axis and runs one pass; its error estimate is
+    the relative change from the rule on every other node, the pass before
+    (_total_count_once).  Refinement repeats until it drops below rel_tol or
+    the budget is exhausted, and QuadratureNotConvergedError is raised if it
+    is exhausted above rel_tol.  max_refinements = 0 runs one unrefined pass.
     Raises ValueError unless 0 < cone_half_angle_rad <= pi, lam_window is
     finite with 0 < min < max, rel_tol is positive and finite,
     base_resolution holds four integers of at least 3 (the smallest
@@ -379,28 +384,22 @@ def total_count(
             "whole wavelength window; no pairs are emitted"
         )
     res = tuple(base_resolution)
-    prev = _total_count_once(config, cone_half_angle_rad, lam_window, *res)
+    if max_refinements == 0:
+        total, _ = _total_count_once(config, cone_half_angle_rad, lam_window, *res)
     rel_err = None
     for _ in range(max_refinements):
         res = tuple(2 * (n - 1) + 1 for n in res)
-        cur = _total_count_once(config, cone_half_angle_rad, lam_window, *res)
-        scale = max(abs(cur), 1e-300)
-        rel_err = abs(cur - prev) / scale
-        prev = cur
+        total, coarse = _total_count_once(config, cone_half_angle_rad, lam_window, *res)
+        rel_err = abs(total - coarse) / max(abs(total), 1e-300)
         if rel_err <= rel_tol:
             break
-    if (
-        rel_err is not None
-        and math.isfinite(rel_err)
-        and rel_err > rel_tol
-        and prev != 0.0
-    ):
+    if rel_err is not None and rel_tol < rel_err < math.inf and total != 0.0:
         raise QuadratureNotConvergedError(
             f"total-count quadrature stalled at relative error {rel_err:.2e} "
             f"(tolerance {rel_tol:.2e})"
         )
     return TotalCount(
-        pairs_per_pulse=prev,
+        pairs_per_pulse=total,
         cone_half_angle_rad=cone_half_angle_rad,
         length_m=config.length_m,
         rel_error=rel_err,

@@ -352,18 +352,76 @@ class TestTotalCount:
         assert results[0][0] != (0.0).hex()
         assert results[1:] == results[:1] * 2
 
-    def test_pass_memory_flat_in_n_lam(self):
-        # the partners are solved in row blocks of bounded size, not a whole pass at once
-        config = silica_config(beta=20.0)
+    @staticmethod
+    def _pass_peaks(config, lam_window, passes):
         peaks = []
-        for n_lam in (17, 17, 129):  # the first pass fills the per-model caches
+        for args in passes:
             tracemalloc.start()
             try:
-                analysis._total_count_once(config, math.radians(30.0), (0.1, 5.0), n_lam, 9, 65, 33)
+                analysis._total_count_once(config, math.radians(30.0), lam_window, *args)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[2] <= 1.2 * peaks[1]
+        return peaks
+
+    @pytest.mark.parametrize("base", [(17, 9, 65, 33), (4, 3, 6, 4)], ids=["odd", "even"])
+    @pytest.mark.parametrize(
+        "name, lam_window",
+        [
+            ("silica_beta20", (0.1, 5.0)),
+            ("silica_tanh", (0.1, 5.0)),
+            ("fast_light_multiroot", (0.1, 5.0)),
+            ("silica_beta20", (0.1, 12.0)),
+        ],
+        ids=["gaussian", "tanh", "fast_light_multiroot", "invalid_row"],
+    )
+    def test_coarse_rule_is_pass_before(self, name, lam_window, base):
+        # the refined grid 2(n - 1) + 1 holds every node of the n-node grid
+        config = {"silica_beta20": lambda: silica_config(beta=20.0), **SCAN_CASES}[name]()
+        fine = tuple(2 * (n - 1) + 1 for n in base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
+            _, coarse = analysis._total_count_once(config, math.radians(30.0), lam_window, *fine)
+            alone, _ = analysis._total_count_once(config, math.radians(30.0), lam_window, *base)
+        assert alone != 0.0  # a rule this coarse may integrate below 0
+        assert coarse == pytest.approx(alone, rel=1e-13, abs=0.0)
+
+    def test_error_from_passes_before(self):
+        config = silica_config(beta=20.0)
+        res = [(9, 5, 17, 9)]
+        for _ in range(2):
+            res.append(tuple(2 * (n - 1) + 1 for n in res[-1]))
+        passes = [
+            analysis._total_count_once(config, math.radians(30.0), (0.1, 5.0), *r)[0]
+            for r in res
+        ]
+        result = total_count(
+            config,
+            cone_half_angle_rad=math.radians(30.0),
+            lam_window=(0.1, 5.0),
+            rel_tol=0.05,
+            base_resolution=res[0],
+            max_refinements=2,
+        )
+        # the first refinement misses rel_tol, so the second runs
+        assert abs(passes[1] - passes[0]) / passes[1] > 0.05
+        assert result.pairs_per_pulse == passes[2]
+        assert result.rel_error == pytest.approx(
+            abs(passes[2] - passes[1]) / passes[2], rel=1e-12, abs=0.0
+        )
+
+    def test_pass_memory_flat_in_n_lam(self):
+        # the partners are solved in row blocks of bounded size, not a whole pass at once;
+        # 49 rows of 9 x 65 cells fill two blocks, 513 rows fill 21
+        passes = [(n_lam, 9, 65, 33) for n_lam in (49, 49, 513)]
+        peaks = self._pass_peaks(silica_config(beta=20.0), (0.1, 5.0), passes)
+        assert peaks[2] <= 1.2 * peaks[1]  # the first pass fills the per-model caches
+
+    def test_pass_memory_flat_in_n_phi(self):
+        # no array of the whole pass has a phi axis: the phi-moments run in blocks of theta1 rows
+        passes = [(5, 17, 129, n_phi) for n_phi in (33, 33, 257)]
+        peaks = self._pass_peaks(silica_config(beta=20.0), (0.2, 5.0), passes)
+        assert peaks[2] <= 1.1 * peaks[1]
 
     def test_one_partner_table_per_pass(self, monkeypatch):
         # the table depends on theta2 alone, so the 9 lambda1 rows share it
@@ -375,10 +433,10 @@ class TestTotalCount:
             return partner_table(*args)
 
         monkeypatch.setattr(kinematics, "partner_table", counted)
-        value = analysis._total_count_once(
+        total, coarse = analysis._total_count_once(
             silica_config(beta=20.0), math.radians(30.0), (0.15, 3.0), 9, 5, 17, 9
         )
-        assert value > 0.0
+        assert total > 0.0 and coarse > 0.0
         assert len(built) == 1
 
     def test_subluminal_raises(self):
@@ -406,8 +464,10 @@ class TestPhiFactoring:
             warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
             (row,) = analysis._row_densities(config, [lam1], t1, t2, phi)
             expected = total_row_density_3d(config, lam1, t1, t2, phi)
+            coarse = total_row_density_3d(config, lam1, t1, t2, phi[::2])
         assert np.count_nonzero(expected) > 0
-        assert row == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert row[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert row[1] == pytest.approx(coarse, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("name", ["silica_beta10", "silica_tanh"])
     def test_phi_blocks_keep_bits(self, monkeypatch, name):
@@ -429,9 +489,12 @@ class TestPhiFactoring:
     def test_phi_weights_are_simpson(self, n_phi):
         phi = np.linspace(0.0, math.pi, n_phi)
         f = np.exp(np.cos(phi)) * (1.0 + np.sin(phi) ** 2)
-        assert f @ analysis._phi_mean_weights(phi) == pytest.approx(
-            simpson(f, x=phi) / math.pi, rel=1e-14, abs=0.0
+        weights = analysis._simpson_weights(phi)
+        assert f @ weights[0] == pytest.approx(simpson(f, x=phi), rel=1e-14, abs=0.0)
+        assert f @ weights[1] == pytest.approx(
+            simpson(f[::2], x=phi[::2]), rel=1e-14, abs=0.0
         )
+        assert not weights[1, 1::2].any()
 
 
 class TestCountPeaks:
