@@ -6,9 +6,11 @@ over a collection cone, and fast-light comparison studies.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,19 +238,67 @@ def _simpson_weights(x: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
-    """The phi-mean density on the (t1, t2) grid of theta1, theta2, two rules per lambda1.
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    phi holds the nodes of the mean over [0, pi].  Yields (2, t1.size,
-    t2.size) arrays, the means under the two rules of _simpson_weights(phi),
-    zero where there is no partner or the density is undefined, and all zero
-    for a lambda1 where the model is invalid.  The partners come from one
-    solve_tabulated call per block of rows, the phi-moments from blocks of
-    theta1 rows (emission._row_blocks); the density is formed one row at a
-    time.  See _total_count_once for the factoring.
+
+def _map_blocks(fn, blocks: list) -> list:
+    """[fn(b) for b in blocks], on min(_usable_cpus(), len(blocks)) threads, the caller one.
+
+    Each thread takes the next block left until none is.  The first
+    exception empties the queue and reaches the caller once every thread
+    has stopped, so no thread outlives the call.  The workers run in copies
+    of the caller's context, numpy's errstate included.  With one thread
+    the caller runs every block in order.
+    """
+    threads = min(_usable_cpus(), len(blocks))
+    if threads <= 1:
+        return [fn(b) for b in blocks]
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * len(blocks)
+    pending = collections.deque(enumerate(blocks))  # popleft and clear are thread-safe
+
+    def work():
+        while True:
+            try:
+                i, b = pending.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = fn(b)
+            except BaseException:
+                pending.clear()
+                raise
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        workers = [pool.submit(contextvars.copy_context().run, work) for _ in range(threads - 1)]
+        work()
+    for worker in workers:
+        worker.result()
+    return results
+
+
+def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
+    """The phi-mean density of a pass, as a generator function of a slice of lam1_grid's rows.
+
+    The generator yields one (2, t1.size, t2.size) array per lambda1 row of
+    the slice, on the (t1, t2) grid of theta1, theta2: the means over the
+    phi nodes on [0, pi] under the two rules of _simpson_weights(phi), zero
+    where there is no partner or the density is undefined, and all zero for
+    a lambda1 where the model is invalid.  It solves the partners of its
+    rows in one solve_tabulated call, forms the phi-moments in blocks of
+    theta1 rows (emission._row_blocks) and the density one row at a time.
+    The setup shared by every slice (one partner table, the phi-moment
+    weights, the cell coefficients and the lambda1 fields) is built here
+    once and only read, so slices may run on several threads at once.  See
+    _total_count_once for the factoring.
     """
     kin = config.kin
-    lam1_grid = np.asarray(lam1_grid, dtype=float)
     cos_phi = np.cos(phi)
     theta1, theta2 = t1[:, None], t2[None, :]
     cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
@@ -261,7 +311,8 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
     weights = (_simpson_weights(phi)[:, None, :] * powers).reshape(6, phi.size).T / math.pi
     n1_grid, ng1_grid, bad1 = _index_fields(config.material, lam1_grid)
     rows = lam1_grid, n1_grid, ng1_grid, bad1
-    for b in emission._row_blocks(lam1_grid.size, t1.size * t2.size):
+
+    def block(b: slice):
         solved = iter(kinematics.solve_tabulated(lam1_grid[b][~bad1[b]], theta1, partners))
         for lam1, n1, ng1, bad in zip(*(a[b].tolist() for a in rows)):
             if bad:
@@ -287,7 +338,16 @@ def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
             with np.errstate(over="ignore", invalid="ignore"):  # a huge L_m overflows
                 values = np.where(none | bad2 | csch, 0.0, values) * angular
             yield values
-        del solved  # the block's partners, before the next block is solved
+
+    return block
+
+
+def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
+    """The arrays of _pass_rows for every lambda1 row, in order, one row block after another."""
+    lam1_grid = np.asarray(lam1_grid, dtype=float)
+    block = _pass_rows(config, lam1_grid, t1, t2, phi)
+    for b in emission._row_blocks(lam1_grid.size, t1.size * t2.size):
+        yield from block(b)
 
 
 def _total_count_once(
@@ -302,7 +362,9 @@ def _total_count_once(
     averaged over the relative azimuth phi of the pair, with kz = 0 and the
     partner wavelength fixed by the constraint at every node.  The pass
     builds one partner table of its theta2 nodes (kinematics.partner_table)
-    and solves the partners of its lambda1 rows in blocks (_row_densities).
+    and runs its lambda1 rows in blocks (_pass_rows), on up to one thread per
+    usable CPU (_map_blocks): rows share no state, so every thread count and
+    blocking gives the same bits.
 
     The density depends on phi only through 1 + cos(psi)^2, with
     cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),
@@ -328,9 +390,13 @@ def _total_count_once(
     t2 = np.linspace(math.pi / 2.0, math.pi, n_t2)
     phi = np.linspace(0.0, math.pi, n_phi)  # the integrand is even in phi
     w_t1, w_t2 = _simpson_weights(t1), _simpson_weights(t2)
-    rows = np.zeros((n_lam, 2))
-    for i, density in enumerate(_row_densities(config, lam1_grid, t1, t2, phi)):
-        rows[i] = np.einsum("rij,ri,rj->r", density, w_t1, w_t2)
+    block_rows = _pass_rows(config, lam1_grid, t1, t2, phi)
+
+    def contract(b: slice) -> np.ndarray:  # each row under both theta rules: (rows, 2)
+        return np.array([np.einsum("rij,ri,rj->r", d, w_t1, w_t2) for d in block_rows(b)])
+
+    blocks = emission._row_blocks(n_lam, n_t1 * n_t2)
+    rows = np.concatenate(_map_blocks(contract, blocks))
     return float(simpson(rows[:, 0], x=lam1_grid)), float(simpson(rows[::2, 1], x=lam1_grid[::2]))
 
 

@@ -1,7 +1,10 @@
 """Analysis-layer tests: maxima search, sweeps, totals, fast-light study."""
 
+import collections
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -335,22 +338,25 @@ class TestTotalCount:
         lam1 = np.geomspace(*lam_window, self.RES[0])
         assert emission._index_fields(config.material, lam1)[2].any() == invalid
         results = []
-        # one block; one row per block; three rows per block and a partial last block
+        # one block; one row per block; three rows per block and a partial last block;
+        # each on 1, 2 and 3 threads
         for cells in (10**9, 1, 3 * self.RES[1] * self.RES[2] + 2):
             monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
-                result = total_count(
-                    config,
-                    cone_half_angle_rad=math.radians(30.0),
-                    lam_window=lam_window,
-                    rel_tol=1.0,
-                    base_resolution=self.RES,
-                    max_refinements=1,
-                )
-            results.append((result.pairs_per_pulse.hex(), result.rel_error.hex()))
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(analysis, "_usable_cpus", lambda: threads)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
+                    result = total_count(
+                        config,
+                        cone_half_angle_rad=math.radians(30.0),
+                        lam_window=lam_window,
+                        rel_tol=1.0,
+                        base_resolution=self.RES,
+                        max_refinements=1,
+                    )
+                results.append((result.pairs_per_pulse.hex(), result.rel_error.hex()))
         assert results[0][0] != (0.0).hex()
-        assert results[1:] == results[:1] * 2
+        assert results[1:] == results[:1] * 8
 
     @staticmethod
     def _pass_peaks(config, lam_window, passes):
@@ -448,6 +454,117 @@ class TestTotalCount:
                 base_resolution=self.RES,
                 max_refinements=0,
             )
+
+
+class BlockFailure(Exception):
+    """Raised by a stand-in partner solve inside a row block."""
+
+
+class TestThreadedPass:
+    """The row blocks of a pass run on threads: errors, warnings, cleanup, concurrency."""
+
+    RES = (17, 9, 65, 33)  # refined once: 33 lambda1 rows in 6 blocks
+    WINDOW = (0.1, 5.0)
+
+    def _total(self):
+        return total_count(
+            silica_config(beta=20.0),
+            cone_half_angle_rad=math.radians(30.0),
+            lam_window=self.WINDOW,
+            rel_tol=1.0,
+            base_resolution=self.RES,
+            max_refinements=1,
+        )
+
+    def test_each_block_runs_once(self, monkeypatch):
+        # more threads than CPUs, switching as often as the interpreter allows
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 8)
+        calls, lock = collections.Counter(), threading.Lock()
+
+        def square(b):
+            with lock:
+                calls[b] += 1
+            np.sort(np.arange(1000.0)[::-1])  # numpy releases the interpreter lock
+            return b * b
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert analysis._map_blocks(square, list(range(100))) == [
+                    b * b for b in range(100)
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == collections.Counter({b: 20 for b in range(100)})
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_block_error_reaches_caller(self, monkeypatch, threads):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: threads)
+        solve_tabulated = kinematics.solve_tabulated
+        first = self.WINDOW[0]  # geomspace keeps its end points exact
+
+        def failing(lam1, *args):
+            if lam1.size and lam1[0] != first:
+                raise BlockFailure("a later block")
+            return solve_tabulated(lam1, *args)
+
+        monkeypatch.setattr(kinematics, "solve_tabulated", failing)
+        before = threading.enumerate()
+        with pytest.raises(BlockFailure, match="a later block"):
+            self._total()
+        assert threading.enumerate() == before
+
+    def test_no_thread_outlives_total(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 3)
+        before = threading.enumerate()
+        assert self._total().pairs_per_pulse > 0.0
+        assert threading.enumerate() == before
+
+    def _on_two_threads(self, monkeypatch, in_worker):
+        """The set of threads that call solve_tabulated; workers call in_worker first.
+
+        On its first call each thread waits until the caller and a worker
+        have both called, so neither can take every block alone.
+        """
+        solve_tabulated = kinematics.solve_tabulated
+        threads, first = set(), threading.local()
+        ran = {True: threading.Event(), False: threading.Event()}  # by "is the caller"
+
+        def spy(*args):
+            caller = threading.current_thread() is threading.main_thread()
+            threads.add(threading.get_ident())
+            ran[caller].set()
+            if not getattr(first, "done", False):
+                first.done = True
+                ran[not caller].wait(timeout=10.0)  # a serial pass waits once, in vain
+            if not caller:
+                in_worker()
+            return solve_tabulated(*args)
+
+        monkeypatch.setattr(kinematics, "solve_tabulated", spy)
+        return threads
+
+    @pytest.mark.skipif(analysis._usable_cpus() < 2, reason="the process may use one CPU")
+    def test_blocks_run_on_two_threads(self, monkeypatch):
+        fine = [2 * (n - 1) + 1 for n in self.RES]
+        assert len(emission._row_blocks(fine[0], fine[1] * fine[2])) >= 2
+        threads = self._on_two_threads(monkeypatch, lambda: None)
+        assert self._total().pairs_per_pulse > 0.0
+        assert len(threads) >= 2
+
+    def test_worker_warning_is_an_error(self, monkeypatch):
+        # the suite turns every RuntimeWarning into an error (pyproject.toml)
+        assert any(f[0] == "error" and f[2] is RuntimeWarning for f in warnings.filters)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        threads = self._on_two_threads(
+            monkeypatch, lambda: warnings.warn("in a worker", RuntimeWarning)
+        )
+        before = threading.enumerate()
+        with pytest.raises(RuntimeWarning, match="in a worker"):
+            self._total()
+        assert len(threads) >= 2
+        assert threading.enumerate() == before
 
 
 class TestPhiFactoring:

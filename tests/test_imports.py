@@ -1,5 +1,8 @@
 """Import boundary: the package loads numpy alone, and scipy only where it is called.
 
+Neither does importing it load concurrent.futures, which only a total with
+more than one row block and CPU uses.
+
 Each test runs a fresh interpreter, so the modules that pytest or other
 tests have already loaded do not hide a module-level scipy import.
 """
@@ -30,12 +33,12 @@ config = vp.EmissionConfig(
 """
 
 
-def scipy_modules(setup: str, call: str) -> dict[str, list[str]]:
-    """The scipy modules loaded after setup and after call, in a fresh interpreter."""
+def loaded_modules(setup: str, call: str, package: str = "scipy") -> dict[str, list[str]]:
+    """The modules of package loaded after setup and after call, in a fresh interpreter."""
     script = (
         setup
         + "\nimport json, sys\n"
-        + "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        + f"loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == {package!r})\n"
         + "before = loaded()\n"
         + call
         + "\nprint(json.dumps({'before': before, 'after': loaded()}))\n"
@@ -50,7 +53,13 @@ def scipy_modules(setup: str, call: str) -> dict[str, list[str]]:
 
 @pytest.mark.parametrize("module", ["vacuumpairs", "vacuumpairs.cli"])
 def test_import_loads_no_scipy(module):
-    loaded = scipy_modules(f"import {module}", "")
+    loaded = loaded_modules(f"import {module}", "")
+    assert loaded["after"] == []
+
+
+@pytest.mark.parametrize("module", ["vacuumpairs", "vacuumpairs.cli"])
+def test_import_loads_no_thread_pool(module):
+    loaded = loaded_modules(f"import {module}", "", package="concurrent")
     assert loaded["after"] == []
 
 
@@ -63,7 +72,7 @@ def test_import_loads_no_scipy(module):
     ],
 )
 def test_paths_without_scipy_calls_load_none(call):
-    loaded = scipy_modules(SETUP, call)
+    loaded = loaded_modules(SETUP, call)
     assert loaded == {"before": [], "after": []}
 
 
@@ -84,6 +93,6 @@ def test_paths_without_scipy_calls_load_none(call):
     ],
 )
 def test_scipy_loads_on_first_call(call, module):
-    loaded = scipy_modules(SETUP, call)
+    loaded = loaded_modules(SETUP, call)
     assert loaded["before"] == []
     assert module in loaded["after"]
