@@ -238,6 +238,14 @@ def _simpson_weights(x: np.ndarray) -> np.ndarray:
     return weights
 
 
+# the most threads a pass runs its row blocks on: no host above 2 CPUs was measured
+_MAX_THREADS = 2
+
+# OpenBLAS runs a matrix product (m x k) @ (k x n) on its own threads only
+# above m n k = 65536 * 4 (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD)
+_BLAS_THREADED_MNK = 65536 * 4
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -245,38 +253,52 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_blocks(fn, blocks: list) -> list:
-    """[fn(b) for b in blocks], on min(_usable_cpus(), len(blocks)) threads, the caller one.
+def _pass_threads(n_t2: int, n_phi: int) -> int:
+    """The threads a pass with n_t2 theta2 and n_phi phi nodes runs its row blocks on.
+
+    At most _MAX_THREADS and the usable CPUs, and one where a theta1 row's
+    phi-moment product, (n_t2 x n_phi) @ (n_phi x 6), may run on BLAS
+    threads: row blocks that call it at once then oversubscribe the CPUs,
+    and the pass is slower than in the caller alone.
+    """
+    if n_t2 * n_phi * 6 > _BLAS_THREADED_MNK:
+        return 1
+    return min(_MAX_THREADS, _usable_cpus())
+
+
+def _map_blocks(fn, blocks: list, threads: int) -> list:
+    """[fn(b) for b in blocks], on min(threads, len(blocks)) threads, the caller one.
 
     Each thread takes the next block left until none is.  The first
     exception empties the queue and reaches the caller once every thread
-    has stopped, so no thread outlives the call.  The workers run in copies
-    of the caller's context, numpy's errstate included.  With one thread
-    the caller runs every block in order.
+    has stopped, so no thread outlives the call.  Every thread runs under
+    the caller's numpy error state, which numpy keeps per thread (1.x) or
+    per context (2.x).  With one thread the caller runs every block in order.
     """
-    threads = min(_usable_cpus(), len(blocks))
+    threads = min(threads, len(blocks))
     if threads <= 1:
         return [fn(b) for b in blocks]
-    import contextvars
     from concurrent.futures import ThreadPoolExecutor
 
     results = [None] * len(blocks)
     pending = collections.deque(enumerate(blocks))  # popleft and clear are thread-safe
+    errstate = dict(np.geterr(), call=np.geterrcall())
 
     def work():
-        while True:
-            try:
-                i, b = pending.popleft()
-            except IndexError:
-                return
-            try:
-                results[i] = fn(b)
-            except BaseException:
-                pending.clear()
-                raise
+        with np.errstate(**errstate):
+            while True:
+                try:
+                    i, b = pending.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[i] = fn(b)
+                except BaseException:
+                    pending.clear()
+                    raise
 
     with ThreadPoolExecutor(threads - 1) as pool:
-        workers = [pool.submit(contextvars.copy_context().run, work) for _ in range(threads - 1)]
+        workers = [pool.submit(work) for _ in range(threads - 1)]
         work()
     for worker in workers:
         worker.result()
@@ -342,14 +364,6 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
     return block
 
 
-def _row_densities(config: EmissionConfig, lam1_grid, t1, t2, phi):
-    """The arrays of _pass_rows for every lambda1 row, in order, one row block after another."""
-    lam1_grid = np.asarray(lam1_grid, dtype=float)
-    block = _pass_rows(config, lam1_grid, t1, t2, phi)
-    for b in emission._row_blocks(lam1_grid.size, t1.size * t2.size):
-        yield from block(b)
-
-
 def _total_count_once(
     config: EmissionConfig, half_angle: float, lam_window: tuple[float, float],
     n_lam: int, n_t1: int, n_t2: int, n_phi: int,
@@ -362,9 +376,9 @@ def _total_count_once(
     averaged over the relative azimuth phi of the pair, with kz = 0 and the
     partner wavelength fixed by the constraint at every node.  The pass
     builds one partner table of its theta2 nodes (kinematics.partner_table)
-    and runs its lambda1 rows in blocks (_pass_rows), on up to one thread per
-    usable CPU (_map_blocks): rows share no state, so every thread count and
-    blocking gives the same bits.
+    and runs its lambda1 rows in blocks (_pass_rows), on up to two threads
+    (_pass_threads, _map_blocks): rows share no state, so every thread count
+    and blocking gives the same bits.
 
     The density depends on phi only through 1 + cos(psi)^2, with
     cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),
@@ -396,7 +410,7 @@ def _total_count_once(
         return np.array([np.einsum("rij,ri,rj->r", d, w_t1, w_t2) for d in block_rows(b)])
 
     blocks = emission._row_blocks(n_lam, n_t1 * n_t2)
-    rows = np.concatenate(_map_blocks(contract, blocks))
+    rows = np.concatenate(_map_blocks(contract, blocks, _pass_threads(n_t2, n_phi)))
     return float(simpson(rows[:, 0], x=lam1_grid)), float(simpson(rows[::2, 1], x=lam1_grid[::2]))
 
 

@@ -53,10 +53,6 @@ FLAG_LEGEND = {FLAG_OK: "ok", FLAG_FORBIDDEN: "forbidden", FLAG_HOLE: "hole"}
 # so it is reused from the heap instead of being mapped and zeroed afresh
 _BLOCK_CELLS = 15_000
 
-# exp(x) for x below -745.14 is under half the smallest subnormal and rounds
-# to 0.0; the cut lies a few units lower still (see _transverse_weight)
-_EXP_CUT = -750.0
-
 
 class EmissionError(ValueError):
     """Base class for emission-evaluation failures."""
@@ -212,16 +208,11 @@ def _transverse_weight(profile, ky):
     The transverse part of either form factor at kz = 0: ff(kx, ky, 0)
     equals ff(kx, 0, 0) times this weight, up to rounding; the form factors
     keep their own arithmetic, whose last bits the collinear maxima depend on.
-    exp runs only where its argument is not below _EXP_CUT, where numpy's
-    exp is an order of magnitude slower than in range; beneath the cut exp
-    rounds to 0.0, which is written instead, so the result has the bits of
-    np.exp.  A nan argument is not below the cut and stays nan.
     """
     sy = profile.sigma if isinstance(profile, GaussianProfile) else profile.sigma_y
     np.square(ky, out=ky)
     ky *= -sy * sy
-    np.exp(ky, out=ky, where=~(ky < _EXP_CUT))
-    return np.maximum(ky, 0.0, out=ky)  # each argument left is below the cut
+    return np.exp(ky, out=ky)
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ class TestTotalCount:
         for cells in (10**9, 1, 3 * self.RES[1] * self.RES[2] + 2):
             monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
             for threads in (1, 2, 3):
-                monkeypatch.setattr(analysis, "_usable_cpus", lambda: threads)
+                monkeypatch.setattr(analysis, "_pass_threads", lambda *_: threads)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
                     result = total_count(
@@ -478,7 +478,6 @@ class TestThreadedPass:
 
     def test_each_block_runs_once(self, monkeypatch):
         # more threads than CPUs, switching as often as the interpreter allows
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 8)
         calls, lock = collections.Counter(), threading.Lock()
 
         def square(b):
@@ -491,7 +490,7 @@ class TestThreadedPass:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                assert analysis._map_blocks(square, list(range(100))) == [
+                assert analysis._map_blocks(square, list(range(100)), 8) == [
                     b * b for b in range(100)
                 ]
         finally:
@@ -500,7 +499,7 @@ class TestThreadedPass:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_block_error_reaches_caller(self, monkeypatch, threads):
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: threads)
+        monkeypatch.setattr(analysis, "_pass_threads", lambda *_: threads)
         solve_tabulated = kinematics.solve_tabulated
         first = self.WINDOW[0]  # geomspace keeps its end points exact
 
@@ -516,7 +515,7 @@ class TestThreadedPass:
         assert threading.enumerate() == before
 
     def test_no_thread_outlives_total(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(analysis, "_pass_threads", lambda *_: 3)
         before = threading.enumerate()
         assert self._total().pairs_per_pulse > 0.0
         assert threading.enumerate() == before
@@ -556,7 +555,7 @@ class TestThreadedPass:
     def test_worker_warning_is_an_error(self, monkeypatch):
         # the suite turns every RuntimeWarning into an error (pyproject.toml)
         assert any(f[0] == "error" and f[2] is RuntimeWarning for f in warnings.filters)
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(analysis, "_pass_threads", lambda *_: 2)
         threads = self._on_two_threads(
             monkeypatch, lambda: warnings.warn("in a worker", RuntimeWarning)
         )
@@ -565,6 +564,38 @@ class TestThreadedPass:
             self._total()
         assert len(threads) >= 2
         assert threading.enumerate() == before
+
+
+    @pytest.mark.parametrize("divide", ["ignore", "raise"])
+    def test_workers_keep_caller_errstate(self, monkeypatch, divide):
+        # a division by zero in a worker follows the caller's np.errstate, not numpy's default
+        monkeypatch.setattr(analysis, "_pass_threads", lambda *_: 2)
+        seen = []
+
+        def divide_by_zero():
+            seen.append(np.geterr()["divide"])
+            np.float64(1.0) / np.zeros(1)
+
+        threads = self._on_two_threads(monkeypatch, divide_by_zero)
+        before = threading.enumerate()
+        with np.errstate(divide=divide):
+            if divide == "raise":
+                with pytest.raises(FloatingPointError):
+                    self._total()
+            else:
+                assert self._total().pairs_per_pulse > 0.0
+        assert len(threads) >= 2 and seen and set(seen) == {divide}
+        assert threading.enumerate() == before
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 64)
+        # the benchmark's refined pass and the first pass at the library defaults
+        assert analysis._pass_threads(65, 33) == 2
+        assert analysis._pass_threads(257, 129) == 2
+        # the refined pass at the library defaults: OpenBLAS threads its phi-moment product
+        assert analysis._pass_threads(513, 257) == 1
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
+        assert analysis._pass_threads(65, 33) == 1
 
 
 class TestPhiFactoring:
@@ -579,7 +610,7 @@ class TestPhiFactoring:
         phi = np.linspace(0.0, math.pi, 33)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
-            (row,) = analysis._row_densities(config, [lam1], t1, t2, phi)
+            (row,) = analysis._pass_rows(config, np.asarray([lam1]), t1, t2, phi)(slice(None))
             expected = total_row_density_3d(config, lam1, t1, t2, phi)
             coarse = total_row_density_3d(config, lam1, t1, t2, phi[::2])
         assert np.count_nonzero(expected) > 0
@@ -597,7 +628,7 @@ class TestPhiFactoring:
         rows = []
         for cells in (emission._BLOCK_CELLS, 10**9):
             monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
-            (row,) = analysis._row_densities(config, [0.6], t1, t2, phi)
+            (row,) = analysis._pass_rows(config, np.asarray([0.6]), t1, t2, phi)(slice(None))
             rows.append(row)
         assert np.count_nonzero(rows[0]) > 0
         assert rows[0].tobytes() == rows[1].tobytes()

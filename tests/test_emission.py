@@ -264,25 +264,6 @@ class TestTransverseWeight:
             form_factor(profile, kx, ky, 0.0), rel=1e-14, abs=0.0
         )
 
-    def test_weight_has_exp_bits(self):
-        # exp is skipped below the cut, where it rounds to 0.0: the bits stay np.exp's
-        sigma = 0.6
-        profile = GaussianProfile(eta=0.001, sigma=sigma)
-        targets = [0.0, 1.0, 708.3, 708.5, 745.13, 745.14, -emission._EXP_CUT]
-        near = [np.sqrt(t) / sigma for t in targets]
-        ky = [k + d * np.spacing(k) for k in near for d in range(-64, 65)]
-        rng = np.random.default_rng(7)
-        dense = np.sqrt(rng.uniform(700.0, 760.0, 100_000)) / sigma
-        ky = np.concatenate([ky, dense, [1e150 / sigma, np.inf, np.nan]])
-        arg = np.square(ky)
-        arg *= -sigma * sigma  # the argument exp would get, as _transverse_weight forms it
-        cut = emission._EXP_CUT
-        assert (arg == cut).any() and (arg < cut).any() and ((cut < arg) & (arg < -745.14)).any()
-        assert -1e301 < arg[-3] < -1e299 and arg[-2] == -np.inf
-        weight = emission._transverse_weight(profile, ky.copy())
-        assert weight.tobytes() == np.exp(arg).tobytes()
-        assert np.isnan(weight[-1]) and weight[-2] == 0.0
-
 
 class TestScalarKernelBits:
     """The point densities run the kernel on floats: the bits of a 1-element array call."""
