@@ -6,7 +6,6 @@ over a collection cone, and fast-light comparison studies.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import math
 import numbers
@@ -267,42 +266,28 @@ def _pass_threads(n_t2: int, n_phi: int) -> int:
 
 
 def _map_blocks(fn, blocks: list, threads: int) -> list:
-    """[fn(b) for b in blocks], on min(threads, len(blocks)) threads, the caller one.
+    """[fn(b) for b in blocks], on min(threads, len(blocks)) worker threads.
 
-    Each thread takes the next block left until none is.  The first
-    exception empties the queue and reaches the caller once every thread
-    has stopped, so no thread outlives the call.  Every thread runs under
-    the caller's numpy error state, which numpy keeps per thread (1.x) or
-    per context (2.x).  With one thread the caller runs every block in order.
+    The caller waits while the workers run the blocks.  The exception of
+    the lowest-indexed failing block reaches the caller, blocks not yet
+    started are cancelled, and every worker has stopped by then, so no
+    thread outlives the call.  Each worker runs under the caller's numpy
+    error state, which numpy keeps per thread (1.x) or per context (2.x).
+    With one thread the caller runs every block in order.
     """
     threads = min(threads, len(blocks))
     if threads <= 1:
         return [fn(b) for b in blocks]
     from concurrent.futures import ThreadPoolExecutor
 
-    results = [None] * len(blocks)
-    pending = collections.deque(enumerate(blocks))  # popleft and clear are thread-safe
     errstate = dict(np.geterr(), call=np.geterrcall())
 
-    def work():
+    def run(b):
         with np.errstate(**errstate):
-            while True:
-                try:
-                    i, b = pending.popleft()
-                except IndexError:
-                    return
-                try:
-                    results[i] = fn(b)
-                except BaseException:
-                    pending.clear()
-                    raise
+            return fn(b)
 
-    with ThreadPoolExecutor(threads - 1) as pool:
-        workers = [pool.submit(work) for _ in range(threads - 1)]
-        work()
-    for worker in workers:
-        worker.result()
-    return results
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(run, blocks))
 
 
 def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
@@ -376,9 +361,9 @@ def _total_count_once(
     averaged over the relative azimuth phi of the pair, with kz = 0 and the
     partner wavelength fixed by the constraint at every node.  The pass
     builds one partner table of its theta2 nodes (kinematics.partner_table)
-    and runs its lambda1 rows in blocks (_pass_rows), on up to two threads
-    (_pass_threads, _map_blocks): rows share no state, so every thread count
-    and blocking gives the same bits.
+    and runs its lambda1 rows in blocks (_pass_rows), on up to two worker
+    threads while the caller waits (_pass_threads, _map_blocks): rows share
+    no state, so every thread count and blocking gives the same bits.
 
     The density depends on phi only through 1 + cos(psi)^2, with
     cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),

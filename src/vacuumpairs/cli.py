@@ -8,7 +8,8 @@ All computations are configured through a JSON document passed with
 ``--config``; every artifact embeds that configuration so a run can be
 reproduced from its artifact alone.  This module alone reads and writes the
 run-file format (``_emission_config`` and ``_write``).  Exit codes: 0
-success, 1 bad configuration, 2 unknown material, 3 numerical failure.
+success, 1 bad configuration, 2 unknown material, 3 numerical failure or
+an array that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
     except UnknownMaterialError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_UNKNOWN_MATERIAL
+    except MemoryError as exc:  # numpy refuses an array, e.g. of a huge resolution
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         numerical = (DispersionError, KinematicsError, NonFiniteResultError,

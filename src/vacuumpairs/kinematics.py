@@ -189,7 +189,7 @@ def _solo_table(cos_t2: float, kin: PerturbationKinematics, model) -> tuple:
     return grid, float(table.part2[0, 0]), low, high, rest_lo, rest_hi
 
 
-def _smallest_root_bracket(part1, table: PartnerTable):
+def _scan_bracket(part1, table: PartnerTable):
     """Bracket of the smallest partner root: the rule of every partner solver, on arrays.
 
     part1 is the lam1 part of the residual over 2 pi; it broadcasts with
@@ -202,15 +202,11 @@ def _smallest_root_bracket(part1, table: PartnerTable):
     monotonic, so a binary search finds k.  Another root follows when v
     lies within the range of part2 after the first root.
 
-    Returns (lo, hi, up, multiple): the bracket, with lo == hi at an exact
-    zero and both nan where there is no root, whether the residual is
-    positive at lo, and whether any element has more than one root.
+    Returns (lo, hi, up, multiple, f_lo, f_hi): the bracket, with lo == hi
+    at an exact zero and both nan where there is no root, whether the
+    residual is positive at lo, whether any element has more than one root,
+    and the residuals over 2 pi at lo and at hi from the table.
     """
-    return _scan_bracket(part1, table)[:4]
-
-
-def _scan_bracket(part1, table: PartnerTable):
-    """_smallest_root_bracket, then the residuals over 2 pi at lo and at hi from the table."""
     v = -np.asarray(part1, dtype=float)
     column = np.arange(len(table.part2)).reshape(table.cos_t2.shape)
     v, column = np.broadcast_arrays(v, column)
@@ -237,7 +233,7 @@ def _scan_bracket(part1, table: PartnerTable):
 
 
 def _column_bracket(part1: float, column: tuple):
-    """_smallest_root_bracket of one float part1 in one _solo_table column, by bisect_left.
+    """_scan_bracket of one float part1 in one _solo_table column, by bisect_left.
 
     The same rule on Python floats; it only compares values, so the
     bracket is the one the array search gives.
@@ -338,7 +334,7 @@ def _secant(lo, hi, f_lo, f_hi):
 def _refine(lam1, theta1, table: PartnerTable):
     """Partners with rows on axis 0 of lam1, and whether any element has more than one root.
 
-    Each bracket of _smallest_root_bracket is refined by Newton steps on
+    Each bracket of _scan_bracket is refined by Newton steps on
     the lam2 part, whose slope (1/beta - n_g2 cos(theta2))/lam2^2 comes
     with it from index_fields, from the secant point of the scan bracket.
     A step that leaves the bracket, has no finite slope (fast light can

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -514,6 +515,23 @@ class TestThreadedPass:
             self._total()
         assert threading.enumerate() == before
 
+    def test_first_block_error_cancels_the_rest(self):
+        ran, lock = [], threading.Lock()
+
+        def fn(b):
+            with lock:
+                ran.append(b)
+            if b == 0:
+                raise BlockFailure("block 0")
+            time.sleep(1e-3)  # lets the caller see block 0 fail while blocks are left
+            return b
+
+        before = threading.enumerate()
+        with pytest.raises(BlockFailure, match="block 0"):
+            analysis._map_blocks(fn, list(range(1000)), 2)
+        assert 0 in ran and len(ran) < 1000
+        assert threading.enumerate() == before
+
     def test_no_thread_outlives_total(self, monkeypatch):
         monkeypatch.setattr(analysis, "_pass_threads", lambda *_: 3)
         before = threading.enumerate()
@@ -523,21 +541,20 @@ class TestThreadedPass:
     def _on_two_threads(self, monkeypatch, in_worker):
         """The set of threads that call solve_tabulated; workers call in_worker first.
 
-        On its first call each thread waits until the caller and a worker
-        have both called, so neither can take every block alone.
+        On its first call each worker waits at a two-party barrier until
+        another worker has called too, so neither can take every block
+        alone.  A pass the caller runs alone does not wait.
         """
         solve_tabulated = kinematics.solve_tabulated
         threads, first = set(), threading.local()
-        ran = {True: threading.Event(), False: threading.Event()}  # by "is the caller"
+        both = threading.Barrier(2, timeout=10.0)
 
         def spy(*args):
-            caller = threading.current_thread() is threading.main_thread()
             threads.add(threading.get_ident())
-            ran[caller].set()
-            if not getattr(first, "done", False):
-                first.done = True
-                ran[not caller].wait(timeout=10.0)  # a serial pass waits once, in vain
-            if not caller:
+            if threading.current_thread() is not threading.main_thread():
+                if not getattr(first, "done", False):
+                    first.done = True
+                    both.wait()
                 in_worker()
             return solve_tabulated(*args)
 

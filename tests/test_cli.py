@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from vacuumpairs import emission
 from vacuumpairs.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -557,6 +558,31 @@ class TestNonFiniteResult:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: non-finite")
+        assert not out.exists()
+
+
+class TestMemoryError:
+    # a stand-in raises it: a real allocation that large could succeed or take the host down
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 728. TiB", "error: Unable to allocate 728. TiB"),
+            ("", "error: out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_refused_allocation_is_numerical_error(self, tmp_path, capsys, monkeypatch,
+                                                   message, line):
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(emission, "collinear_grid", refuse)
+        config = write_config(tmp_path, {**GRID_WINDOWS, "resolution": 10_000_000})
+        out = tmp_path / "grid.csv"
+        assert main(["spectrum", "--config", config, "--out", str(out)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
         assert not out.exists()
 
 

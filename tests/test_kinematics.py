@@ -282,7 +282,7 @@ class TestSolvePartners:
         n1, _, bad1 = dispersion.index_fields(model, lam1)
         assert not bad1.any()
         part1 = kinematics._photon_term(lam1, n1, np.cos(self.GRID_THETA1), 1.0 / kin.beta)
-        lo, hi, _, multiple = kinematics._smallest_root_bracket(part1, table)
+        lo, hi, _, multiple = kinematics._scan_bracket(part1, table)[:4]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootsWarning)
             lam2 = kinematics.solve_tabulated(lam1.ravel(), self.GRID_THETA1, table)
@@ -380,7 +380,7 @@ class TestBracketSearch:
             )
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                lo, hi, up, multiple = kinematics._smallest_root_bracket(row, table)
+                lo, hi, up, multiple = kinematics._scan_bracket(row, table)[:4]
                 values = np.broadcast_to(row, lo.shape).ravel().tolist()
                 which = np.broadcast_to(index, lo.shape).ravel().tolist()
                 solo = [kinematics._column_bracket(v, columns[j]) for v, j in zip(values, which)]
@@ -452,7 +452,7 @@ class TestBracketSearch:
         kin = PerturbationKinematics(beta=20.0)
         table = kinematics.partner_table(np.cos([math.pi, math.nan]), kin, model)
         part1 = kinematics._photon_term(0.5, dispersion.refractive_index(model, 0.5), 1.0, 0.05)
-        lo, hi, _, _ = kinematics._smallest_root_bracket(part1, table)
+        lo, hi, _, _ = kinematics._scan_bracket(part1, table)[:4]
         assert not math.isnan(lo[0]) and np.isnan(lo[1]) and np.isnan(hi[1])
         for cos_t2, lo_want, hi_want in zip((-1.0, math.nan), lo, hi):
             column = kinematics._solo_table(cos_t2, kin, model)
