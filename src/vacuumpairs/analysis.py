@@ -258,7 +258,9 @@ def _pass_threads(n_t2: int, n_phi: int) -> int:
     At most _MAX_THREADS and the usable CPUs, and one where a theta1 row's
     phi-moment product, (n_t2 x n_phi) @ (n_phi x 6), may run on BLAS
     threads: row blocks that call it at once then oversubscribe the CPUs,
-    and the pass is slower than in the caller alone.
+    and the pass is slower than in the caller alone.  Where one row's
+    product stays within that cut, so does the product of every phi block
+    of _pass_rows, which holds as many theta1 rows as the cut allows.
     """
     if n_t2 * n_phi * 6 > _BLAS_THREADED_MNK:
         return 1
@@ -298,8 +300,12 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
     phi nodes on [0, pi] under the two rules of _simpson_weights(phi), zero
     where there is no partner or the density is undefined, and all zero for
     a lambda1 where the model is invalid.  It solves the partners of its
-    rows in one solve_tabulated call, forms the phi-moments in blocks of
-    theta1 rows (emission._row_blocks) and the density one row at a time.
+    rows in one solve_tabulated call and forms the density one row at a
+    time, its phi-moments in the fewest near-equal blocks of theta1 rows
+    whose product (rows n_t2 x n_phi) @ (n_phi x 6) stays within
+    _BLAS_THREADED_MNK, or of one row where a row alone exceeds it
+    (emission._row_blocks): fewer numpy calls, and so fewer hand-offs of
+    the interpreter lock between row-block threads, than one per row.
     The setup shared by every slice (one partner table, the phi-moment
     weights, the cell coefficients and the lambda1 fields) is built here
     once and only read, so slices may run on several threads at once.  See
@@ -316,6 +322,7 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
     coef = np.stack([1.0 + cc * cc, 2.0 * cc * ss, ss * ss], axis=-1)
     powers = np.stack([np.ones_like(cos_phi), cos_phi, cos_phi * cos_phi])
     weights = (_simpson_weights(phi)[:, None, :] * powers).reshape(6, phi.size).T / math.pi
+    phi_blocks = emission._row_blocks(t1.size, t2.size * phi.size, _BLAS_THREADED_MNK // 6)
     n1_grid, ng1_grid, bad1 = _index_fields(config.material, lam1_grid)
     rows = lam1_grid, n1_grid, ng1_grid, bad1
 
@@ -334,7 +341,7 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
             kx = kinematics._on_shell_sum(lam1, lam2, kin)
             ky1, ky2 = k1 * sin_t1, k2 * sin_t2
             moments = np.empty(lam2.shape + (6,))
-            for c in emission._row_blocks(t1.size, t2.size * phi.size):  # ky = ky1 + ky2 cos(phi)
+            for c in phi_blocks:  # ky = ky1 + ky2 cos(phi)
                 w = ky2[c, :, None] * cos_phi
                 w += ky1[c, :, None]
                 np.matmul(emission._transverse_weight(config.profile, w), weights, out=moments[c])

@@ -208,11 +208,21 @@ def _transverse_weight(profile, ky):
     The transverse part of either form factor at kz = 0: ff(kx, ky, 0)
     equals ff(kx, 0, 0) times this weight, up to rounding; the form factors
     keep their own arithmetic, whose last bits the collinear maxima depend on.
+
+    The weight is an exact 0.0 where its argument is at or below -690: numpy's
+    exp is slow below -708.4, and weights near the subnormal range slow the
+    products that use them.  Only weights below exp(-690), about 2e-300, change;
+    one that exp underflows to 0.0 stays 0.0, where a plain floor at -690
+    would make it 2e-300.
     """
     sy = profile.sigma if isinstance(profile, GaussianProfile) else profile.sigma_y
     np.square(ky, out=ky)
     ky *= -sy * sy
-    return np.exp(ky, out=ky)
+    live = ky > -690.0
+    np.maximum(ky, -690.0, out=ky)
+    np.exp(ky, out=ky)
+    ky *= live
+    return ky
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +373,9 @@ def _density_kernel(
         return config.calibration * common * ff * measure, csch
 
 
-def _row_blocks(rows: int, cells_per_row: int) -> list[slice]:
-    """The fewest near-equal slices of whole rows, each of at most _BLOCK_CELLS cells or one row."""
-    blocks = -(-rows // max(1, _BLOCK_CELLS // cells_per_row))
+def _row_blocks(rows: int, cells_per_row: int, cap: int | None = None) -> list[slice]:
+    """The fewest near-equal slices of whole rows, each of at most cap (_BLOCK_CELLS) cells or one row."""
+    blocks = -(-rows // max(1, (cap or _BLOCK_CELLS) // cells_per_row))
     size = -(-rows // blocks) if blocks else 1
     return [slice(i, i + size) for i in range(0, rows, size)]
 

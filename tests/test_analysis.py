@@ -634,21 +634,75 @@ class TestPhiFactoring:
         assert row[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
         assert row[1] == pytest.approx(coarse, rel=1e-13, abs=0.0)
 
+    def test_row_matches_phi_nodes_where_weights_flush(self, monkeypatch):
+        # sigma = 2 um at beta = 30: most transverse weights fall below the cut and are 0.0
+        config = silica_config(beta=30.0, sigma=2.0)
+        t1 = np.linspace(0.0, math.radians(30.0), 9)
+        t2 = np.linspace(math.pi / 2.0, math.pi, 65)
+        phi = np.linspace(0.0, math.pi, 33)
+        weights = []
+        transverse_weight = emission._transverse_weight
+
+        def kept(profile, ky):
+            weights.append(transverse_weight(profile, ky).copy())
+            return weights[-1]
+
+        monkeypatch.setattr(emission, "_transverse_weight", kept)
+        (row,) = analysis._pass_rows(config, np.asarray([0.3]), t1, t2, phi)(slice(None))
+        assert np.count_nonzero(np.concatenate(weights, axis=None) == 0.0) > 0.5 * sum(
+            w.size for w in weights
+        )
+        for got, nodes in ((row[0], phi), (row[1], phi[::2])):
+            expected = total_row_density_3d(config, 0.3, t1, t2, nodes)
+            # the flush moves only cells that are tiny beside the row's maximum
+            live = expected > 1e-200 * expected.max()
+            assert np.count_nonzero(live) > 0
+            assert got[live] == pytest.approx(expected[live], rel=1e-13, abs=0.0)
+            assert np.all(np.abs(got[~live]) <= 1e-200 * expected.max())
+
     @pytest.mark.parametrize("name", ["silica_beta10", "silica_tanh"])
     def test_phi_blocks_keep_bits(self, monkeypatch, name):
-        # at (17, 129, 65) nodes every theta1 row is a phi block of its own
+        # at (17, 129, 65) nodes the theta1 rows form 4 phi blocks; the cap of
+        # _BLAS_THREADED_MNK // 6 cells sets one row per block, then no cap at all
         config = SCAN_CASES[name]()
         t1 = np.linspace(0.0, math.radians(30.0), 17)
         t2 = np.linspace(math.pi / 2.0, math.pi, 129)
         phi = np.linspace(0.0, math.pi, 65)
-        assert len(emission._row_blocks(t1.size, t2.size * phi.size)) == 17
+        cap = analysis._BLAS_THREADED_MNK // 6
+        assert len(emission._row_blocks(t1.size, t2.size * phi.size, cap)) == 4
         rows = []
-        for cells in (emission._BLOCK_CELLS, 10**9):
-            monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
+        for mnk in (analysis._BLAS_THREADED_MNK, 6, 10**12):
+            monkeypatch.setattr(analysis, "_BLAS_THREADED_MNK", mnk)
             (row,) = analysis._pass_rows(config, np.asarray([0.6]), t1, t2, phi)(slice(None))
             rows.append(row)
         assert np.count_nonzero(rows[0]) > 0
-        assert rows[0].tobytes() == rows[1].tobytes()
+        assert rows[1].tobytes() == rows[0].tobytes()
+        assert rows[2].tobytes() == rows[0].tobytes()
+
+    @pytest.mark.parametrize("n_t1, n_t2, n_phi, blocks", [(17, 129, 65, 4), (33, 257, 129, 33)])
+    def test_phi_blocks_stay_off_blas_threads(self, monkeypatch, n_t1, n_t2, n_phi, blocks):
+        # the benchmark's refined pass and the first pass at the library defaults
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        assert analysis._pass_threads(n_t2, n_phi) == 2
+        shapes = []
+        transverse_weight = emission._transverse_weight
+
+        def recorded(profile, ky):
+            shapes.append(ky.shape)
+            return transverse_weight(profile, ky)
+
+        monkeypatch.setattr(emission, "_transverse_weight", recorded)
+        t1 = np.linspace(0.0, math.radians(30.0), n_t1)
+        t2 = np.linspace(math.pi / 2.0, math.pi, n_t2)
+        phi = np.linspace(0.0, math.pi, n_phi)
+        (row,) = analysis._pass_rows(silica_config(beta=20.0), np.asarray([0.6]), t1, t2, phi)(
+            slice(None)
+        )
+        assert np.count_nonzero(row) > 0
+        # each phi block's moments are the product (rows n_t2 x n_phi) @ (n_phi x 6)
+        assert len(shapes) == blocks and sum(rows for rows, _, _ in shapes) == n_t1
+        assert all(shape[1:] == (n_t2, n_phi) for shape in shapes)
+        assert all(math.prod(shape) * 6 <= analysis._BLAS_THREADED_MNK for shape in shapes)
 
     @pytest.mark.parametrize("n_phi", [3, 4, 33])
     def test_phi_weights_are_simpson(self, n_phi):

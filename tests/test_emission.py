@@ -264,6 +264,28 @@ class TestTransverseWeight:
             form_factor(profile, kx, ky, 0.0), rel=1e-14, abs=0.0
         )
 
+    @pytest.mark.parametrize(
+        "profile, sy",
+        [
+            (GaussianProfile(eta=0.001, sigma=1.3), 1.3),
+            (TanhProfile(eta=0.001, sigma_x=1.1, sigma_y=0.7, sigma_z=1.6), 0.7),
+        ],
+        ids=["gaussian", "tanh"],
+    )
+    def test_weight_below_cut_is_zero(self, profile, sy):
+        # sy^2 ky^2 straddles the cut at 690, numpy's slow exp below 708.4 and its
+        # subnormal band (708.4, 745.1)
+        s2ky2 = np.array([0.0, 689.0, 690.0, 691.0, 708.3, 708.5, 745.2, 800.0])
+        ky = np.sqrt(s2ky2) / sy * np.array([1.0, -1.0] * 4)
+        arg = np.square(ky) * (-sy * sy)
+        live = arg > -690.0
+        assert live[:2].all() and not live[3:].any()
+        weight = ky.copy()
+        assert emission._transverse_weight(profile, weight) is weight  # in place
+        assert weight[live].tobytes() == np.exp(arg[live]).tobytes()
+        assert np.all(weight[~live] == 0.0)
+        assert np.all(weight[weight != 0.0] >= np.finfo(float).tiny)
+
 
 class TestScalarKernelBits:
     """The point densities run the kernel on floats: the bits of a 1-element array call."""
@@ -491,6 +513,7 @@ class TestGridBlocks:
         for rows in (0, 1, 2, 17, 33, 97, 1201):
             for cells_per_row in (1, 3, 13, 585, 1201, 2193, 20_000):
                 blocks = emission._row_blocks(rows, cells_per_row)
+                assert emission._row_blocks(rows, cells_per_row, cap) == blocks
                 # every row once, in order
                 assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
                 sizes = [len(range(rows)[b]) for b in blocks]
