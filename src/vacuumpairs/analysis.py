@@ -240,6 +240,7 @@ def _simpson_weights(x: np.ndarray) -> np.ndarray:
 # the most threads a pass runs its row blocks on: no host above 2 CPUs was measured
 _MAX_THREADS = 2
 
+# the cap on a phi block's product (cells x n_phi) @ (n_phi x 6) in _pass_rows:
 # OpenBLAS runs a matrix product (m x k) @ (k x n) on its own threads only
 # above m n k = 65536 * 4 (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD)
 _BLAS_THREADED_MNK = 65536 * 4
@@ -250,21 +251,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _pass_threads(n_t2: int, n_phi: int) -> int:
-    """The threads a pass with n_t2 theta2 and n_phi phi nodes runs its row blocks on.
-
-    At most _MAX_THREADS and the usable CPUs, and one where a theta1 row's
-    phi-moment product, (n_t2 x n_phi) @ (n_phi x 6), may run on BLAS
-    threads: row blocks that call it at once then oversubscribe the CPUs,
-    and the pass is slower than in the caller alone.  Where one row's
-    product stays within that cut, so does the product of every phi block
-    of _pass_rows, which holds as many theta1 rows as the cut allows.
-    """
-    if n_t2 * n_phi * 6 > _BLAS_THREADED_MNK:
-        return 1
-    return min(_MAX_THREADS, _usable_cpus())
 
 
 def _map_blocks(fn, blocks: list, threads: int) -> list:
@@ -301,11 +287,11 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
     where there is no partner or the density is undefined, and all zero for
     a lambda1 where the model is invalid.  It solves the partners of its
     rows in one solve_tabulated call and forms the density one row at a
-    time, its phi-moments in the fewest near-equal blocks of theta1 rows
-    whose product (rows n_t2 x n_phi) @ (n_phi x 6) stays within
-    _BLAS_THREADED_MNK, or of one row where a row alone exceeds it
-    (emission._row_blocks): fewer numpy calls, and so fewer hand-offs of
-    the interpreter lock between row-block threads, than one per row.
+    time, its phi-moments in the fewest near-equal blocks of (theta1,
+    theta2) cells whose product (cells x n_phi) @ (n_phi x 6) stays within
+    _BLAS_THREADED_MNK (emission._row_blocks): below OpenBLAS's threading
+    size at any resolution, so row-block threads never oversubscribe the
+    CPUs, and in few numpy calls, so few hand-offs of the interpreter lock.
     The setup shared by every slice (one partner table, the phi-moment
     weights, the cell coefficients and the lambda1 fields) is built here
     once and only read, so slices may run on several threads at once.  See
@@ -321,8 +307,12 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
     cc, ss = cos_t1 * cos_t2, sin_t1 * sin_t2
     coef = np.stack([1.0 + cc * cc, 2.0 * cc * ss, ss * ss], axis=-1)
     powers = np.stack([np.ones_like(cos_phi), cos_phi, cos_phi * cos_phi])
-    weights = (_simpson_weights(phi)[:, None, :] * powers).reshape(6, phi.size).T / math.pi
-    phi_blocks = emission._row_blocks(t1.size, t2.size * phi.size, _BLAS_THREADED_MNK // 6)
+    # in C order: OpenBLAS (SkylakeX kernels) runs a product of at most 200 cells
+    # with the transposed, F-ordered operand on a small-matrix kernel that rounds
+    # otherwise than its gemm, which would tie a row's bits to its phi blocks
+    weights = (_simpson_weights(phi)[:, None, :] * powers).reshape(6, phi.size).T
+    weights = np.ascontiguousarray(weights) / math.pi
+    phi_blocks = emission._row_blocks(t1.size * t2.size, phi.size, _BLAS_THREADED_MNK // 6)
     n1_grid, ng1_grid, bad1 = _index_fields(config.material, lam1_grid)
     rows = lam1_grid, n1_grid, ng1_grid, bad1
 
@@ -339,11 +329,13 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
             k1 = TWO_PI * n1 / lam1
             k2 = TWO_PI * n2 / lam2
             kx = kinematics._on_shell_sum(lam1, lam2, kin)
-            ky1, ky2 = k1 * sin_t1, k2 * sin_t2
-            moments = np.empty(lam2.shape + (6,))
-            for c in phi_blocks:  # ky = ky1 + ky2 cos(phi)
-                w = ky2[c, :, None] * cos_phi
-                w += ky1[c, :, None]
+            # ky = ky1 + ky2 cos(phi), one (theta1, theta2) cell per row
+            ky1 = np.broadcast_to(k1 * sin_t1, lam2.shape).ravel()
+            ky2 = (k2 * sin_t2).ravel()
+            moments = np.empty((lam2.size, 6))
+            for c in phi_blocks:
+                w = ky2[c, None] * cos_phi
+                w += ky1[c, None]
                 np.matmul(emission._transverse_weight(config.profile, w), weights, out=moments[c])
             angular = np.einsum("ijp,ijrp->rij", coef, moments.reshape(lam2.shape + (2, 3)))
             values, csch = emission._density_kernel(
@@ -368,9 +360,10 @@ def _total_count_once(
     averaged over the relative azimuth phi of the pair, with kz = 0 and the
     partner wavelength fixed by the constraint at every node.  The pass
     builds one partner table of its theta2 nodes (kinematics.partner_table)
-    and runs its lambda1 rows in blocks (_pass_rows), on up to two worker
-    threads while the caller waits (_pass_threads, _map_blocks): rows share
-    no state, so every thread count and blocking gives the same bits.
+    and runs its lambda1 rows in blocks (_pass_rows), on up to _MAX_THREADS
+    worker threads, no more than the usable CPUs, while the caller waits
+    (_map_blocks): rows share no state, so every thread count and blocking
+    gives the same bits.
 
     The density depends on phi only through 1 + cos(psi)^2, with
     cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),
@@ -379,10 +372,11 @@ def _total_count_once(
     mask and every other factor depend on the (theta1, theta2) cell alone.
     1 + cos(psi)^2 is quadratic in cos(phi), so each row takes the moments
     of the weight times 1, cos(phi) and cos(phi)^2 under both phi rules by
-    one matrix product, combines them with the cell's coefficients and
-    multiplies the kernel evaluated once per cell with ksum = (kx, 0, 0):
-    the Simpson rule over phi on every node, reordered.  The theta rules
-    are weight contractions of each row, the lambda1 rules scipy's simpson.
+    one matrix product per block of cells, combines them with the cell's
+    coefficients and multiplies the kernel evaluated once per cell with
+    ksum = (kx, 0, 0): the Simpson rule over phi on every node, reordered.
+    The theta rules are weight contractions of each row, the lambda1 rules
+    scipy's simpson.
 
     Known gap: with kz = 0 this is not the average of density_gaussian
     (kz = k2 sin(theta2) sin(phi)); the fix waits on the total-count measure.
@@ -402,7 +396,7 @@ def _total_count_once(
         return np.array([np.einsum("rij,ri,rj->r", d, w_t1, w_t2) for d in block_rows(b)])
 
     blocks = emission._row_blocks(n_lam, n_t1 * n_t2)
-    rows = np.concatenate(_map_blocks(contract, blocks, _pass_threads(n_t2, n_phi)))
+    rows = np.concatenate(_map_blocks(contract, blocks, min(_MAX_THREADS, _usable_cpus())))
     return float(simpson(rows[:, 0], x=lam1_grid)), float(simpson(rows[::2, 1], x=lam1_grid[::2]))
 
 

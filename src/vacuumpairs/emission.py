@@ -374,10 +374,12 @@ def _density_kernel(
 
 
 def _row_blocks(rows: int, cells_per_row: int, cap: int | None = None) -> list[slice]:
-    """The fewest near-equal slices of whole rows, each of at most cap (_BLOCK_CELLS) cells or one row."""
+    """The fewest slices of whole rows, each of at most cap (_BLOCK_CELLS) cells or one row.
+
+    Their sizes differ by at most one.
+    """
     blocks = -(-rows // max(1, (cap or _BLOCK_CELLS) // cells_per_row))
-    size = -(-rows // blocks) if blocks else 1
-    return [slice(i, i + size) for i in range(0, rows, size)]
+    return [slice(rows * i // blocks, rows * (i + 1) // blocks) for i in range(blocks)]
 
 
 def _grid_fields(config: EmissionConfig, lam1, lam2):

@@ -343,8 +343,9 @@ class TestTotalCount:
         # each on 1, 2 and 3 threads
         for cells in (10**9, 1, 3 * self.RES[1] * self.RES[2] + 2):
             monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(analysis, "_MAX_THREADS", 3)
             for threads in (1, 2, 3):
-                monkeypatch.setattr(analysis, "_pass_threads", lambda *_: threads)
+                monkeypatch.setattr(analysis, "_usable_cpus", lambda: threads)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
                     result = total_count(
@@ -500,7 +501,8 @@ class TestThreadedPass:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_block_error_reaches_caller(self, monkeypatch, threads):
-        monkeypatch.setattr(analysis, "_pass_threads", lambda *_: threads)
+        monkeypatch.setattr(analysis, "_MAX_THREADS", 3)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: threads)
         solve_tabulated = kinematics.solve_tabulated
         first = self.WINDOW[0]  # geomspace keeps its end points exact
 
@@ -533,7 +535,8 @@ class TestThreadedPass:
         assert threading.enumerate() == before
 
     def test_no_thread_outlives_total(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_pass_threads", lambda *_: 3)
+        monkeypatch.setattr(analysis, "_MAX_THREADS", 3)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 3)
         before = threading.enumerate()
         assert self._total().pairs_per_pulse > 0.0
         assert threading.enumerate() == before
@@ -572,7 +575,7 @@ class TestThreadedPass:
     def test_worker_warning_is_an_error(self, monkeypatch):
         # the suite turns every RuntimeWarning into an error (pyproject.toml)
         assert any(f[0] == "error" and f[2] is RuntimeWarning for f in warnings.filters)
-        monkeypatch.setattr(analysis, "_pass_threads", lambda *_: 2)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
         threads = self._on_two_threads(
             monkeypatch, lambda: warnings.warn("in a worker", RuntimeWarning)
         )
@@ -586,7 +589,7 @@ class TestThreadedPass:
     @pytest.mark.parametrize("divide", ["ignore", "raise"])
     def test_workers_keep_caller_errstate(self, monkeypatch, divide):
         # a division by zero in a worker follows the caller's np.errstate, not numpy's default
-        monkeypatch.setattr(analysis, "_pass_threads", lambda *_: 2)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
         seen = []
 
         def divide_by_zero():
@@ -604,15 +607,27 @@ class TestThreadedPass:
         assert len(threads) >= 2 and seen and set(seen) == {divide}
         assert threading.enumerate() == before
 
-    def test_thread_count(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 64)
-        # the benchmark's refined pass and the first pass at the library defaults
-        assert analysis._pass_threads(65, 33) == 2
-        assert analysis._pass_threads(257, 129) == 2
-        # the refined pass at the library defaults: OpenBLAS threads its phi-moment product
-        assert analysis._pass_threads(513, 257) == 1
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
-        assert analysis._pass_threads(65, 33) == 1
+    # the benchmark's refined pass and both passes at the library defaults
+    @pytest.mark.parametrize("n_t2, n_phi", [(65, 33), (257, 129), (513, 257)])
+    def test_thread_count(self, monkeypatch, n_t2, n_phi):
+        # min(2, usable CPUs) threads, whatever the pass's shape
+        seen = []
+
+        def recorded(fn, blocks, threads):
+            seen.append(threads)
+            return [np.zeros((b.stop - b.start, 2)) for b in blocks]
+
+        monkeypatch.setattr(analysis, "_map_blocks", recorded)
+        for cpus in (64, 2, 1):
+            monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+            total_count(
+                silica_config(beta=20.0),
+                cone_half_angle_rad=math.radians(30.0),
+                lam_window=self.WINDOW,
+                base_resolution=(5, 3, n_t2, n_phi),
+                max_refinements=0,
+            )
+        assert seen == [2, 2, 1]
 
 
 class TestPhiFactoring:
@@ -662,16 +677,20 @@ class TestPhiFactoring:
 
     @pytest.mark.parametrize("name", ["silica_beta10", "silica_tanh"])
     def test_phi_blocks_keep_bits(self, monkeypatch, name):
-        # at (17, 129, 65) nodes the theta1 rows form 4 phi blocks; the cap of
-        # _BLAS_THREADED_MNK // 6 cells sets one row per block, then no cap at all
+        # at (16, 129, 65) nodes the 2064 (theta1, theta2) cells form 4 phi blocks
+        # under the cap of _BLAS_THREADED_MNK // 6, 1032 blocks of 2 cells under a
+        # cap of 2 cells, then one block with no cap at all.  A cap of 1 cell is
+        # left out: numpy sends a (1 x n_phi) @ (n_phi x 6) product to gemv, whose
+        # sums round otherwise than gemm's; gemm on the C-ordered weights gives
+        # the same bits for any block of 2 cells or more.
         config = SCAN_CASES[name]()
-        t1 = np.linspace(0.0, math.radians(30.0), 17)
+        t1 = np.linspace(0.0, math.radians(30.0), 16)
         t2 = np.linspace(math.pi / 2.0, math.pi, 129)
         phi = np.linspace(0.0, math.pi, 65)
-        cap = analysis._BLAS_THREADED_MNK // 6
-        assert len(emission._row_blocks(t1.size, t2.size * phi.size, cap)) == 4
+        caps = [(analysis._BLAS_THREADED_MNK, 4), (2 * phi.size * 6, 1032), (10**12, 1)]
         rows = []
-        for mnk in (analysis._BLAS_THREADED_MNK, 6, 10**12):
+        for mnk, blocks in caps:
+            assert len(emission._row_blocks(t1.size * t2.size, phi.size, mnk // 6)) == blocks
             monkeypatch.setattr(analysis, "_BLAS_THREADED_MNK", mnk)
             (row,) = analysis._pass_rows(config, np.asarray([0.6]), t1, t2, phi)(slice(None))
             rows.append(row)
@@ -679,11 +698,11 @@ class TestPhiFactoring:
         assert rows[1].tobytes() == rows[0].tobytes()
         assert rows[2].tobytes() == rows[0].tobytes()
 
-    @pytest.mark.parametrize("n_t1, n_t2, n_phi, blocks", [(17, 129, 65, 4), (33, 257, 129, 33)])
+    # the benchmark's refined pass and both passes at the library defaults
+    @pytest.mark.parametrize(
+        "n_t1, n_t2, n_phi, blocks", [(17, 129, 65, 4), (33, 257, 129, 26), (65, 513, 257, 197)]
+    )
     def test_phi_blocks_stay_off_blas_threads(self, monkeypatch, n_t1, n_t2, n_phi, blocks):
-        # the benchmark's refined pass and the first pass at the library defaults
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
-        assert analysis._pass_threads(n_t2, n_phi) == 2
         shapes = []
         transverse_weight = emission._transverse_weight
 
@@ -699,9 +718,10 @@ class TestPhiFactoring:
             slice(None)
         )
         assert np.count_nonzero(row) > 0
-        # each phi block's moments are the product (rows n_t2 x n_phi) @ (n_phi x 6)
-        assert len(shapes) == blocks and sum(rows for rows, _, _ in shapes) == n_t1
-        assert all(shape[1:] == (n_t2, n_phi) for shape in shapes)
+        # each phi block's moments are the product (cells x n_phi) @ (n_phi x 6), of
+        # at least 2 cells, so numpy runs it on gemm and not on gemv
+        assert len(shapes) == blocks and sum(cells for cells, _ in shapes) == n_t1 * n_t2
+        assert all(shape[1:] == (n_phi,) and shape[0] >= 2 for shape in shapes)
         assert all(math.prod(shape) * 6 <= analysis._BLAS_THREADED_MNK for shape in shapes)
 
     @pytest.mark.parametrize("n_phi", [3, 4, 33])

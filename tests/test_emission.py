@@ -518,11 +518,10 @@ class TestGridBlocks:
                 assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
                 sizes = [len(range(rows)[b]) for b in blocks]
                 assert all(size * cells_per_row <= cap or size == 1 for size in sizes)
-                # as few blocks as the cap allows, all but the last of one size,
-                # the smallest size that needs no more blocks
+                # as few blocks as the cap allows, their sizes at most one apart, none empty
                 assert len(blocks) == -(-rows // max(1, cap // cells_per_row))
-                assert len(set(sizes[:-1])) <= 1 and sizes[-1:] <= sizes[:1]
-                assert all((size - 1) * len(blocks) < rows for size in sizes[:1])
+                assert max(sizes, default=1) - min(sizes, default=1) <= 1
+                assert all(size > 0 for size in sizes)
 
     def test_peak_memory_near_the_outputs(self):
         # no temporary spans the grid: those of a row block are small beside the outputs
