@@ -279,23 +279,19 @@ def _map_blocks(fn, blocks: list, threads: int) -> list:
 
 
 def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
-    """The phi-mean density of a pass, as a generator function of a slice of lam1_grid's rows.
+    """The phi-mean density of a pass, as a function of a slice of lam1_grid's rows.
 
-    The generator yields one (2, t1.size, t2.size) array per lambda1 row of
-    the slice, on the (t1, t2) grid of theta1, theta2: the means over the
+    The function returns one (rows, 2, t1.size, t2.size) array for the rows
+    of the slice, on the (t1, t2) grid of theta1, theta2: the means over the
     phi nodes on [0, pi] under the two rules of _simpson_weights(phi), zero
     where there is no partner or the density is undefined, and all zero for
-    a lambda1 where the model is invalid.  It solves the partners of its
-    rows in one solve_tabulated call and forms the density one row at a
-    time, its phi-moments in the fewest near-equal blocks of (theta1,
-    theta2) cells whose product (cells x n_phi) @ (n_phi x 6) stays within
-    _BLAS_THREADED_MNK (emission._row_blocks): below OpenBLAS's threading
-    size at any resolution, so row-block threads never oversubscribe the
-    CPUs, and in few numpy calls, so few hand-offs of the interpreter lock.
-    The setup shared by every slice (one partner table, the phi-moment
-    weights, the cell coefficients and the lambda1 fields) is built here
-    once and only read, so slices may run on several threads at once.  See
-    _total_count_once for the factoring.
+    a lambda1 where the model is invalid or |n_g| is below NG_FLOOR.  It
+    solves the partners of its rows in one solve_tabulated call and takes
+    the phi-moments of its cells in the fewest near-equal blocks whose
+    product (cells x n_phi) @ (n_phi x 6) stays within _BLAS_THREADED_MNK,
+    below OpenBLAS's threading size.  The setup shared by every slice is
+    built here once and only read, so slices may run on several threads at
+    once.  See _total_count_once for the factoring.
     """
     kin = config.kin
     cos_phi = np.cos(phi)
@@ -309,41 +305,39 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
     powers = np.stack([np.ones_like(cos_phi), cos_phi, cos_phi * cos_phi])
     # in C order: OpenBLAS (SkylakeX kernels) runs a product of at most 200 cells
     # with the transposed, F-ordered operand on a small-matrix kernel that rounds
-    # otherwise than its gemm, which would tie a row's bits to its phi blocks
+    # otherwise than its gemm, which would tie a cell's bits to its phi blocks
     weights = (_simpson_weights(phi)[:, None, :] * powers).reshape(6, phi.size).T
     weights = np.ascontiguousarray(weights) / math.pi
-    phi_blocks = emission._row_blocks(t1.size * t2.size, phi.size, _BLAS_THREADED_MNK // 6)
-    n1_grid, ng1_grid, bad1 = _index_fields(config.material, lam1_grid)
-    rows = lam1_grid, n1_grid, ng1_grid, bad1
+    fields1 = _index_fields(config.material, lam1_grid)
 
-    def block(b: slice):
-        solved = iter(kinematics.solve_tabulated(lam1_grid[b][~bad1[b]], theta1, partners))
-        for lam1, n1, ng1, bad in zip(*(a[b].tolist() for a in rows)):
-            if bad:
-                yield np.zeros((2, t1.size, t2.size))
-                continue
-            lam2 = next(solved)
-            none = np.isnan(lam2)
-            lam2 = np.where(none, 1.0, lam2)
-            n2, ng2, bad2 = _index_fields(config.material, lam2)
-            k1 = TWO_PI * n1 / lam1
-            k2 = TWO_PI * n2 / lam2
-            kx = kinematics._on_shell_sum(lam1, lam2, kin)
-            # ky = ky1 + ky2 cos(phi), one (theta1, theta2) cell per row
-            ky1 = np.broadcast_to(k1 * sin_t1, lam2.shape).ravel()
-            ky2 = (k2 * sin_t2).ravel()
-            moments = np.empty((lam2.size, 6))
-            for c in phi_blocks:
-                w = ky2[c, None] * cos_phi
-                w += ky1[c, None]
-                np.matmul(emission._transverse_weight(config.profile, w), weights, out=moments[c])
-            angular = np.einsum("ijp,ijrp->rij", coef, moments.reshape(lam2.shape + (2, 3)))
-            values, csch = emission._density_kernel(
-                config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0), cos_t1, cos_t2, 1.0,
-            )
-            with np.errstate(over="ignore", invalid="ignore"):  # a huge L_m overflows
-                values = np.where(none | bad2 | csch, 0.0, values) * angular
-            yield values
+    def block(b: slice) -> np.ndarray:
+        lam1, n1, ng1, bad1 = (a[b, None, None] for a in (lam1_grid, *fields1))
+        # a lambda1 row that dispersion flags gets nan partners
+        lam2 = kinematics.solve_tabulated(lam1_grid[b], theta1, partners)
+        mask = np.isnan(lam2) | bad1
+        lam2[mask] = 1.0
+        n2, ng2, bad2 = _index_fields(config.material, lam2)
+        mask |= bad2
+        # ky = ky1 + ky2 cos(phi), one (lambda1, theta1, theta2) cell per row
+        ky1 = np.broadcast_to(TWO_PI * n1 / lam1 * sin_t1, lam2.shape).ravel()
+        ky2 = (TWO_PI * n2 / lam2 * sin_t2).ravel()
+        moments = np.empty((lam2.size, 6))
+        for c in emission._row_blocks(lam2.size, phi.size, _BLAS_THREADED_MNK // 6):
+            w = ky2[c, None] * cos_phi
+            w += ky1[c, None]
+            np.matmul(emission._transverse_weight(config.profile, w), weights, out=moments[c])
+            del w  # each del frees a block temporary early: two threads' blocks overlap
+        del ky1, ky2
+        angular = np.einsum("ijp,bijrp->brij", coef, moments.reshape(lam2.shape + (2, 3)))
+        del moments
+        kx = kinematics._on_shell_sum(lam1, lam2, kin)
+        values, csch = emission._density_kernel(
+            config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0), cos_t1, cos_t2, 1.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge L_m overflows
+            angular *= values[:, None]
+        np.copyto(angular, 0.0, where=(mask | csch)[:, None])
+        return angular
 
     return block
 
@@ -359,8 +353,7 @@ def _total_count_once(
     total of the n-node pass, up to rounding.  The integrand is the kernel
     averaged over the relative azimuth phi of the pair, with kz = 0 and the
     partner wavelength fixed by the constraint at every node.  The pass
-    builds one partner table of its theta2 nodes (kinematics.partner_table)
-    and runs its lambda1 rows in blocks (_pass_rows), on up to _MAX_THREADS
+    runs its lambda1 rows in blocks (_pass_rows) on up to _MAX_THREADS
     worker threads, no more than the usable CPUs, while the caller waits
     (_map_blocks): rows share no state, so every thread count and blocking
     gives the same bits.
@@ -369,14 +362,14 @@ def _total_count_once(
     cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),
     and the transverse weight exp(-sigma_y^2 ky^2) of the form factor, with
     ky = k1 sin(theta1) + k2 sin(theta2) cos(phi); ff(kx, 0, 0), the csch^2
-    mask and every other factor depend on the (theta1, theta2) cell alone.
-    1 + cos(psi)^2 is quadratic in cos(phi), so each row takes the moments
-    of the weight times 1, cos(phi) and cos(phi)^2 under both phi rules by
-    one matrix product per block of cells, combines them with the cell's
-    coefficients and multiplies the kernel evaluated once per cell with
-    ksum = (kx, 0, 0): the Simpson rule over phi on every node, reordered.
-    The theta rules are weight contractions of each row, the lambda1 rules
-    scipy's simpson.
+    mask and every other factor depend on the (lambda1, theta1, theta2)
+    cell alone.  1 + cos(psi)^2 is quadratic in cos(phi), so each block of
+    lambda1 rows takes the moments of the weight times 1, cos(phi) and
+    cos(phi)^2 under both phi rules by matrix products, combines them with
+    each cell's coefficients and multiplies the kernel evaluated once per
+    cell with ksum = (kx, 0, 0): the Simpson rule over phi on every node,
+    reordered.  The theta rules are weight contractions of each block, the
+    lambda1 rules scipy's simpson.
 
     Known gap: with kz = 0 this is not the average of density_gaussian
     (kz = k2 sin(theta2) sin(phi)); the fix waits on the total-count measure.
@@ -393,7 +386,7 @@ def _total_count_once(
     block_rows = _pass_rows(config, lam1_grid, t1, t2, phi)
 
     def contract(b: slice) -> np.ndarray:  # each row under both theta rules: (rows, 2)
-        return np.array([np.einsum("rij,ri,rj->r", d, w_t1, w_t2) for d in block_rows(b)])
+        return np.einsum("brij,ri,rj->br", block_rows(b), w_t1, w_t2)
 
     blocks = emission._row_blocks(n_lam, n_t1 * n_t2)
     rows = np.concatenate(_map_blocks(contract, blocks, min(_MAX_THREADS, _usable_cpus())))

@@ -297,7 +297,11 @@ def cmd_total(args) -> int:
     rel_tol = _number(doc, "rel_tol", 1e-3)
     kwargs = {}
     if "base_resolution" in doc:
-        kwargs["base_resolution"] = doc["base_resolution"]
+        nodes = doc["base_resolution"]
+        if isinstance(nodes, list):  # total_count rejects anything else
+            nodes = [_number({"base_resolution": n}, "base_resolution", integer=True)
+                     for n in nodes]
+        kwargs["base_resolution"] = nodes
     if "max_refinements" in doc:
         kwargs["max_refinements"] = _number(doc, "max_refinements", integer=True)
     result = analysis.total_count(

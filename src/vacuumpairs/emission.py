@@ -48,9 +48,10 @@ FLAG_HOLE = 2  # numerical singularity (pole, negative radicand, n_g ~ 0)
 
 FLAG_LEGEND = {FLAG_OK: "ok", FLAG_FORBIDDEN: "forbidden", FLAG_HOLE: "hole"}
 
-# cells per row block of a collinear grid and of the total's partner solve:
-# a float64 temporary of a block stays below glibc's 128 KiB mmap threshold,
-# so it is reused from the heap instead of being mapped and zeroed afresh
+# cells per row block of a collinear grid and of a total pass, whose partner
+# solve and density temporaries it bounds: a float64 temporary of a block stays
+# below glibc's 128 KiB mmap threshold, so it is reused from the heap instead
+# of being mapped and zeroed afresh
 _BLOCK_CELLS = 15_000
 
 

@@ -360,6 +360,34 @@ class TestTotalCount:
         assert results[0][0] != (0.0).hex()
         assert results[1:] == results[:1] * 8
 
+    def test_block_rows_match_row_calls(self, monkeypatch):
+        # rows 7-16 of 17 out to 12 um: row 15 (8.9 um) is invalid, and a raised
+        # NG_FLOOR flags row 8 (1.1 um), whose group index is the least of the rows
+        config = silica_config(beta=20.0)
+        lam1 = np.geomspace(0.1, 12.0, 17)
+        t1 = np.linspace(0.0, math.radians(30.0), 9)
+        t2 = np.linspace(math.pi / 2.0, math.pi, 65)
+        phi = np.linspace(0.0, math.pi, 33)
+        _, ng1, bad1 = dispersion.index_fields(config.material, lam1)
+        assert np.flatnonzero(bad1).tolist() == [15]
+        assert np.argmin(np.where(bad1, np.inf, ng1)) == 8
+
+        def rows(b):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return analysis._pass_rows(config, lam1, t1, t2, phi)(b)
+
+        assert np.count_nonzero(rows(slice(8, 9))) > 0
+        monkeypatch.setattr(emission, "NG_FLOOR", np.nextafter(ng1[8], np.inf))
+        block = rows(slice(7, 17))
+        assert block.shape == (10, 2, t1.size, t2.size)
+        for r in range(7, 17):
+            if r in (8, 15):
+                assert np.all(block[r - 7] == 0.0)  # exact, finite zeros
+            else:
+                assert block[r - 7].tobytes() == rows(slice(r, r + 1))[0].tobytes()
+        assert all(np.count_nonzero(block[r - 7]) > 0 for r in (7, 9, 10))
+
     @staticmethod
     def _pass_peaks(config, lam_window, passes):
         peaks = []
@@ -426,7 +454,8 @@ class TestTotalCount:
         assert peaks[2] <= 1.2 * peaks[1]  # the first pass fills the per-model caches
 
     def test_pass_memory_flat_in_n_phi(self):
-        # no array of the whole pass has a phi axis: the phi-moments run in blocks of theta1 rows
+        # no array of the whole pass has a phi axis: a row block takes its phi-moments
+        # in blocks of its (lambda1, theta1, theta2) cells
         passes = [(5, 17, 129, n_phi) for n_phi in (33, 33, 257)]
         peaks = self._pass_peaks(silica_config(beta=20.0), (0.2, 5.0), passes)
         assert peaks[2] <= 1.1 * peaks[1]

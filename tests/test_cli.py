@@ -271,6 +271,18 @@ class TestTotal:
             assert fields[key] == ("" if value is None else repr(value))
         assert (fields["rel_error"] == "") == (max_refinements == 0)
 
+    def test_integral_float_resolution(self, tmp_path, capsys):
+        # base_resolution items follow the integer rule of resolution and max_refinements
+        totals = []
+        for nodes in ([9, 5, 17, 9], [9.0, 5, 17.0, 9]):
+            config = write_config(
+                tmp_path, {**SMALL_TOTAL, "base_resolution": nodes, "max_refinements": 0.0}
+            )
+            out = tmp_path / "total.json"
+            assert main(["total", "--config", config, "--out", str(out)]) == EXIT_OK
+            totals.append(json.loads(out.read_text())["result"]["pairs_per_pulse"])
+        assert totals[0] > 0.0 and totals[1] == totals[0]
+
     def test_subluminal_is_numerical_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -326,11 +338,12 @@ class TestBadScalars:
             ("total", {**SMALL_TOTAL, "base_resolution": [1, 1, 1, 1], "max_refinements": 0}),
             ("total", {**SMALL_TOTAL, "max_refinements": -1}),
             ("total", {**SMALL_TOTAL, "max_refinements": 0.5}),
+            ("total", {**SMALL_TOTAL, "base_resolution": [9.5, 5, 17, 9], "max_refinements": 0}),
         ],
         ids=[
             "scalar_base_resolution", "list_rel_tol", "list_cone", "list_resolution",
             "list_resonance", "list_amplitude", "one_node_resolution",
-            "negative_refinements", "fractional_refinements",
+            "negative_refinements", "fractional_refinements", "fractional_base_resolution",
         ],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, command, extra):
