@@ -113,7 +113,8 @@ def constraint_density(config: EmissionConfig, lam1: float) -> tuple[float, floa
 
 def _collinear_scan(config: EmissionConfig, lam1) -> np.ndarray:
     """constraint_density at every lam1 in one array pass; 0 where it raises."""
-    lam2 = kinematics.solve_partners(lam1, 0.0, math.pi, config.kin, config.material)
+    partners = kinematics.partner_table(-1.0, config.kin, config.material)  # theta2 = pi
+    lam2 = kinematics.solve_partners(lam1, 0.0, partners)
     return emission._curve_density(config, lam1, lam2)
 
 
@@ -286,7 +287,7 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
     phi nodes on [0, pi] under the two rules of _simpson_weights(phi), zero
     where there is no partner or the density is undefined, and all zero for
     a lambda1 where the model is invalid or |n_g| is below NG_FLOOR.  It
-    solves the partners of its rows in one solve_tabulated call and takes
+    solves the partners of its rows in one solve_partners call and takes
     the phi-moments of its cells in the fewest near-equal blocks whose
     product (cells x n_phi) @ (n_phi x 6) stays within _BLAS_THREADED_MNK,
     below OpenBLAS's threading size.  The setup shared by every slice is
@@ -313,7 +314,7 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
     def block(b: slice) -> np.ndarray:
         lam1, n1, ng1, bad1 = (a[b, None, None] for a in (lam1_grid, *fields1))
         # a lambda1 row that dispersion flags gets nan partners
-        lam2 = kinematics.solve_tabulated(lam1_grid[b], theta1, partners)
+        lam2 = kinematics.solve_partners(lam1, theta1, partners)
         mask = np.isnan(lam2) | bad1
         lam2[mask] = 1.0
         n2, ng2, bad2 = _index_fields(config.material, lam2)

@@ -82,11 +82,12 @@ def _require(doc: dict, key: str):
 def _number(doc: dict, key: str, default=None, integer: bool = False):
     """doc[key] as a float, or an int if integer; required when default is None.
 
-    Raises ConfigError for a value that is not a number, or not integral.
+    Raises ConfigError for a value that is not a number (a JSON boolean
+    included), or not integral.
     """
     raw = _require(doc, key) if default is None else doc.get(key, default)
     try:
-        value = float(raw)
+        value = None if isinstance(raw, bool) else float(raw)
     except (TypeError, ValueError):
         value = None
     if value is None or (integer and not value.is_integer()):
@@ -122,9 +123,9 @@ def _emission_config(doc: dict) -> EmissionConfig:
 
 
 def _bounds(raw, what: str) -> tuple[float, float]:
-    """(min, max) of a two-item window, finite with 0 < min < max."""
-    try:
-        lo, hi = (float(x) for x in raw)
+    """(min, max) of a two-item list, finite with 0 < min < max."""
+    try:  # a string or an object would unpack as a pair of its characters or keys
+        lo, hi = (float(x) for x in raw) if isinstance(raw, list) else ()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a [min, max] pair") from exc
     if not (0.0 < lo < hi and math.isfinite(hi)):  # also rejects nan
@@ -247,12 +248,9 @@ def cmd_maxima(args) -> int:
     doc = _load_config(args.config)
     config = _emission_config(doc)
     betas = doc.get("betas", [config.kin.beta])
-    try:
-        betas = [float(b) for b in betas] if isinstance(betas, list) else []
-    except (TypeError, ValueError):
-        betas = []
-    if not betas:
+    if not (isinstance(betas, list) and betas):
         raise ConfigError("'betas' must be a non-empty list of numbers")
+    betas = [_number({"betas": b}, "betas") for b in betas]
     window = _window(doc, "lambda1_window_um", (0.2, 20.0))
     sweep = analysis.beta_sweep(config, betas, window=window)
     if not sweep.rows:

@@ -155,8 +155,9 @@ class PartnerTable:
 def partner_table(cos_t2, kin: PerturbationKinematics, model) -> PartnerTable:
     """The partner table of one velocity and set of cos(theta2), for any lam1 and theta1.
 
-    Public, like solve_tabulated, so that a trace of the package's public
-    functions counts total_count's partner solve as kinematics work.
+    Public, like solve_partners, so that a trace of the package's public
+    functions counts the partner solves of total_count and find_maximum's
+    scan as kinematics work.
     """
     model = dispersion.as_model(model)
     grid, n = _scan_grid(model)
@@ -296,33 +297,6 @@ def solve_partner(
     return brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL)
 
 
-def solve_partners(lam1, theta1, theta2, kin: PerturbationKinematics, model) -> np.ndarray:
-    """solve_partner over broadcast lam1, theta1, theta2; nan where there is no partner.
-
-    The same smallest-root rule, refined to brentq's tolerance by _refine
-    with the whole call as one row.  An invalid lam1 has no partner.
-    """
-    table = partner_table(np.cos(theta2), kin, model)
-    ndim = len(np.broadcast_shapes(np.shape(lam1), np.shape(theta1), table.cos_t2.shape))
-    lam1 = np.expand_dims(lam1, tuple(range(1 + ndim - np.ndim(lam1))))  # axis 0: one row
-    lam2, multiple = _refine(lam1, theta1, table)
-    _warn_multiple(multiple)
-    return lam2[0]
-
-
-def solve_tabulated(lam1, theta1, table: PartnerTable) -> np.ndarray:
-    """solve_partners of each lam1, a float or 1-D array, as one row with the table's theta2.
-
-    The result has the shape of lam1 followed by the broadcast shape of
-    theta1 and table.cos_t2; each row has the bits of a call of its own.
-    """
-    lam1 = np.asarray(lam1, dtype=float)
-    cells = np.broadcast_shapes(np.shape(theta1), table.cos_t2.shape)
-    lam2, multiple = _refine(lam1.reshape((-1,) + (1,) * len(cells)), theta1, table)
-    _warn_multiple(multiple)
-    return lam2.reshape(lam1.shape + cells)
-
-
 def _secant(lo, hi, f_lo, f_hi):
     """The secant point of [lo, hi] from its end residuals, or the midpoint if not in [lo, hi]."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -331,38 +305,35 @@ def _secant(lo, hi, f_lo, f_hi):
     return np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
 
 
-def _refine(lam1, theta1, table: PartnerTable):
-    """Partners with rows on axis 0 of lam1, and whether any element has more than one root.
+def solve_partners(lam1, theta1, table: PartnerTable) -> np.ndarray:
+    """solve_partner of every element of the broadcast lam1, theta1, table.cos_t2; nan if none.
 
-    Each bracket of _scan_bracket is refined by Newton steps on
-    the lam2 part, whose slope (1/beta - n_g2 cos(theta2))/lam2^2 comes
-    with it from index_fields, from the secant point of the scan bracket.
-    A step that leaves the bracket, has no finite slope (fast light can
-    give n_g2 cos(theta2) = 1/beta) or is not shorter than half the step
-    before last (Brent's rule) bisects instead; one below half the
-    tolerance is lengthened to it, so the far end of the bracket closes in.
-    A row steps until all its brackets close, then leaves the working
-    arrays with the secant point of each bracket, from the residuals kept
-    at both ends: each element takes the steps of its row alone.
+    Each bracket of _scan_bracket is refined by Newton steps on the lam2
+    part, whose slope (1/beta - n_g2 cos(theta2))/lam2^2 comes with it from
+    index_fields, from the secant point of the scan bracket.  A step that
+    leaves the bracket, has no finite slope (fast light can give
+    n_g2 cos(theta2) = 1/beta) or is not shorter than half the step before
+    last (Brent's rule) bisects instead; one below half the tolerance is
+    lengthened to it, so the far end of the bracket closes in.  An element
+    leaves the working arrays as soon as its bracket closes, with the secant
+    point of that bracket from the residuals kept at both ends, so its
+    partner does not depend on the other elements.  An invalid lam1 has no
+    partner.
     """
-    model, cos_t2 = table.model, table.cos_t2
+    model, inv_b = table.model, 1.0 / table.kin.beta
     lam1 = np.asarray(lam1, dtype=float)
-    inv_b = 1.0 / table.kin.beta
     n1, _, bad1 = dispersion.index_fields(model, lam1)
     part1 = np.where(bad1, np.nan, _photon_term(lam1, n1, np.cos(theta1), inv_b))
     lo, hi, up_lo, multiple, f_lo, f_hi = _scan_bracket(part1, table)
-    lam2 = np.empty(lo.shape)
-    rows = np.arange(len(lo))
-    x = _secant(lo, hi, f_lo, f_hi)
+    _warn_multiple(multiple)
+    lam2 = _secant(lo, hi, f_lo, f_hi)  # final where the bracket is closed already
+    live = hi - lo >= _XTOL + _RTOL * hi
+    cells = np.flatnonzero(live)
+    # the working arrays: the elements whose bracket is open, flat
+    part1, cos_t2 = (np.broadcast_to(a, live.shape)[live] for a in (part1, table.cos_t2))
+    x, lo, hi, f_lo, f_hi, up_lo = (a[live] for a in (lam2, lo, hi, f_lo, f_hi, up_lo))
     last = before = hi - lo  # lengths of the last two steps
-    while rows.size:
-        live = np.any(hi - lo >= _XTOL + _RTOL * hi, axis=tuple(range(1, lo.ndim)))
-        if not live.all():
-            lam2[rows[~live]] = _secant(lo[~live], hi[~live], f_lo[~live], f_hi[~live])
-            rows, part1, lo, hi, f_lo, f_hi, up_lo, x, last, before = (
-                a[live] for a in (rows, part1, lo, hi, f_lo, f_hi, up_lo, x, last, before)
-            )
-            continue
+    while cells.size:
         n2, n_g2, bad2 = dispersion.index_fields(model, x)
         f = part1 + np.where(bad2, np.nan, _photon_term(x, n2, cos_t2, inv_b))
         up = np.where(up_lo, f > 0.0, f < 0.0)
@@ -377,4 +348,10 @@ def _refine(lam1, theta1, table: PartnerTable):
         x = np.where(newton, x_new, 0.5 * (lo + hi))
         before, last = last, np.where(newton, np.abs(step), 0.5 * (hi - lo))
         del n2, n_g2, bad2, f, up, step, half_tol, x_new, newton  # before the next index_fields
-    return lam2, multiple
+        live = hi - lo >= _XTOL + _RTOL * hi
+        if not live.all():
+            lam2.flat[cells[~live]] = _secant(lo[~live], hi[~live], f_lo[~live], f_hi[~live])
+            cells, part1, cos_t2, lo, hi, f_lo, f_hi, up_lo, x, last, before = (
+                a[live] for a in (cells, part1, cos_t2, lo, hi, f_lo, f_hi, up_lo, x, last, before)
+            )
+    return lam2

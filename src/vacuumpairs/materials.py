@@ -38,6 +38,8 @@ def model_from_dict(doc: dict) -> DispersionModel:
     if "constant_index" in doc:
         base = ConstantIndex(float(doc["constant_index"]))
     elif "sellmeier" in doc:
+        if not all(isinstance(term, (list, tuple)) for term in doc["sellmeier"]):
+            raise ValueError("each Sellmeier term must be an [a, l] pair")
         base = SellmeierModel(
             terms=tuple((float(a), float(l)) for a, l in doc["sellmeier"]),
             name=str(doc.get("name", "")),

@@ -113,7 +113,7 @@ def total_row_density_3d(config, lam1, t1, t2, phi):
     if bad1[0]:
         return np.zeros((t1.size, t2.size))
     partners = kinematics.partner_table(cos_t2, config.kin, config.material)
-    lam2 = kinematics.solve_tabulated(lam1, theta1, partners)
+    lam2 = kinematics.solve_partners(lam1, theta1, partners)
     none = np.isnan(lam2)
     lam2 = np.where(none, 1.0, lam2)
     n2, ng2, bad2 = emission._index_fields(config.material, lam2)

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -532,15 +533,15 @@ class TestThreadedPass:
     def test_block_error_reaches_caller(self, monkeypatch, threads):
         monkeypatch.setattr(analysis, "_MAX_THREADS", 3)
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: threads)
-        solve_tabulated = kinematics.solve_tabulated
+        solve_partners = kinematics.solve_partners
         first = self.WINDOW[0]  # geomspace keeps its end points exact
 
         def failing(lam1, *args):
-            if lam1.size and lam1[0] != first:
+            if lam1.size and lam1.flat[0] != first:
                 raise BlockFailure("a later block")
-            return solve_tabulated(lam1, *args)
+            return solve_partners(lam1, *args)
 
-        monkeypatch.setattr(kinematics, "solve_tabulated", failing)
+        monkeypatch.setattr(kinematics, "solve_partners", failing)
         before = threading.enumerate()
         with pytest.raises(BlockFailure, match="a later block"):
             self._total()
@@ -571,13 +572,13 @@ class TestThreadedPass:
         assert threading.enumerate() == before
 
     def _on_two_threads(self, monkeypatch, in_worker):
-        """The set of threads that call solve_tabulated; workers call in_worker first.
+        """The set of threads that call solve_partners; workers call in_worker first.
 
         On its first call each worker waits at a two-party barrier until
         another worker has called too, so neither can take every block
         alone.  A pass the caller runs alone does not wait.
         """
-        solve_tabulated = kinematics.solve_tabulated
+        solve_partners = kinematics.solve_partners
         threads, first = set(), threading.local()
         both = threading.Barrier(2, timeout=10.0)
 
@@ -588,9 +589,9 @@ class TestThreadedPass:
                     first.done = True
                     both.wait()
                 in_worker()
-            return solve_tabulated(*args)
+            return solve_partners(*args)
 
-        monkeypatch.setattr(kinematics, "solve_tabulated", spy)
+        monkeypatch.setattr(kinematics, "solve_partners", spy)
         return threads
 
     @pytest.mark.skipif(analysis._usable_cpus() < 2, reason="the process may use one CPU")
@@ -614,6 +615,35 @@ class TestThreadedPass:
         assert len(threads) >= 2
         assert threading.enumerate() == before
 
+    def test_multiple_roots_warning_reaches_caller(self, monkeypatch):
+        # one lambda1 row per block, so on 2 threads every block, the ones whose
+        # partners have more than one root included, runs on a worker thread
+        monkeypatch.setattr(emission, "_BLOCK_CELLS", 1)
+        lines, start = inspect.getsourcelines(analysis._pass_rows)
+        solve = start + next(i for i, line in enumerate(lines) if "solve_partners(" in line)
+        seen = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(analysis, "_usable_cpus", lambda: threads)
+            caught = seen[threads] = []
+
+            def record(message, category, filename, lineno, *rest):
+                on_worker = threading.current_thread() is not threading.main_thread()
+                caught.append((category, filename, lineno, on_worker))
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("always", kinematics.MultipleRootsWarning)
+                warnings.showwarning = record
+                total_count(
+                    SCAN_CASES["fast_light_multiroot"](),
+                    cone_half_angle_rad=math.radians(30.0),
+                    lam_window=self.WINDOW,
+                    rel_tol=1.0,
+                    base_resolution=(9, 5, 17, 9),
+                    max_refinements=1,
+                )
+        assert seen[1] and len(seen[2]) == len(seen[1])
+        assert set(seen[1]) == {(kinematics.MultipleRootsWarning, analysis.__file__, solve, False)}
+        assert set(seen[2]) == {(kinematics.MultipleRootsWarning, analysis.__file__, solve, True)}
 
     @pytest.mark.parametrize("divide", ["ignore", "raise"])
     def test_workers_keep_caller_errstate(self, monkeypatch, divide):

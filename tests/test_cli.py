@@ -339,11 +339,17 @@ class TestBadScalars:
             ("total", {**SMALL_TOTAL, "max_refinements": -1}),
             ("total", {**SMALL_TOTAL, "max_refinements": 0.5}),
             ("total", {**SMALL_TOTAL, "base_resolution": [9.5, 5, 17, 9], "max_refinements": 0}),
+            # JSON booleans are not numbers: true is not read as 1
+            ("maxima", {"beta": True}),
+            ("maxima", {"betas": [True]}),
+            ("total", {**SMALL_TOTAL, "max_refinements": True}),
+            ("total", {**SMALL_TOTAL, "cone_half_angle_deg": True}),
         ],
         ids=[
             "scalar_base_resolution", "list_rel_tol", "list_cone", "list_resolution",
             "list_resonance", "list_amplitude", "one_node_resolution",
             "negative_refinements", "fractional_refinements", "fractional_base_resolution",
+            "bool_beta", "bool_betas", "bool_refinements", "bool_cone",
         ],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, command, extra):
@@ -425,8 +431,10 @@ class TestFastlight:
 class TestBadWindows:
     @pytest.mark.parametrize(
         "window",
-        [[0.3, math.inf], [0.3, "inf"], [0.3, math.nan], [-0.3, 0.4], None],
-        ids=["inf", "inf_string", "nan", "negative", "null"],
+        # a string or an object of two characters or keys is not a pair
+        [[0.3, math.inf], [0.3, "inf"], [0.3, math.nan], [-0.3, 0.4], None,
+         "34", {"3": 0, "4": 1}, [0.3, 0.4, 0.5]],
+        ids=["inf", "inf_string", "nan", "negative", "null", "string", "object", "three_items"],
     )
     @pytest.mark.parametrize(
         "command, extra, key",
@@ -607,8 +615,11 @@ class TestMalformedConfig:
             {"profile": "gaussian"},
             {"material": {"sellmeier": [[0.6961663, 0.004679148]],
                           "resonances": [{"center": 0.34, "width": 0.01}]}},
+            # a string term would unpack as the pair of its characters, [1.0, 2.0]
+            {"material": {"sellmeier": [[0.6961663, 0.004679148], "12"]}},
         ],
-        ids=["profile_without_eta", "profile_as_string", "resonance_without_amplitude"],
+        ids=["profile_without_eta", "profile_as_string", "resonance_without_amplitude",
+             "sellmeier_term_as_string"],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, extra):
         config = write_config(tmp_path, extra)

@@ -180,7 +180,7 @@ class TestSolvePartners:
         lams = np.geomspace(max(0.2, bracket[0]), min(20.0, bracket[1]), 120)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootsWarning)
-            partners = solve_partners(lams, 0.0, math.pi, kin, model)
+            partners = solve_partners(lams, 0.0, kinematics.partner_table(-1.0, kin, model))
             for lam1, lam2 in zip(lams, partners):
                 try:
                     want = solve_partner(float(lam1), 0.0, math.pi, kin, model)
@@ -193,7 +193,7 @@ class TestSolvePartners:
         kin = PerturbationKinematics(beta=10.0)
         model = get_material("fused_silica")
         lams = np.geomspace(0.5, 2.0, 6).reshape(2, 3)
-        partners = solve_partners(lams, 0.2, 2.9, kin, model)
+        partners = solve_partners(lams, 0.2, kinematics.partner_table(math.cos(2.9), kin, model))
         assert partners.shape == (2, 3)
         for lam1, lam2 in zip(lams.ravel(), partners.ravel()):
             want = solve_partner(float(lam1), 0.2, 2.9, kin, model)
@@ -205,7 +205,8 @@ class TestSolvePartners:
         kin = PerturbationKinematics(beta=20.0)
         window = dispersion.transparency_window(model)
         lam1 = np.array([0.05, 0.15, 0.3349, 0.6, 2.0])[:, None, None]
-        got = solve_partners(lam1, self.GRID_THETA1, self.GRID_THETA2, kin, model)
+        table = kinematics.partner_table(np.cos(self.GRID_THETA2), kin, model)
+        got = solve_partners(lam1, self.GRID_THETA1, table)
         want = partner_nondispersive(lam1, self.GRID_THETA1, self.GRID_THETA2, 20.0, n0)
         inside = (want > window[0]) & (want < window[1])
         assert inside.any() and not inside.all()
@@ -217,10 +218,11 @@ class TestSolvePartners:
         model = self.MODELS[name]()
         kin = PerturbationKinematics(beta=20.0)
         theta1, theta2 = self.GRID_THETA1, self.GRID_THETA2
+        table = kinematics.partner_table(np.cos(theta2), kin, model)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootsWarning)
             for lam1 in (0.15, 0.3349, 0.6, 2.0):
-                partners = solve_partners(lam1, theta1, theta2, kin, model)
+                partners = solve_partners(lam1, theta1, table)
                 assert partners.shape == (9, 65)
                 for (i, j), lam2 in np.ndenumerate(partners):
                     t1, t2 = float(theta1[i, 0]), float(theta2[0, j])
@@ -237,10 +239,11 @@ class TestSolvePartners:
         kin = PerturbationKinematics(beta=20.0)
         theta1, theta2 = self.GRID_THETA1, self.GRID_THETA2
         cos_t1, cos_t2 = np.broadcast_arrays(np.cos(theta1), np.cos(theta2))
+        table = kinematics.partner_table(np.cos(theta2), kin, model)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootsWarning)
             for lam1 in (0.15, 0.3349, 0.6, 2.0):
-                lam2 = solve_partners(lam1, theta1, theta2, kin, model)
+                lam2 = solve_partners(lam1, theta1, table)
                 found = ~np.isnan(lam2)
                 assert found.any()
                 lam2 = lam2[found]
@@ -252,17 +255,20 @@ class TestSolvePartners:
 
     @pytest.mark.parametrize("name", ["fused_silica", "fast_light_multiroot"])
     def test_refinement_passes_on_total_count_grid(self, name, monkeypatch):
-        # dispersion passes over the (theta1, theta2) array after the bracket
-        # scan; bisection to the same tolerance needs about 41 per row, Newton
-        # from the bracket midpoints 130-135 over these 17 rows
+        # dispersion passes after the bracket scan, and the samples they
+        # evaluate: bisection to the same tolerance needs about 41 passes per
+        # row; Newton from the secant start takes 91-96 over these 17 rows and
+        # about 4.0 samples per element, against 5.4 when each element keeps
+        # stepping until the last bracket of its call closes
         model = self.MODELS[name]()
         kin = PerturbationKinematics(beta=20.0)
+        table = kinematics.partner_table(np.cos(self.GRID_THETA2), kin, model)
         index_fields = dispersion.index_fields
-        passes = []
+        samples = []
 
         def counted(model, lam):
-            if np.shape(lam)[-2:] == (9, 65):
-                passes.append(1)
+            if np.ndim(lam):  # lam1 is a float here
+                samples.append(np.size(lam))
             return index_fields(model, lam)
 
         monkeypatch.setattr(dispersion, "index_fields", counted)
@@ -270,8 +276,9 @@ class TestSolvePartners:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootsWarning)
             for lam1 in rows:
-                solve_partners(lam1, self.GRID_THETA1, self.GRID_THETA2, kin, model)
-        assert len(passes) <= 6.5 * len(rows)
+                solve_partners(lam1, self.GRID_THETA1, table)
+        assert len(samples) <= 6.5 * len(rows)
+        assert sum(samples) <= 4.5 * len(rows) * self.GRID_THETA1.size * self.GRID_THETA2.size
 
     def test_stays_in_bracket_on_fast_light_multiroot(self):
         # the secant start and finish never leave the scan bracket of the smallest root
@@ -285,36 +292,44 @@ class TestSolvePartners:
         lo, hi, _, multiple = kinematics._scan_bracket(part1, table)[:4]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootsWarning)
-            lam2 = kinematics.solve_tabulated(lam1.ravel(), self.GRID_THETA1, table)
+            lam2 = solve_partners(lam1, self.GRID_THETA1, table)
         root = ~np.isnan(lo)
         assert multiple and root.any() and not root.all()
         assert np.all(np.isnan(lam2[~root]))
         assert np.all((lo[root] <= lam2[root]) & (lam2[root] <= hi[root]))
 
     @pytest.mark.parametrize("name", ["fused_silica", "fast_light_multiroot"])
-    def test_rows_solve_as_if_alone(self, name):
-        # each row leaves the Newton loop when its own brackets close, so a
-        # block of rows gives the bits of one solve per row
+    def test_elements_solve_as_if_alone(self, name):
+        # each element leaves the Newton loop when its own bracket closes, so
+        # any split or permutation of the cells gives each element's bits
         model = self.MODELS[name]()
-        table = kinematics.partner_table(
-            np.cos(self.GRID_THETA2), PerturbationKinematics(beta=20.0), model
-        )
+        kin = PerturbationKinematics(beta=20.0)
+        table = kinematics.partner_table(np.cos(self.GRID_THETA2), kin, model)
         # 9.5 um lies past the transparency window: a row with no partner
-        rows = np.array([0.15, 0.3349, 9.5, 0.6, 2.0, 0.28])
+        lam1 = np.array([0.15, 0.3349, 9.5, 0.6, 2.0, 0.28])[:, None, None]
+        cells = np.broadcast_arrays(lam1, self.GRID_THETA1, np.cos(self.GRID_THETA2))
+        rng = np.random.default_rng(24)
+        order = rng.permutation(cells[0].size)
+        lam1_c, theta1_c, cos_t2_c = (a.ravel()[order] for a in cells)
+        # pieces of 1, 1, 2, ... cells, then up to a few hundred
+        cuts = np.unique(np.r_[0:4, rng.integers(4, order.size, 20), order.size])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MultipleRootsWarning)
-            block = kinematics.solve_tabulated(rows, self.GRID_THETA1, table)
-            alone = [kinematics.solve_tabulated(lam1, self.GRID_THETA1, table) for lam1 in rows]
-        assert block.shape == (rows.size, 9, 65)
-        assert np.isnan(alone[2]).all()
-        assert [row.tobytes() for row in block] == [row.tobytes() for row in alone]
+            whole = solve_partners(lam1, self.GRID_THETA1, table)
+            pieces = []
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                piece = kinematics.partner_table(cos_t2_c[a:b], kin, model)
+                pieces.append(solve_partners(lam1_c[a:b], theta1_c[a:b], piece))
+        assert whole.shape == (lam1.size, 9, 65)
+        assert np.isnan(whole[2]).all() and not np.isnan(whole).all()
+        assert np.concatenate(pieces).tobytes() == whole.ravel()[order].tobytes()
 
     def test_warns_once_on_multiple_roots(self):
         kin = PerturbationKinematics(beta=20.0)
         lams = np.geomspace(0.2, 8.0, 200)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            solve_partners(lams, 0.0, math.pi, kin, fast_light_silica(0.3))
+            solve_partners(lams, 0.0, kinematics.partner_table(-1.0, kin, fast_light_silica(0.3)))
         assert [w.category for w in caught] == [MultipleRootsWarning]
 
     def test_scalar_solves_share_one_read_only_table(self, monkeypatch):
@@ -343,12 +358,12 @@ class TestSolvePartners:
         with pytest.warns(MultipleRootsWarning) as record:
             solve_partner(0.28, 0.0, math.pi, kin, model)
         assert record[0].filename == __file__
-        with pytest.warns(MultipleRootsWarning) as record:
-            solve_partners(np.array([0.25, 0.28]), 0.0, math.pi, kin, model)
-        assert record[0].filename == __file__
         table = kinematics.partner_table(-1.0, kin, model)
         with pytest.warns(MultipleRootsWarning) as record:
-            kinematics.solve_tabulated(0.28, 0.0, table)
+            solve_partners(np.array([0.25, 0.28]), 0.0, table)
+        assert record[0].filename == __file__
+        with pytest.warns(MultipleRootsWarning) as record:
+            solve_partners(0.28, 0.0, table)
         assert record[0].filename == __file__
 
 
@@ -431,7 +446,7 @@ class TestBracketSearch:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_secant_finish_at_exact_zeros(self, name):
         # the part1 values of test_matches_sweep_at_exact_zeros: the finish of
-        # _refine returns the grid point of an exact zero, bit for bit
+        # solve_partners returns the grid point of an exact zero, bit for bit
         model = self.MODELS[name]()
         kin = PerturbationKinematics(beta=20.0)
         grid, n = kinematics._scan_grid(model)
