@@ -329,7 +329,13 @@ def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
             np.matmul(emission._transverse_weight(config.profile, w), weights, out=moments[c])
             del w  # each del frees a block temporary early: two threads' blocks overlap
         del ky1, ky2
-        angular = np.einsum("ijp,bijrp->brij", coef, moments.reshape(lam2.shape + (2, 3)))
+        # each rule's mean: the cell's three coefficients times its moments, summed in place
+        moments = moments.reshape(lam2.shape + (2, 3))
+        angular = np.empty((len(lam2), 2) + lam2.shape[1:])
+        for r, mean in enumerate(angular.swapaxes(0, 1)):
+            np.multiply(coef[..., 0], moments[..., r, 0], out=mean)
+            mean += coef[..., 1] * moments[..., r, 1]
+            mean += coef[..., 2] * moments[..., r, 2]
         del moments
         kx = kinematics._on_shell_sum(lam1, lam2, kin)
         values, csch = emission._density_kernel(
@@ -366,11 +372,11 @@ def _total_count_once(
     mask and every other factor depend on the (lambda1, theta1, theta2)
     cell alone.  1 + cos(psi)^2 is quadratic in cos(phi), so each block of
     lambda1 rows takes the moments of the weight times 1, cos(phi) and
-    cos(phi)^2 under both phi rules by matrix products, combines them with
-    each cell's coefficients and multiplies the kernel evaluated once per
-    cell with ksum = (kx, 0, 0): the Simpson rule over phi on every node,
-    reordered.  The theta rules are weight contractions of each block, the
-    lambda1 rules scipy's simpson.
+    cos(phi)^2 under both phi rules by matrix products, sums them times each
+    cell's three coefficients in place and multiplies the kernel evaluated
+    once per cell with ksum = (kx, 0, 0): the Simpson rule over phi on every
+    node, reordered.  The theta rules are weight contractions of each block,
+    the lambda1 rules scipy's simpson.
 
     Known gap: with kz = 0 this is not the average of density_gaussian
     (kz = k2 sin(theta2) sin(phi)); the fix waits on the total-count measure.

@@ -87,7 +87,7 @@ def _number(doc: dict, key: str, default=None, integer: bool = False):
     """
     raw = _require(doc, key) if default is None else doc.get(key, default)
     try:
-        value = None if isinstance(raw, bool) else float(raw)
+        value = materials._float(raw)
     except (TypeError, ValueError):
         value = None
     if value is None or (integer and not value.is_integer()):
@@ -125,7 +125,7 @@ def _emission_config(doc: dict) -> EmissionConfig:
 def _bounds(raw, what: str) -> tuple[float, float]:
     """(min, max) of a two-item list, finite with 0 < min < max."""
     try:  # a string or an object would unpack as a pair of its characters or keys
-        lo, hi = (float(x) for x in raw) if isinstance(raw, list) else ()
+        lo, hi = (materials._float(x) for x in raw) if isinstance(raw, list) else ()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a [min, max] pair") from exc
     if not (0.0 < lo < hi and math.isfinite(hi)):  # also rejects nan

@@ -26,6 +26,7 @@ import numpy as np
 from . import dispersion, kinematics, materials
 from .dispersion import DispersionModel, as_model
 from .kinematics import PerturbationKinematics, PhotonMode
+from .materials import _float
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,14 +160,10 @@ def profile_to_dict(profile) -> dict:
 def profile_from_dict(doc: dict):
     shape = doc.get("shape")
     if shape == "gaussian":
-        return GaussianProfile(eta=float(doc["eta"]), sigma=float(doc["sigma_um"]))
+        return GaussianProfile(eta=_float(doc["eta"]), sigma=_float(doc["sigma_um"]))
     if shape == "tanh":
-        return TanhProfile(
-            eta=float(doc["eta"]),
-            sigma_x=float(doc["sigma_x_um"]),
-            sigma_y=float(doc["sigma_y_um"]),
-            sigma_z=float(doc["sigma_z_um"]),
-        )
+        sizes = ("eta", "sigma_x_um", "sigma_y_um", "sigma_z_um")  # TanhProfile's field order
+        return TanhProfile(*(_float(doc[key]) for key in sizes))
     raise ValueError(f"unknown profile shape: {shape!r}")
 
 

@@ -209,27 +209,31 @@ def _scan_bracket(part1, table: PartnerTable):
     and the residuals over 2 pi at lo and at hi from the table.
     """
     v = -np.asarray(part1, dtype=float)
-    column = np.arange(len(table.part2)).reshape(table.cos_t2.shape)
+    columns, points = table.part2.shape
+    column = np.arange(columns).reshape(table.cos_t2.shape)
     v, column = np.broadcast_arrays(v, column)
-    start = table.part2[column, 0]
+    # the tables are read by take on flat indices, cheaper than a[column, k]
+    part2, first = table.part2.ravel(), column * points
+    start = part2.take(first)
     # part2 is finite, so a non-finite v has no root
     none = ~np.isfinite(v) | np.isnan(start)
     v = np.where(none, 0.0, v)
-    rows, points = table.keys.shape
     down = start > v
-    row = np.where(down, column, column + rows // 2)
+    row = np.where(down, column, column + columns)
     target = np.where(down, -v, v)
     k = np.searchsorted(table.keys.ravel(), row + 1j * target) - row * points
     found = ~none & (k < points)
     k = np.minimum(k, points - 1)
-    zero = table.keys.imag[row, k] == target
+    zero = table.keys.ravel().take(row * points + k).imag == target
     # a zero at k is the first root; else the sign changes over [k - 1, k]
     below = np.where(zero, k, k - 1)
-    lo = np.where(found, table.grid[below], np.nan)
-    hi = np.where(found, table.grid[k], np.nan)
-    rest = np.where(zero, k + 1, k)  # the scan points after the first root
-    second = found & (table.rest_lo[column, rest] <= v) & (v <= table.rest_hi[column, rest])
-    ends = table.part2[column, below] - v, table.part2[column, k] - v
+    lo = np.where(found, table.grid.take(below), np.nan)
+    hi = np.where(found, table.grid.take(k), np.nan)
+    # the scan points after the first root, in a row of points + 1 suffix extremes
+    rest = column * (points + 1) + np.where(zero, k + 1, k)
+    rest_lo, rest_hi = table.rest_lo.ravel().take(rest), table.rest_hi.ravel().take(rest)
+    second = found & (rest_lo <= v) & (v <= rest_hi)
+    ends = part2.take(first + below) - v, part2.take(first + k) - v
     return lo, hi, found & down & ~zero, bool(np.any(second)), *ends
 
 
@@ -312,13 +316,12 @@ def solve_partners(lam1, theta1, table: PartnerTable) -> np.ndarray:
     part, whose slope (1/beta - n_g2 cos(theta2))/lam2^2 comes with it from
     index_fields, from the secant point of the scan bracket.  A step that
     leaves the bracket, has no finite slope (fast light can give
-    n_g2 cos(theta2) = 1/beta) or is not shorter than half the step before
-    last (Brent's rule) bisects instead; one below half the tolerance is
-    lengthened to it, so the far end of the bracket closes in.  An element
-    leaves the working arrays as soon as its bracket closes, with the secant
-    point of that bracket from the residuals kept at both ends, so its
-    partner does not depend on the other elements.  An invalid lam1 has no
-    partner.
+    n_g2 cos(theta2) = 1/beta) or is not shorter than half the last step
+    bisects instead.  An element leaves the working arrays as soon as its own
+    Newton step lies in its bracket and below half the tolerance, finished at
+    the end of that step, or its bracket closes, finished at the point it
+    would evaluate next; so its partner does not depend on the other
+    elements.  An invalid lam1 has no partner.
     """
     model, inv_b = table.model, 1.0 / table.kin.beta
     lam1 = np.asarray(lam1, dtype=float)
@@ -331,27 +334,26 @@ def solve_partners(lam1, theta1, table: PartnerTable) -> np.ndarray:
     cells = np.flatnonzero(live)
     # the working arrays: the elements whose bracket is open, flat
     part1, cos_t2 = (np.broadcast_to(a, live.shape)[live] for a in (part1, table.cos_t2))
-    x, lo, hi, f_lo, f_hi, up_lo = (a[live] for a in (lam2, lo, hi, f_lo, f_hi, up_lo))
-    last = before = hi - lo  # lengths of the last two steps
+    x, lo, hi, up_lo = (a[live] for a in (lam2, lo, hi, up_lo))
+    before = hi - lo  # the length of the last step
     while cells.size:
         n2, n_g2, bad2 = dispersion.index_fields(model, x)
         f = part1 + np.where(bad2, np.nan, _photon_term(x, n2, cos_t2, inv_b))
         up = np.where(up_lo, f > 0.0, f < 0.0)
-        lo, f_lo = np.where(up, x, lo), np.where(up, f, f_lo)
-        hi, f_hi = np.where(up, hi, x), np.where(up, f_hi, f)
+        lo, hi = np.where(up, x, lo), np.where(up, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f * x * x / (n_g2 * cos_t2 - inv_b)
-        half_tol = 0.5 * (_XTOL + _RTOL * hi)
-        step = np.where(np.abs(step) < half_tol, np.where(up, half_tol, -half_tol), step)
-        x_new = x + step
-        newton = (lo < x_new) & (x_new < hi) & (np.abs(step) < 0.5 * before)
+        x_new, step = x + step, np.abs(step)
+        done = (lo <= x_new) & (x_new <= hi) & (step < 0.5 * (_XTOL + _RTOL * x))
+        newton = done | (lo < x_new) & (x_new < hi) & (step < 0.5 * before)
         x = np.where(newton, x_new, 0.5 * (lo + hi))
-        before, last = last, np.where(newton, np.abs(step), 0.5 * (hi - lo))
-        del n2, n_g2, bad2, f, up, step, half_tol, x_new, newton  # before the next index_fields
-        live = hi - lo >= _XTOL + _RTOL * hi
-        if not live.all():
-            lam2.flat[cells[~live]] = _secant(lo[~live], hi[~live], f_lo[~live], f_hi[~live])
-            cells, part1, cos_t2, lo, hi, f_lo, f_hi, up_lo, x, last, before = (
-                a[live] for a in (cells, part1, cos_t2, lo, hi, f_lo, f_hi, up_lo, x, last, before)
+        before = np.where(newton, step, 0.5 * (hi - lo))
+        del n2, n_g2, bad2, f, up, step, x_new, newton  # before the next index_fields
+        done |= hi - lo < _XTOL + _RTOL * hi
+        if done.any():
+            lam2.flat[cells[done]] = x[done]
+            live = ~done
+            cells, part1, cos_t2, lo, hi, up_lo, x, before = (
+                a[live] for a in (cells, part1, cos_t2, lo, hi, up_lo, x, before)
             )
     return lam2

@@ -33,25 +33,28 @@ def available_materials() -> list[str]:
     return sorted(_library().keys())
 
 
+def _float(value) -> float:
+    """float(value) of a document's number; a bool (JSON true or false) is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def model_from_dict(doc: dict) -> DispersionModel:
     """Build a DispersionModel from a material document."""
     if "constant_index" in doc:
-        base = ConstantIndex(float(doc["constant_index"]))
+        base = ConstantIndex(_float(doc["constant_index"]))
     elif "sellmeier" in doc:
         if not all(isinstance(term, (list, tuple)) for term in doc["sellmeier"]):
             raise ValueError("each Sellmeier term must be an [a, l] pair")
         base = SellmeierModel(
-            terms=tuple((float(a), float(l)) for a, l in doc["sellmeier"]),
+            terms=tuple((_float(a), _float(l)) for a, l in doc["sellmeier"]),
             name=str(doc.get("name", "")),
         )
     else:
         raise ValueError("material document needs 'sellmeier' or 'constant_index'")
     resonances = tuple(
-        LorentzianResonance(
-            center=float(r["center"]),
-            amplitude=float(r["amplitude"]),
-            width=float(r["width"]),
-        )
+        LorentzianResonance(*(_float(r[key]) for key in ("center", "amplitude", "width")))
         for r in doc.get("resonances", ())
     )
     return DispersionModel(base=base, resonances=resonances)

@@ -433,8 +433,9 @@ class TestBadWindows:
         "window",
         # a string or an object of two characters or keys is not a pair
         [[0.3, math.inf], [0.3, "inf"], [0.3, math.nan], [-0.3, 0.4], None,
-         "34", {"3": 0, "4": 1}, [0.3, 0.4, 0.5]],
-        ids=["inf", "inf_string", "nan", "negative", "null", "string", "object", "three_items"],
+         "34", {"3": 0, "4": 1}, [0.3, 0.4, 0.5], [True, 4]],
+        ids=["inf", "inf_string", "nan", "negative", "null", "string", "object", "three_items",
+             "bool_item"],
     )
     @pytest.mark.parametrize(
         "command, extra, key",
@@ -617,9 +618,20 @@ class TestMalformedConfig:
                           "resonances": [{"center": 0.34, "width": 0.01}]}},
             # a string term would unpack as the pair of its characters, [1.0, 2.0]
             {"material": {"sellmeier": [[0.6961663, 0.004679148], "12"]}},
+            # JSON booleans are not numbers: true is not read as 1
+            {"profile": {**BASE_CONFIG["profile"], "eta": True}},
+            {"profile": {**TANH_PROFILE, "sigma_y_um": True}},
+            {"material": {"constant_index": True}},
+            {"material": {"sellmeier": [[True, 0.004679148]]}},
+            {"material": {"sellmeier": [[0.6961663, True]]}},
+            {"material": inline_silica(center=True)},
+            {"material": inline_silica(amplitude=True)},
+            {"material": inline_silica(width=True)},
         ],
         ids=["profile_without_eta", "profile_as_string", "resonance_without_amplitude",
-             "sellmeier_term_as_string"],
+             "sellmeier_term_as_string", "bool_eta", "bool_tanh_sigma", "bool_constant_index",
+             "bool_sellmeier_a", "bool_sellmeier_l", "bool_resonance_center",
+             "bool_resonance_amplitude", "bool_resonance_width"],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, extra):
         config = write_config(tmp_path, extra)
