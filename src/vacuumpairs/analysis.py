@@ -113,7 +113,7 @@ def constraint_density(config: EmissionConfig, lam1: float) -> tuple[float, floa
 
 def _collinear_scan(config: EmissionConfig, lam1) -> np.ndarray:
     """constraint_density at every lam1 in one array pass; 0 where it raises."""
-    partners = kinematics.partner_table(-1.0, config.kin, config.material)  # theta2 = pi
+    partners = kinematics._shared_table(-1.0, config.kin, config.material)  # theta2 = pi
     lam2 = kinematics.solve_partners(lam1, 0.0, partners)
     return emission._curve_density(config, lam1, lam2)
 
@@ -130,7 +130,8 @@ def find_maximum(
     Deterministic.  The refinement, and every value it is compared with,
     call the scalar constraint_density with its brentq partners: the
     density is flat at the maximum, so root-solver rounding far below its
-    precision moves the location.
+    precision moves the location.  Both solvers bracket their partners in
+    one cached, read-only theta2 = pi table, built at most once per call.
     """
     from scipy.optimize import minimize_scalar
 
@@ -156,12 +157,10 @@ def find_maximum(
 
     # candidate lobes: strict interior local maxima above half the scan peak
     i_max = int(np.argmax(vals))
-    candidates = [i_max]
-    for i in range(1, _COARSE_POINTS - 1):
-        if vals[i] > vals[i - 1] and vals[i] > vals[i + 1] and vals[i] >= 0.5 * peak:
-            candidates.append(i)
+    inner = vals[1:-1]
+    lobes = np.flatnonzero((inner > vals[:-2]) & (inner > vals[2:]) & (inner >= 0.5 * peak)) + 1
     best = (density_at(float(lam1_grid[i_max])), float(lam1_grid[i_max]))
-    for i in sorted(set(candidates)):
+    for i in sorted({i_max, *lobes.tolist()}):
         lam1_ref = float(lam1_grid[i])
         if 0 < i < _COARSE_POINTS - 1:
             a, b, c = (math.log(lam1_grid[i - 1]), math.log(lam1_grid[i]),

@@ -122,10 +122,10 @@ def _emission_config(doc: dict) -> EmissionConfig:
         raise ConfigError(f"bad emission configuration: {exc}") from exc
 
 
-def _bounds(raw, what: str) -> tuple[float, float]:
-    """(min, max) of a two-item list, finite with 0 < min < max."""
+def _bounds(raw, what: str, number=materials._float) -> tuple[float, float]:
+    """(min, max) of a two-item list read by number, finite with 0 < min < max."""
     try:  # a string or an object would unpack as a pair of its characters or keys
-        lo, hi = (materials._float(x) for x in raw) if isinstance(raw, list) else ()
+        lo, hi = (number(x) for x in raw) if isinstance(raw, list) else ()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a [min, max] pair") from exc
     if not (0.0 < lo < hi and math.isfinite(hi)):  # also rejects nan
@@ -190,7 +190,7 @@ def _emit(args, text: str) -> None:
 
 def cmd_material(args) -> int:
     model = _resolve_material(args.name)
-    lo, hi = _bounds(args.window.split(","), "--window")
+    lo, hi = _bounds(args.window.split(","), "--window", float)  # its items are text
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     lams = np.geomspace(lo, hi, args.samples)

@@ -452,10 +452,12 @@ def collinear_grid(
     """Pair density on a log-spaced (lambda1, lambda2) grid, resolution points per axis.
 
     Deterministic: every cell runs the same operations in any row
-    blocking (see _grid_fields).  resolution must be an integer >= 2.
+    blocking (see _grid_fields).  Raises ValueError unless every bound of
+    both ranges is finite and positive and resolution is an integer >= 2.
     """
-    if min(lambda1_range) <= 0.0 or min(lambda2_range) <= 0.0:
-        raise ValueError("wavelength ranges must be positive")
+    for name, bounds in (("lambda1_range", lambda1_range), ("lambda2_range", lambda2_range)):
+        if not all(0.0 < b < math.inf for b in bounds):  # also rejects nan
+            raise ValueError(f"{name} must be finite and positive, got {bounds!r}")
     if not (isinstance(resolution, numbers.Integral) and resolution >= 2):
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], resolution)

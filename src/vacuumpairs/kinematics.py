@@ -156,8 +156,8 @@ def partner_table(cos_t2, kin: PerturbationKinematics, model) -> PartnerTable:
     """The partner table of one velocity and set of cos(theta2), for any lam1 and theta1.
 
     Public, like solve_partners, so that a trace of the package's public
-    functions counts the partner solves of total_count and find_maximum's
-    scan as kinematics work.
+    functions counts the partner solves of total_count and find_maximum as
+    kinematics work (find_maximum's one table is built by _shared_table).
     """
     model = dispersion.as_model(model)
     grid, n = _scan_grid(model)
@@ -176,18 +176,16 @@ def partner_table(cos_t2, kin: PerturbationKinematics, model) -> PartnerTable:
 
 
 @lru_cache(maxsize=8)
-def _solo_table(cos_t2: float, kin: PerturbationKinematics, model) -> tuple:
-    """solve_partner's partner_table of one cos(theta2), as immutable Python floats.
+def _shared_table(cos_t2: float, kin: PerturbationKinematics, model) -> PartnerTable:
+    """The partner_table of one cos(theta2), cached and read-only.
 
-    The tuple (grid, start, low, high, rest_lo, rest_hi) of the one column
-    holds the scan grid, the first scan value, -(prefix minimum) and the
-    prefix maximum (both nondecreasing), and the suffix extremes.
+    find_maximum's scan and every solve_partner of the same velocity, model
+    and cos(theta2) read this one table; its arrays cannot be written.
     """
     table = partner_table(cos_t2, kin, model)
-    low, high = table.keys.imag
-    columns = (table.grid, low, high, table.rest_lo[0], table.rest_hi[0])
-    grid, low, high, rest_lo, rest_hi = (tuple(values.tolist()) for values in columns)
-    return grid, float(table.part2[0, 0]), low, high, rest_lo, rest_hi
+    for values in (table.cos_t2, table.part2, table.keys, table.rest_lo, table.rest_hi):
+        values.flags.writeable = False
+    return table
 
 
 def _scan_bracket(part1, table: PartnerTable):
@@ -237,25 +235,24 @@ def _scan_bracket(part1, table: PartnerTable):
     return lo, hi, found & down & ~zero, bool(np.any(second)), *ends
 
 
-def _column_bracket(part1: float, column: tuple):
-    """_scan_bracket of one float part1 in one _solo_table column, by bisect_left.
+def _column_bracket(part1: float, table: PartnerTable):
+    """_scan_bracket of one float part1 in a one-column table, by bisect_left on its rows.
 
-    The same rule on Python floats; it only compares values, so the
-    bracket is the one the array search gives.
+    The same rule, comparing the same values, so the bracket is the one the
+    array search gives.  Returns (lo, hi, multiple) as Python floats and a bool.
     """
-    grid, start, low, high, rest_lo, rest_hi = column
-    v = -part1
+    v, start = -part1, table.part2[0, 0]
     if not math.isfinite(v) or math.isnan(start):
-        return math.nan, math.nan, False, False
-    down = start > v
-    prefix, target = (low, -v) if down else (high, v)
+        return math.nan, math.nan, False
+    low, high = table.keys.imag  # -(prefix minimum) and the prefix maximum, both nondecreasing
+    prefix, target = (low, -v) if start > v else (high, v)
     k = bisect_left(prefix, target)
     if k == len(prefix):
-        return math.nan, math.nan, False, False
+        return math.nan, math.nan, False
     zero = prefix[k] == target
     rest = k + 1 if zero else k
-    second = rest_lo[rest] <= v <= rest_hi[rest]
-    return grid[k if zero else k - 1], grid[k], down and not zero, second
+    second = table.rest_lo[0, rest] <= v <= table.rest_hi[0, rest]
+    return float(table.grid[k if zero else k - 1]), float(table.grid[k]), bool(second)
 
 
 def _warn_multiple(multiple: bool) -> None:
@@ -272,11 +269,11 @@ def solve_partner(
 
     Returns the smallest root in the transparency window of the model,
     which keeps the search off any unphysical branch beyond an infrared
-    pole: _column_bracket brackets it in the cached partner-table column of
-    cos(theta2) and brentq, on Python floats, refines the bracket.  Warns
-    via MultipleRootsWarning when the window holds more than one root
-    (fast-light dispersion), and raises NoSignChangeError when it holds
-    none (in particular in the subluminal regime).
+    pole: _column_bracket brackets it in the read-only _shared_table of
+    cos(theta2), which find_maximum's scan reads too, and brentq refines the
+    bracket on Python floats.  Warns via MultipleRootsWarning when the window
+    holds more than one root (fast-light dispersion), and raises
+    NoSignChangeError when it holds none (in particular when subluminal).
     """
     from scipy.optimize import brentq
 
@@ -284,7 +281,7 @@ def solve_partner(
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta
     part1 = _photon_term(lam1, dispersion.refractive_index(model, lam1), cos_t1, inv_b)
-    lo, hi, _, multiple = _column_bracket(part1, _solo_table(cos_t2, kin, model))
+    lo, hi, multiple = _column_bracket(part1, _shared_table(cos_t2, kin, model))
     _warn_multiple(multiple)
     if math.isnan(lo):
         raise NoSignChangeError(

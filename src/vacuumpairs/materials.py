@@ -8,6 +8,7 @@ Sellmeier ``l`` values are squared resonance wavelengths in um^2.
 from __future__ import annotations
 
 import json
+import numbers
 from functools import lru_cache
 from importlib import resources
 
@@ -34,8 +35,8 @@ def available_materials() -> list[str]:
 
 
 def _float(value) -> float:
-    """float(value) of a document's number; a bool (JSON true or false) is a TypeError."""
-    if isinstance(value, bool):
+    """float(value) of a document's number; a bool, a string or any other type is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 

@@ -344,12 +344,16 @@ class TestBadScalars:
             ("maxima", {"betas": [True]}),
             ("total", {**SMALL_TOTAL, "max_refinements": True}),
             ("total", {**SMALL_TOTAL, "cone_half_angle_deg": True}),
+            # nor are JSON strings: "20" is not read as 20
+            ("maxima", {"beta": "20"}),
+            ("maxima", {"betas": ["20"]}),
         ],
         ids=[
             "scalar_base_resolution", "list_rel_tol", "list_cone", "list_resolution",
             "list_resonance", "list_amplitude", "one_node_resolution",
             "negative_refinements", "fractional_refinements", "fractional_base_resolution",
             "bool_beta", "bool_betas", "bool_refinements", "bool_cone",
+            "string_beta", "string_betas",
         ],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, command, extra):
@@ -433,9 +437,9 @@ class TestBadWindows:
         "window",
         # a string or an object of two characters or keys is not a pair
         [[0.3, math.inf], [0.3, "inf"], [0.3, math.nan], [-0.3, 0.4], None,
-         "34", {"3": 0, "4": 1}, [0.3, 0.4, 0.5], [True, 4]],
+         "34", {"3": 0, "4": 1}, [0.3, 0.4, 0.5], [True, 4], ["0.3", 5]],
         ids=["inf", "inf_string", "nan", "negative", "null", "string", "object", "three_items",
-             "bool_item"],
+             "bool_item", "string_item"],
     )
     @pytest.mark.parametrize(
         "command, extra, key",
@@ -627,11 +631,15 @@ class TestMalformedConfig:
             {"material": inline_silica(center=True)},
             {"material": inline_silica(amplitude=True)},
             {"material": inline_silica(width=True)},
+            # nor are JSON strings: "0.001" is not read as 0.001
+            {"profile": {**BASE_CONFIG["profile"], "eta": "0.001"}},
+            {"material": {"sellmeier": [["0.6961663", 0.0046791]]}},
         ],
         ids=["profile_without_eta", "profile_as_string", "resonance_without_amplitude",
              "sellmeier_term_as_string", "bool_eta", "bool_tanh_sigma", "bool_constant_index",
              "bool_sellmeier_a", "bool_sellmeier_l", "bool_resonance_center",
-             "bool_resonance_amplitude", "bool_resonance_width"],
+             "bool_resonance_amplitude", "bool_resonance_width", "string_eta",
+             "string_sellmeier_a"],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, extra):
         config = write_config(tmp_path, extra)

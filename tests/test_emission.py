@@ -463,6 +463,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="resolution"):
             collinear_grid(silica_config(beta=20.0), (0.3, 0.4), (0.3, 0.4), resolution)
 
+    @pytest.mark.parametrize(
+        "bad", [(-0.3, 0.4), (0.3, math.nan), (math.nan, 0.4), (0.3, math.inf)],
+        ids=["negative", "nan_max", "nan_min", "inf_max"],
+    )
+    @pytest.mark.parametrize("axis", ["lambda1_range", "lambda2_range"])
+    def test_rejects_bad_range(self, axis, bad):
+        ranges = {"lambda1_range": (0.3, 0.4), "lambda2_range": (0.3, 0.4), axis: bad}
+        with pytest.raises(ValueError, match=axis):
+            collinear_grid(silica_config(beta=20.0), resolution=5, **ranges)
+
     def test_subluminal_grid_all_forbidden(self):
         config = silica_config(beta=0.5)
         grid = collinear_grid(config, (0.3, 3.0), (0.3, 3.0), 31)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacuumpairs import dispersion, kinematics
+from vacuumpairs.analysis import find_maximum
 from vacuumpairs.dispersion import ConstantIndex, DispersionModel, fast_light_resonance
+from vacuumpairs.emission import EmissionConfig, GaussianProfile
 from vacuumpairs.kinematics import (
     NoSignChangeError,
     PerturbationKinematics,
@@ -338,23 +340,26 @@ class TestSolvePartners:
         assert [w.category for w in caught] == [MultipleRootsWarning]
 
     def test_scalar_solves_share_one_read_only_table(self, monkeypatch):
-        kinematics._solo_table.cache_clear()
+        # find_maximum's array scan and all its scalar solves read one table
+        kinematics._shared_table.cache_clear()
         built = []
         partner_table = kinematics.partner_table
         monkeypatch.setattr(
             kinematics, "partner_table", lambda *args: built.append(1) or partner_table(*args)
         )
-        kin = PerturbationKinematics(beta=10.0)
-        model = get_material("fused_silica")
-        for lam1 in (0.5, 1.0, 2.0):
-            solve_partner(lam1, 0.0, math.pi, kin, model)
+        config = EmissionConfig(
+            material=get_material("fused_silica"),
+            profile=GaussianProfile(eta=1e-3, sigma=1.0),
+            kin=PerturbationKinematics(beta=10.0),
+            length_m=0.05,
+        )
+        find_maximum(config)
         assert len(built) == 1
-        column = kinematics._solo_table(-1.0, kin, model)
+        table = kinematics._shared_table(-1.0, config.kin, config.material)
         assert len(built) == 1
-        # floats and tuples of floats, so immutable; hash raises on a mutable part
-        assert isinstance(column, tuple)
-        assert all(isinstance(part, (float, tuple)) for part in column)
-        hash(column)
+        for values in (table.keys, table.part2, table.rest_lo, table.rest_hi):
+            with pytest.raises(ValueError):
+                values[..., 0] = 0.0
 
     def test_multiple_roots_warning_names_the_caller(self):
         # fast_light_multiroot: lam1 = 0.28 um has more than one collinear partner
@@ -389,10 +394,10 @@ class TestBracketSearch:
         """Compare each row of part1 with the oracle, the multiple-root flag included.
 
         The float search of solve_partner is compared with both, element by
-        element, in the _solo_table column of each cos(theta2).
+        element, in the _shared_table of each cos(theta2).
         """
         table = kinematics.partner_table(cos_t2, kin, model)
-        columns = [kinematics._solo_table(c, kin, model) for c in np.ravel(cos_t2).tolist()]
+        columns = [kinematics._shared_table(c, kin, model) for c in np.ravel(cos_t2).tolist()]
         index = np.arange(len(columns)).reshape(np.shape(cos_t2))
         for row in part1:
             lo_want, hi_want, up_want, n_roots = smallest_root_bracket(
@@ -410,10 +415,9 @@ class TestBracketSearch:
             np.testing.assert_array_equal(up[root], up_want[root])
             assert np.all(np.isnan(hi[~root]))
             assert multiple == bool(np.any(n_roots > 1))
-            lo_s, hi_s, up_s, multiple_s = (np.reshape(x, lo.shape) for x in zip(*solo))
+            lo_s, hi_s, multiple_s = (np.reshape(x, lo.shape) for x in zip(*solo))
             np.testing.assert_array_equal(lo_s, lo)
             np.testing.assert_array_equal(hi_s, hi)
-            np.testing.assert_array_equal(up_s, up)
             np.testing.assert_array_equal(multiple_s, n_roots > 1)
             # the flags replace the warning here: no warning of any kind
             assert not caught
@@ -476,8 +480,8 @@ class TestBracketSearch:
         lo, hi, _, _ = kinematics._scan_bracket(part1, table)[:4]
         assert not math.isnan(lo[0]) and np.isnan(lo[1]) and np.isnan(hi[1])
         for cos_t2, lo_want, hi_want in zip((-1.0, math.nan), lo, hi):
-            column = kinematics._solo_table(cos_t2, kin, model)
-            lo_s, hi_s, _, _ = kinematics._column_bracket(part1, column)
+            column = kinematics._shared_table(cos_t2, kin, model)
+            lo_s, hi_s, _ = kinematics._column_bracket(part1, column)
             np.testing.assert_array_equal([lo_s, hi_s], [lo_want, hi_want])
 
 
