@@ -7,6 +7,7 @@ over a collection cone, and fast-light comparison studies.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import os
@@ -21,6 +22,8 @@ from .emission import (
     GaussianProfile,
     PairDensityGrid,
     collinear_grid,
+    _check_window,
+    _collinear_scan,
     _index_fields,
 )
 from .kinematics import PerturbationKinematics, PhotonMode
@@ -111,13 +114,6 @@ def constraint_density(config: EmissionConfig, lam1: float) -> tuple[float, floa
     return lam2, emission.density_tanh(*modes, config)
 
 
-def _collinear_scan(config: EmissionConfig, lam1) -> np.ndarray:
-    """constraint_density at every lam1 in one array pass; 0 where it raises."""
-    partners = kinematics._shared_table(-1.0, config.kin, config.material)  # theta2 = pi
-    lam2 = kinematics.solve_partners(lam1, 0.0, partners)
-    return emission._curve_density(config, lam1, lam2)
-
-
 def find_maximum(
     config: EmissionConfig, window: tuple[float, float] = (0.2, 20.0)
 ) -> EmissionMaximum:
@@ -125,16 +121,18 @@ def find_maximum(
 
     The window is clipped to the transparency window of the material, then
     scanned along the constraint curve on a coarse log grid in one array
-    pass; every lobe above half the scan maximum is refined by golden
-    section (fast-light media can be multimodal) and the highest lobe wins.
-    Deterministic.  The refinement, and every value it is compared with,
-    call the scalar constraint_density with its brentq partners: the
-    density is flat at the maximum, so root-solver rounding far below its
-    precision moves the location.  Both solvers bracket their partners in
-    one cached, read-only theta2 = pi table, built at most once per call.
+    pass; every lobe above half the scan maximum is refined by golden section
+    (fast-light media can be multimodal) and the highest lobe wins.
+    Deterministic.  The refinement, and every value it is compared with, call
+    the scalar constraint_density with its brentq partners: the density is
+    flat at the maximum, so root-solver rounding far below its precision
+    moves the location.  Both solvers bracket their partners in one cached,
+    read-only theta2 = pi table, built at most once per call.  Raises
+    ValueError unless window is two finite bounds with 0 < min < max.
     """
     from scipy.optimize import minimize_scalar
 
+    _check_window("window", window)
     clear = dispersion.transparency_window(config.material)
     window = (max(window[0], clear[0]), min(window[1], clear[1]))
     if not window[0] < window[1]:
@@ -240,11 +238,6 @@ def _simpson_weights(x: np.ndarray) -> np.ndarray:
 # the most threads a pass runs its row blocks on: no host above 2 CPUs was measured
 _MAX_THREADS = 2
 
-# the cap on a phi block's product (cells x n_phi) @ (n_phi x 6) in _pass_rows:
-# OpenBLAS runs a matrix product (m x k) @ (k x n) on its own threads only
-# above m n k = 65536 * 4 (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD)
-_BLAS_THREADED_MNK = 65536 * 4
-
 
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -278,125 +271,54 @@ def _map_blocks(fn, blocks: list, threads: int) -> list:
         return list(pool.map(run, blocks))
 
 
-def _pass_rows(config: EmissionConfig, lam1_grid: np.ndarray, t1, t2, phi):
-    """The phi-mean density of a pass, as a function of a slice of lam1_grid's rows.
+def _integrate(integrand, half_angle, lam_window, resolution, rel_tol, max_refinements):
+    """(total, rel_error): the integral over lambda1 in lam_window and the two angles.
 
-    The function returns one (rows, 2, t1.size, t2.size) array for the rows
-    of the slice, on the (t1, t2) grid of theta1, theta2: the means over the
-    phi nodes on [0, pi] under the two rules of _simpson_weights(phi), zero
-    where there is no partner or the density is undefined, and all zero for
-    a lambda1 where the model is invalid or |n_g| is below NG_FLOOR.  It
-    solves the partners of its rows in one solve_partners call and takes
-    the phi-moments of its cells in the fewest near-equal blocks whose
-    product (cells x n_phi) @ (n_phi x 6) stays within _BLAS_THREADED_MNK,
-    below OpenBLAS's threading size.  The setup shared by every slice is
-    built here once and only read, so slices may run on several threads at
-    once.  See _total_count_once for the factoring.
-    """
-    kin = config.kin
-    cos_phi = np.cos(phi)
-    theta1, theta2 = t1[:, None], t2[None, :]
-    cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
-    cos_t2, sin_t2 = np.cos(theta2), np.sin(theta2)
-    partners = kinematics.partner_table(cos_t2, kin, config.material)
-    # 1 + cos(psi)^2 = (1 + c1^2 c2^2) + 2 c1 c2 s1 s2 cos(phi) + s1^2 s2^2 cos(phi)^2
-    cc, ss = cos_t1 * cos_t2, sin_t1 * sin_t2
-    coef = np.stack([1.0 + cc * cc, 2.0 * cc * ss, ss * ss], axis=-1)
-    powers = np.stack([np.ones_like(cos_phi), cos_phi, cos_phi * cos_phi])
-    # in C order: OpenBLAS (SkylakeX kernels) runs a product of at most 200 cells
-    # with the transposed, F-ordered operand on a small-matrix kernel that rounds
-    # otherwise than its gemm, which would tie a cell's bits to its phi blocks
-    weights = (_simpson_weights(phi)[:, None, :] * powers).reshape(6, phi.size).T
-    weights = np.ascontiguousarray(weights) / math.pi
-    fields1 = _index_fields(config.material, lam1_grid)
-
-    def block(b: slice) -> np.ndarray:
-        lam1, n1, ng1, bad1 = (a[b, None, None] for a in (lam1_grid, *fields1))
-        # a lambda1 row that dispersion flags gets nan partners
-        lam2 = kinematics.solve_partners(lam1, theta1, partners)
-        mask = np.isnan(lam2) | bad1
-        lam2[mask] = 1.0
-        n2, ng2, bad2 = _index_fields(config.material, lam2)
-        mask |= bad2
-        # ky = ky1 + ky2 cos(phi), one (lambda1, theta1, theta2) cell per row
-        ky1 = np.broadcast_to(TWO_PI * n1 / lam1 * sin_t1, lam2.shape).ravel()
-        ky2 = (TWO_PI * n2 / lam2 * sin_t2).ravel()
-        moments = np.empty((lam2.size, 6))
-        for c in emission._row_blocks(lam2.size, phi.size, _BLAS_THREADED_MNK // 6):
-            w = ky2[c, None] * cos_phi
-            w += ky1[c, None]
-            np.matmul(emission._transverse_weight(config.profile, w), weights, out=moments[c])
-            del w  # each del frees a block temporary early: two threads' blocks overlap
-        del ky1, ky2
-        # each rule's mean: the cell's three coefficients times its moments, summed in place
-        moments = moments.reshape(lam2.shape + (2, 3))
-        angular = np.empty((len(lam2), 2) + lam2.shape[1:])
-        for r, mean in enumerate(angular.swapaxes(0, 1)):
-            np.multiply(coef[..., 0], moments[..., r, 0], out=mean)
-            mean += coef[..., 1] * moments[..., r, 1]
-            mean += coef[..., 2] * moments[..., r, 2]
-        del moments
-        kx = kinematics._on_shell_sum(lam1, lam2, kin)
-        values, csch = emission._density_kernel(
-            config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0), cos_t1, cos_t2, 1.0,
-        )
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge L_m overflows
-            angular *= values[:, None]
-        np.copyto(angular, 0.0, where=(mask | csch)[:, None])
-        return angular
-
-    return block
-
-
-def _total_count_once(
-    config: EmissionConfig, half_angle: float, lam_window: tuple[float, float],
-    n_lam: int, n_t1: int, n_t2: int, n_phi: int,
-) -> tuple[float, float]:
-    """One quadrature pass of the density over (lambda1, theta1, theta2): (total, coarse).
-
-    total is the Simpson rule on every node of each axis, coarse the rule on
-    every other node of the same samples: on the grid 2(n - 1) + 1 it is the
-    total of the n-node pass, up to rounding.  The integrand is the kernel
-    averaged over the relative azimuth phi of the pair, with kz = 0 and the
-    partner wavelength fixed by the constraint at every node.  The pass
-    runs its lambda1 rows in blocks (_pass_rows) on up to _MAX_THREADS
-    worker threads, no more than the usable CPUs, while the caller waits
-    (_map_blocks): rows share no state, so every thread count and blocking
-    gives the same bits.
-
-    The density depends on phi only through 1 + cos(psi)^2, with
-    cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),
-    and the transverse weight exp(-sigma_y^2 ky^2) of the form factor, with
-    ky = k1 sin(theta1) + k2 sin(theta2) cos(phi); ff(kx, 0, 0), the csch^2
-    mask and every other factor depend on the (lambda1, theta1, theta2)
-    cell alone.  1 + cos(psi)^2 is quadratic in cos(phi), so each block of
-    lambda1 rows takes the moments of the weight times 1, cos(phi) and
-    cos(phi)^2 under both phi rules by matrix products, sums them times each
-    cell's three coefficients in place and multiplies the kernel evaluated
-    once per cell with ksum = (kx, 0, 0): the Simpson rule over phi on every
-    node, reordered.  The theta rules are weight contractions of each block,
-    the lambda1 rules scipy's simpson.
-
-    Known gap: with kz = 0 this is not the average of density_gaussian
-    (kz = k2 sin(theta2) sin(phi)); the fix waits on the total-count measure.
+    integrand(t1, t2, phi, phi_rules) returns rows(lam1) as emission._cone_rows
+    does: one (lam1.size, 2, t1.size, t2.size) array per block of lambda1
+    values.  A pass at resolution (n_lam, n_t1, n_t2, n_phi) puts lambda1 on a
+    log grid, theta1 on [0, half_angle], theta2 on [pi/2, pi] (the backward
+    photon of an allowed pair lies in the backward hemisphere) and phi on
+    [0, pi] (the integrand is even in phi).  Its total is the Simpson rule on
+    every node of each axis, its coarse value the rule on every other node:
+    on the grid 2(n - 1) + 1 that is the n-node pass's total, up to rounding.
+    The lambda1 blocks share no state, so any number of threads (_map_blocks)
+    gives the same bits.  Each refinement doubles every axis and runs one
+    pass, until rel_error = |total - coarse| / |total| meets rel_tol, and
+    QuadratureNotConvergedError is raised if max_refinements passes do not.
+    max_refinements = 0 runs one pass at resolution, with rel_error None.
     """
     from scipy.integrate import simpson
 
-    lam1_grid = np.geomspace(lam_window[0], lam_window[1], n_lam)
-    t1 = np.linspace(0.0, half_angle, n_t1)
-    # the backward photon of an allowed pair always lies in the backward
-    # hemisphere relative to the propagation axis
-    t2 = np.linspace(math.pi / 2.0, math.pi, n_t2)
-    phi = np.linspace(0.0, math.pi, n_phi)  # the integrand is even in phi
-    w_t1, w_t2 = _simpson_weights(t1), _simpson_weights(t2)
-    block_rows = _pass_rows(config, lam1_grid, t1, t2, phi)
+    def one_pass(n_lam, n_t1, n_t2, n_phi):
+        lam1 = np.geomspace(lam_window[0], lam_window[1], n_lam)
+        t1 = np.linspace(0.0, half_angle, n_t1)
+        t2 = np.linspace(math.pi / 2.0, math.pi, n_t2)
+        phi = np.linspace(0.0, math.pi, n_phi)
+        w_t1, w_t2 = _simpson_weights(t1), _simpson_weights(t2)
+        rows = integrand(t1, t2, phi, _simpson_weights(phi))
 
-    def contract(b: slice) -> np.ndarray:  # each row under both theta rules: (rows, 2)
-        return np.einsum("brij,ri,rj->br", block_rows(b), w_t1, w_t2)
+        def contract(b: slice) -> np.ndarray:  # each row under both theta rules: (rows, 2)
+            return np.einsum("brij,ri,rj->br", rows(lam1[b]), w_t1, w_t2)
 
-    blocks = emission._row_blocks(n_lam, n_t1 * n_t2)
-    rows = np.concatenate(_map_blocks(contract, blocks, min(_MAX_THREADS, _usable_cpus())))
-    return float(simpson(rows[:, 0], x=lam1_grid)), float(simpson(rows[::2, 1], x=lam1_grid[::2]))
+        blocks = emission._row_blocks(n_lam, n_t1 * n_t2)
+        f = np.concatenate(_map_blocks(contract, blocks, min(_MAX_THREADS, _usable_cpus())))
+        return float(simpson(f[:, 0], x=lam1)), float(simpson(f[::2, 1], x=lam1[::2]))
+
+    if max_refinements == 0:
+        return one_pass(*resolution)[0], None
+    for _ in range(max_refinements):
+        resolution = tuple(2 * (n - 1) + 1 for n in resolution)
+        total, coarse = one_pass(*resolution)
+        rel_err = abs(total - coarse) / max(abs(total), 1e-300)
+        if rel_err <= rel_tol:
+            break
+    if rel_tol < rel_err < math.inf and total != 0.0:
+        raise QuadratureNotConvergedError(
+            f"total-count quadrature stalled at relative error {rel_err:.2e} "
+            f"(tolerance {rel_tol:.2e})"
+        )
+    return total, rel_err
 
 
 def total_count(
@@ -409,26 +331,20 @@ def total_count(
 ) -> TotalCount:
     """Pairs per pulse with the forward photon inside the collection cone.
 
-    Integrates the calibrated spectral density over wavelength and the two
-    emission angles, with the partner wavelength fixed by the constraint at
-    every node: the smallest root in the transparency window of the
-    material, as in solve_partner; nodes with no partner add nothing.  Each
-    refinement doubles every axis and runs one pass; its error estimate is
-    the relative change from the rule on every other node, the pass before
-    (_total_count_once).  Refinement repeats until it drops below rel_tol or
-    the budget is exhausted, and QuadratureNotConvergedError is raised if it
-    is exhausted above rel_tol.  max_refinements = 0 runs one unrefined pass.
-    Raises ValueError unless 0 < cone_half_angle_rad <= pi, lam_window is
-    finite with 0 < min < max, rel_tol is positive and finite,
-    base_resolution holds four integers of at least 3 (the smallest
-    Simpson rule) and max_refinements is an integer >= 0.
+    _integrate of emission._cone_rows: the calibrated spectral density over
+    wavelength and the two emission angles, with the partner wavelength
+    fixed by the constraint at every node (the smallest root in the
+    transparency window, as in solve_partner; no partner adds nothing).
+    Raises ValueError unless 0 < cone_half_angle_rad <= pi, lam_window is two
+    finite bounds with 0 < min < max, rel_tol is positive and finite,
+    base_resolution holds four integers of at least 3 (the smallest Simpson
+    rule) and max_refinements is an integer >= 0.
     """
     if not 0.0 < cone_half_angle_rad <= math.pi:  # also rejects nan
         raise ValueError(
             f"cone half angle must lie in (0, pi] rad, got {cone_half_angle_rad!r}"
         )
-    if not (0.0 < lam_window[0] < lam_window[1] and math.isfinite(lam_window[1])):
-        raise ValueError(f"lam_window must be finite with 0 < min < max, got {lam_window!r}")
+    _check_window("lam_window", lam_window)
     if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     if not (
@@ -439,7 +355,9 @@ def total_count(
         raise ValueError(
             f"base_resolution must be four integers, each >= 3, got {base_resolution!r}"
         )
-    if not (isinstance(max_refinements, numbers.Integral) and max_refinements >= 0):
+    if isinstance(max_refinements, bool) or not (
+        isinstance(max_refinements, numbers.Integral) and max_refinements >= 0
+    ):
         raise ValueError(f"max_refinements must be an integer >= 0, got {max_refinements!r}")
     lam_scan = np.geomspace(lam_window[0], lam_window[1], 64)
     n_scan, _, bad_scan = _index_fields(config.material, lam_scan)
@@ -448,21 +366,10 @@ def total_count(
             "perturbation is slower than the in-medium phase velocity over the "
             "whole wavelength window; no pairs are emitted"
         )
-    res = tuple(base_resolution)
-    if max_refinements == 0:
-        total, _ = _total_count_once(config, cone_half_angle_rad, lam_window, *res)
-    rel_err = None
-    for _ in range(max_refinements):
-        res = tuple(2 * (n - 1) + 1 for n in res)
-        total, coarse = _total_count_once(config, cone_half_angle_rad, lam_window, *res)
-        rel_err = abs(total - coarse) / max(abs(total), 1e-300)
-        if rel_err <= rel_tol:
-            break
-    if rel_err is not None and rel_tol < rel_err < math.inf and total != 0.0:
-        raise QuadratureNotConvergedError(
-            f"total-count quadrature stalled at relative error {rel_err:.2e} "
-            f"(tolerance {rel_tol:.2e})"
-        )
+    total, rel_err = _integrate(
+        functools.partial(emission._cone_rows, config), cone_half_angle_rad, lam_window,
+        base_resolution, rel_tol, max_refinements,
+    )
     return TotalCount(
         pairs_per_pulse=total,
         cone_half_angle_rad=cone_half_angle_rad,

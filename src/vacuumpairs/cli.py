@@ -128,8 +128,7 @@ def _bounds(raw, what: str, number=materials._float) -> tuple[float, float]:
         lo, hi = (number(x) for x in raw) if isinstance(raw, list) else ()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a [min, max] pair") from exc
-    if not (0.0 < lo < hi and math.isfinite(hi)):  # also rejects nan
-        raise ConfigError(f"{what} must be finite with 0 < min < max, got [{lo!r}, {hi!r}]")
+    emission._check_window(what, (lo, hi))
     return lo, hi
 
 

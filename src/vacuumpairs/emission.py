@@ -55,6 +55,11 @@ FLAG_LEGEND = {FLAG_OK: "ok", FLAG_FORBIDDEN: "forbidden", FLAG_HOLE: "hole"}
 # of being mapped and zeroed afresh
 _BLOCK_CELLS = 15_000
 
+# the cap on a phi block's product (cells x n_phi) @ (n_phi x 6) in _cone_rows:
+# OpenBLAS runs a matrix product (m x k) @ (k x n) on its own threads only
+# above m n k = 65536 * 4 (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD)
+_BLAS_THREADED_MNK = 65536 * 4
+
 
 class EmissionError(ValueError):
     """Base class for emission-evaluation failures."""
@@ -416,17 +421,16 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     return values, flags
 
 
-def _curve_density(config: EmissionConfig, lam1, lam2):
-    """Collinear density along the constraint curve (theta1 = 0, theta2 = pi).
+def _collinear_scan(config: EmissionConfig, lam1: np.ndarray) -> np.ndarray:
+    """Collinear density along the constraint curve (theta1 = 0, theta2 = pi) at each lam1.
 
-    lam2 holds the partner of each lam1, nan where there is none.  Array
-    form of density_gaussian/density_tanh on the curve, and 0 exactly where
-    they raise: no partner, an invalid wavelength or |n_g| below NG_FLOOR,
-    a constraint residual beyond its tolerance, or the tanh csch^2 pole.
+    Array form of density_gaussian/density_tanh at the solve_partners roots
+    in the cached theta2 = pi table, and 0 exactly where they raise: no
+    partner, an invalid wavelength or |n_g| below NG_FLOOR, a constraint
+    residual beyond its tolerance, or the tanh csch^2 pole.
     """
     model = config.material
-    lam1 = np.asarray(lam1, dtype=float)
-    lam2 = np.asarray(lam2, dtype=float)
+    lam2 = kinematics.solve_partners(lam1, 0.0, kinematics._shared_table(-1.0, config.kin, model))
     none = np.isnan(lam2)
     lam2 = np.where(none, 1.0, lam2)
     n1, ng1, bad1 = _index_fields(model, lam1)
@@ -443,6 +447,91 @@ def _curve_density(config: EmissionConfig, lam1, lam2):
     return np.where(none | bad1 | bad2 | violated | csch, 0.0, values)
 
 
+def _cone_rows(config: EmissionConfig, t1, t2, phi, phi_rules):
+    """The phi-mean density on the (t1, t2) grid of theta1, theta2, as rows(lam1).
+
+    rows(lam1) returns one (lam1.size, 2, t1.size, t2.size) array: the mean
+    over the phi nodes on [0, pi] under each rule of phi_rules, a (2, phi.size)
+    array of weights, with the partner wavelength fixed by the constraint.  It
+    is zero where there is no partner or the density is undefined, and for a
+    lambda1 where the model is invalid or |n_g| is below NG_FLOOR.  The setup
+    is built once and only read, so rows may run on several threads at once;
+    a cell's bits do not depend on the other lambda1 values of its call.
+
+    The density depends on phi only through 1 + cos(psi)^2, with
+    cos(psi) = cos(theta1) cos(theta2) + sin(theta1) sin(theta2) cos(phi),
+    and the transverse weight exp(-sigma_y^2 ky^2) of the form factor, with
+    ky = k1 sin(theta1) + k2 sin(theta2) cos(phi); every other factor depends
+    on the (lambda1, theta1, theta2) cell alone.  1 + cos(psi)^2 is quadratic
+    in cos(phi), so a mean is the cell's three coefficients times the moments
+    of the weight times 1, cos(phi) and cos(phi)^2, times the kernel at ksum
+    = (kx, 0, 0).  The moments are matrix products over blocks of cells whose
+    (cells x n_phi) @ (n_phi x 6) stays within _BLAS_THREADED_MNK.
+
+    Known gap: with kz = 0 this is not the average of density_gaussian
+    (kz = k2 sin(theta2) sin(phi)); the fix waits on the total-count measure.
+    """
+    kin = config.kin
+    cos_phi = np.cos(phi)
+    theta1, theta2 = t1[:, None], t2[None, :]
+    cos_t1, sin_t1 = np.cos(theta1), np.sin(theta1)
+    cos_t2, sin_t2 = np.cos(theta2), np.sin(theta2)
+    partners = kinematics.partner_table(cos_t2, kin, config.material)
+    # 1 + cos(psi)^2 = (1 + c1^2 c2^2) + 2 c1 c2 s1 s2 cos(phi) + s1^2 s2^2 cos(phi)^2
+    cc, ss = cos_t1 * cos_t2, sin_t1 * sin_t2
+    coef = np.stack([1.0 + cc * cc, 2.0 * cc * ss, ss * ss], axis=-1)
+    powers = np.stack([np.ones_like(cos_phi), cos_phi, cos_phi * cos_phi])
+    # in C order: OpenBLAS (SkylakeX kernels) runs a product of at most 200 cells
+    # with the transposed, F-ordered operand on a small-matrix kernel that rounds
+    # otherwise than its gemm, which would tie a cell's bits to its phi blocks
+    weights = (phi_rules[:, None, :] * powers).reshape(6, phi.size).T
+    weights = np.ascontiguousarray(weights) / math.pi
+
+    def rows(lam1: np.ndarray) -> np.ndarray:
+        fields1 = _index_fields(config.material, lam1)
+        lam1, n1, ng1, bad1 = (a[:, None, None] for a in (lam1, *fields1))
+        # a lambda1 row that dispersion flags gets nan partners
+        lam2 = kinematics.solve_partners(lam1, theta1, partners)
+        mask = np.isnan(lam2) | bad1
+        lam2[mask] = 1.0
+        n2, ng2, bad2 = _index_fields(config.material, lam2)
+        mask |= bad2
+        # ky = ky1 + ky2 cos(phi), one (lambda1, theta1, theta2) cell per row
+        ky1 = np.broadcast_to(TWO_PI * n1 / lam1 * sin_t1, lam2.shape).ravel()
+        ky2 = (TWO_PI * n2 / lam2 * sin_t2).ravel()
+        moments = np.empty((lam2.size, 6))
+        for c in _row_blocks(lam2.size, phi.size, _BLAS_THREADED_MNK // 6):
+            w = ky2[c, None] * cos_phi
+            w += ky1[c, None]
+            np.matmul(_transverse_weight(config.profile, w), weights, out=moments[c])
+            del w  # each del frees a block temporary early: two threads' blocks overlap
+        del ky1, ky2
+        # each rule's mean: the cell's three coefficients times its moments, summed in place
+        moments = moments.reshape(lam2.shape + (2, 3))
+        angular = np.empty((len(lam2), 2) + lam2.shape[1:])
+        for r, mean in enumerate(angular.swapaxes(0, 1)):
+            np.multiply(coef[..., 0], moments[..., r, 0], out=mean)
+            mean += coef[..., 1] * moments[..., r, 1]
+            mean += coef[..., 2] * moments[..., r, 2]
+        del moments
+        kx = kinematics._on_shell_sum(lam1, lam2, kin)
+        values, csch = _density_kernel(
+            config, lam1, lam2, (n1, ng1), (n2, ng2), (kx, 0.0, 0.0), cos_t1, cos_t2, 1.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge L_m overflows
+            angular *= values[:, None]
+        np.copyto(angular, 0.0, where=(mask | csch)[:, None])
+        return angular
+
+    return rows
+
+
+def _check_window(name: str, window) -> None:
+    """Raise ValueError unless window is exactly two finite bounds with 0 < min < max."""
+    if not (len(window) == 2 and 0.0 < window[0] < window[1] < math.inf):  # also rejects nan
+        raise ValueError(f"{name} must be two finite bounds with 0 < min < max, got {window!r}")
+
+
 def collinear_grid(
     config: EmissionConfig,
     lambda1_range: tuple[float, float],
@@ -452,12 +541,11 @@ def collinear_grid(
     """Pair density on a log-spaced (lambda1, lambda2) grid, resolution points per axis.
 
     Deterministic: every cell runs the same operations in any row
-    blocking (see _grid_fields).  Raises ValueError unless every bound of
-    both ranges is finite and positive and resolution is an integer >= 2.
+    blocking (see _grid_fields).  Raises ValueError unless each range is two
+    finite bounds with 0 < min < max and resolution is an integer >= 2.
     """
-    for name, bounds in (("lambda1_range", lambda1_range), ("lambda2_range", lambda2_range)):
-        if not all(0.0 < b < math.inf for b in bounds):  # also rejects nan
-            raise ValueError(f"{name} must be finite and positive, got {bounds!r}")
+    _check_window("lambda1_range", lambda1_range)
+    _check_window("lambda2_range", lambda2_range)
     if not (isinstance(resolution, numbers.Integral) and resolution >= 2):
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], resolution)

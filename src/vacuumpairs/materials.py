@@ -35,10 +35,16 @@ def available_materials() -> list[str]:
 
 
 def _float(value) -> float:
-    """float(value) of a document's number; a bool, a string or any other type is a TypeError."""
+    """float(value) of a document's number; a bool, a string or any other type is a TypeError.
+
+    An integer beyond the float range is a ValueError.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} is too large for a float") from None
 
 
 def model_from_dict(doc: dict) -> DispersionModel:

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import inspect
 import math
 import sys
@@ -46,6 +47,19 @@ def silica_config(beta=10.0, sigma=1.0, eta=0.001, length_m=0.05):
     )
 
 
+def cone_rows(config, t1, t2, phi):
+    """emission._cone_rows under the two Simpson rules of the phi nodes."""
+    return emission._cone_rows(config, t1, t2, phi, analysis._simpson_weights(phi))
+
+
+def cone_total(config, lam_window, resolution, rel_tol=1.0, max_refinements=0):
+    """(total, rel_error) of the total's integrand over a 30 degree cone."""
+    return analysis._integrate(
+        functools.partial(emission._cone_rows, config), math.radians(30.0), lam_window,
+        resolution, rel_tol, max_refinements,
+    )
+
+
 class TestFindMaximum:
     def test_reference_row(self):
         peak = find_maximum(silica_config(beta=10.0, sigma=1.0))
@@ -65,6 +79,15 @@ class TestFindMaximum:
     def test_subluminal_raises(self):
         with pytest.raises(NoEmissionError):
             find_maximum(silica_config(beta=0.5))
+
+    @pytest.mark.parametrize(
+        "window", [(math.nan, 5.0), (-1.0, 5.0), (0.2, 5.0, 20.0)],
+        ids=["nan", "negative", "three_items"],
+    )
+    def test_rejects_bad_window(self, window):
+        with pytest.raises(ValueError, match="window must be") as raised:
+            find_maximum(silica_config(beta=20.0), window=window)
+        assert not isinstance(raised.value, NoEmissionError)
 
     @pytest.mark.parametrize(
         "beta, expected",
@@ -293,10 +316,11 @@ class TestTotalCount:
             (5, 0),
             ((17, 9, 65, 33), -1),
             ((17, 9, 65, 33), 1.0),
+            ((17, 9, 65, 33), True),
         ],
         ids=[
             "ones", "two_points", "three_axes", "five_axes", "float_axis", "scalar",
-            "negative_refinements", "float_refinements",
+            "negative_refinements", "float_refinements", "bool_refinements",
         ],
     )
     def test_rejects_bad_resolution(self, base_resolution, max_refinements):
@@ -311,8 +335,8 @@ class TestTotalCount:
 
     @pytest.mark.parametrize(
         "lam_window",
-        [(5.0, 0.1), (-1.0, 5.0), (0.1, math.nan), (0.0, 5.0), (0.3, 0.3)],
-        ids=["reversed", "negative", "nan", "zero", "empty"],
+        [(5.0, 0.1), (-1.0, 5.0), (0.1, math.nan), (0.0, 5.0), (0.3, 0.3), (0.1, 3.0, 5.0)],
+        ids=["reversed", "negative", "nan", "zero", "empty", "three_items"],
     )
     def test_rejects_bad_window(self, lam_window):
         with pytest.raises(ValueError, match="lam_window"):
@@ -376,7 +400,7 @@ class TestTotalCount:
         def rows(b):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                return analysis._pass_rows(config, lam1, t1, t2, phi)(b)
+                return cone_rows(config, t1, t2, phi)(lam1[b])
 
         assert np.count_nonzero(rows(slice(8, 9))) > 0
         monkeypatch.setattr(emission, "NG_FLOOR", np.nextafter(ng1[8], np.inf))
@@ -395,7 +419,7 @@ class TestTotalCount:
         for args in passes:
             tracemalloc.start()
             try:
-                analysis._total_count_once(config, math.radians(30.0), lam_window, *args)
+                cone_total(config, lam_window, args)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -415,11 +439,12 @@ class TestTotalCount:
     def test_coarse_rule_is_pass_before(self, name, lam_window, base):
         # the refined grid 2(n - 1) + 1 holds every node of the n-node grid
         config = {"silica_beta20": lambda: silica_config(beta=20.0), **SCAN_CASES}[name]()
-        fine = tuple(2 * (n - 1) + 1 for n in base)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
-            _, coarse = analysis._total_count_once(config, math.radians(30.0), lam_window, *fine)
-            alone, _ = analysis._total_count_once(config, math.radians(30.0), lam_window, *base)
+            total, rel_err = cone_total(config, lam_window, base, math.inf, max_refinements=1)
+            alone, _ = cone_total(config, lam_window, base)
+        # the refined pass's coarse rule, from its estimate |total - coarse| / |total|
+        coarse = total - math.copysign(rel_err * abs(total), total - alone)
         assert alone != 0.0  # a rule this coarse may integrate below 0
         assert coarse == pytest.approx(alone, rel=1e-13, abs=0.0)
 
@@ -428,10 +453,7 @@ class TestTotalCount:
         res = [(9, 5, 17, 9)]
         for _ in range(2):
             res.append(tuple(2 * (n - 1) + 1 for n in res[-1]))
-        passes = [
-            analysis._total_count_once(config, math.radians(30.0), (0.1, 5.0), *r)[0]
-            for r in res
-        ]
+        passes = [cone_total(config, (0.1, 5.0), r)[0] for r in res]
         result = total_count(
             config,
             cone_half_angle_rad=math.radians(30.0),
@@ -471,10 +493,9 @@ class TestTotalCount:
             return partner_table(*args)
 
         monkeypatch.setattr(kinematics, "partner_table", counted)
-        total, coarse = analysis._total_count_once(
-            silica_config(beta=20.0), math.radians(30.0), (0.15, 3.0), 9, 5, 17, 9
-        )
-        assert total > 0.0 and coarse > 0.0
+        # one refinement of (5, 3, 9, 5) runs the (9, 5, 17, 9) pass alone
+        total, rel_err = cone_total(silica_config(beta=20.0), (0.15, 3.0), (5, 3, 9, 5), 1.0, 1)
+        assert total > 0.0 and rel_err < 1.0  # so the coarse rule is positive too
         assert len(built) == 1
 
     def test_subluminal_raises(self):
@@ -486,6 +507,86 @@ class TestTotalCount:
                 base_resolution=self.RES,
                 max_refinements=0,
             )
+
+
+class TestIntegrate:
+    """The total's quadrature alone, on an integrand with a closed-form integral."""
+
+    HALF_ANGLE, WINDOW = 0.5, (0.1, 5.0)
+    # (center, width) of the Gaussian on the lambda1, theta1 and theta2 axes
+    GAUSSIANS = ((0.8, 0.3), (0.2, 0.15), (2.6, 0.3))
+
+    @staticmethod
+    def gaussian(x, center, width):
+        return np.exp(-0.5 * np.square((x - center) / width))
+
+    def integrand(self, passes):
+        """A factory like emission._cone_rows of e^cos(phi) times the three Gaussians."""
+        (l0, lw), (a0, aw), (b0, bw) = self.GAUSSIANS
+
+        def factory(t1, t2, phi, phi_rules):
+            passes.append((t1.size, t2.size, phi.size))
+            phi_means = phi_rules @ np.exp(np.cos(phi)) / math.pi
+            angles = self.gaussian(t1, a0, aw)[:, None] * self.gaussian(t2, b0, bw)
+            cell = phi_means[:, None, None] * angles
+            return lambda lam1: self.gaussian(lam1, l0, lw)[:, None, None, None] * cell
+
+        return factory
+
+    def exact(self):
+        # the mean of e^cos(phi) over [0, pi] is I0(1); each Gaussian integrates to erfs
+        value = float(np.i0(1.0))
+        bounds = (self.WINDOW, (0.0, self.HALF_ANGLE), (math.pi / 2.0, math.pi))
+        for (lo, hi), (center, width) in zip(bounds, self.GAUSSIANS):
+            z = lambda x: (x - center) / (math.sqrt(2.0) * width)
+            value *= width * math.sqrt(math.pi / 2.0) * (math.erf(z(hi)) - math.erf(z(lo)))
+        return value
+
+    @pytest.mark.parametrize(
+        "base, rel_tol, refinements",
+        # the estimates of the passes from (9, 5, 9, 5) read 1.8e-2, 3.6e-3 and 3.9e-5
+        [((17, 9, 17, 9), 1e-2, 1), ((9, 5, 9, 5), 1e-2, 2), ((9, 5, 9, 5), 1e-4, 3)],
+    )
+    def test_error_bounds_closed_form(self, base, rel_tol, refinements):
+        passes = []
+        total, rel_err = analysis._integrate(
+            self.integrand(passes), self.HALF_ANGLE, self.WINDOW, base, rel_tol, 3
+        )
+        fine = base
+        for _ in range(refinements):
+            fine = tuple(2 * (n - 1) + 1 for n in fine)
+        assert len(passes) == refinements and passes[-1] == fine[1:]
+        true_err = abs(total - self.exact()) / self.exact()
+        assert rel_err <= rel_tol
+        assert total == pytest.approx(self.exact(), rel=rel_err, abs=0.0)
+        assert rel_err >= true_err
+
+    def test_unrefined_and_stalled(self):
+        passes = []
+        total, rel_err = analysis._integrate(
+            self.integrand(passes), self.HALF_ANGLE, self.WINDOW, (9, 5, 9, 5), 1e-2, 0
+        )
+        assert passes == [(5, 9, 5)] and rel_err is None
+        assert total == pytest.approx(self.exact(), rel=0.05, abs=0.0)
+        with pytest.raises(analysis.QuadratureNotConvergedError):
+            analysis._integrate(
+                self.integrand(passes), self.HALF_ANGLE, self.WINDOW, (5, 3, 5, 3), 1e-6, 3
+            )
+
+    def test_blocking_keeps_bits(self, monkeypatch):
+        # refined once: 33 lambda1 rows of 17 x 33 cells in 2 blocks, 33 blocks, then 1;
+        # each on 1, 2 and 3 threads
+        results = []
+        monkeypatch.setattr(analysis, "_MAX_THREADS", 3)
+        for cells in (emission._BLOCK_CELLS, 1, 10**9):
+            monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(analysis, "_usable_cpus", lambda: threads)
+                total, rel_err = analysis._integrate(
+                    self.integrand([]), self.HALF_ANGLE, self.WINDOW, (17, 9, 17, 9), 1.0, 1
+                )
+                results.append((total.hex(), rel_err.hex()))
+        assert results[1:] == results[:1] * 8
 
 
 class BlockFailure(Exception):
@@ -619,7 +720,7 @@ class TestThreadedPass:
         # one lambda1 row per block, so on 2 threads every block, the ones whose
         # partners have more than one root included, runs on a worker thread
         monkeypatch.setattr(emission, "_BLOCK_CELLS", 1)
-        lines, start = inspect.getsourcelines(analysis._pass_rows)
+        lines, start = inspect.getsourcelines(emission._cone_rows)
         solve = start + next(i for i, line in enumerate(lines) if "solve_partners(" in line)
         seen = {}
         for threads in (1, 2):
@@ -642,8 +743,8 @@ class TestThreadedPass:
                     max_refinements=1,
                 )
         assert seen[1] and len(seen[2]) == len(seen[1])
-        assert set(seen[1]) == {(kinematics.MultipleRootsWarning, analysis.__file__, solve, False)}
-        assert set(seen[2]) == {(kinematics.MultipleRootsWarning, analysis.__file__, solve, True)}
+        assert set(seen[1]) == {(kinematics.MultipleRootsWarning, emission.__file__, solve, False)}
+        assert set(seen[2]) == {(kinematics.MultipleRootsWarning, emission.__file__, solve, True)}
 
     @pytest.mark.parametrize("divide", ["ignore", "raise"])
     def test_workers_keep_caller_errstate(self, monkeypatch, divide):
@@ -701,7 +802,7 @@ class TestPhiFactoring:
         phi = np.linspace(0.0, math.pi, 33)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
-            (row,) = analysis._pass_rows(config, np.asarray([lam1]), t1, t2, phi)(slice(None))
+            (row,) = cone_rows(config, t1, t2, phi)(np.asarray([lam1]))
             expected = total_row_density_3d(config, lam1, t1, t2, phi)
             coarse = total_row_density_3d(config, lam1, t1, t2, phi[::2])
         assert np.count_nonzero(expected) > 0
@@ -722,7 +823,7 @@ class TestPhiFactoring:
             return weights[-1]
 
         monkeypatch.setattr(emission, "_transverse_weight", kept)
-        (row,) = analysis._pass_rows(config, np.asarray([0.3]), t1, t2, phi)(slice(None))
+        (row,) = cone_rows(config, t1, t2, phi)(np.asarray([0.3]))
         assert np.count_nonzero(np.concatenate(weights, axis=None) == 0.0) > 0.5 * sum(
             w.size for w in weights
         )
@@ -746,12 +847,12 @@ class TestPhiFactoring:
         t1 = np.linspace(0.0, math.radians(30.0), 16)
         t2 = np.linspace(math.pi / 2.0, math.pi, 129)
         phi = np.linspace(0.0, math.pi, 65)
-        caps = [(analysis._BLAS_THREADED_MNK, 4), (2 * phi.size * 6, 1032), (10**12, 1)]
+        caps = [(emission._BLAS_THREADED_MNK, 4), (2 * phi.size * 6, 1032), (10**12, 1)]
         rows = []
         for mnk, blocks in caps:
             assert len(emission._row_blocks(t1.size * t2.size, phi.size, mnk // 6)) == blocks
-            monkeypatch.setattr(analysis, "_BLAS_THREADED_MNK", mnk)
-            (row,) = analysis._pass_rows(config, np.asarray([0.6]), t1, t2, phi)(slice(None))
+            monkeypatch.setattr(emission, "_BLAS_THREADED_MNK", mnk)
+            (row,) = cone_rows(config, t1, t2, phi)(np.asarray([0.6]))
             rows.append(row)
         assert np.count_nonzero(rows[0]) > 0
         assert rows[1].tobytes() == rows[0].tobytes()
@@ -773,15 +874,13 @@ class TestPhiFactoring:
         t1 = np.linspace(0.0, math.radians(30.0), n_t1)
         t2 = np.linspace(math.pi / 2.0, math.pi, n_t2)
         phi = np.linspace(0.0, math.pi, n_phi)
-        (row,) = analysis._pass_rows(silica_config(beta=20.0), np.asarray([0.6]), t1, t2, phi)(
-            slice(None)
-        )
+        (row,) = cone_rows(silica_config(beta=20.0), t1, t2, phi)(np.asarray([0.6]))
         assert np.count_nonzero(row) > 0
         # each phi block's moments are the product (cells x n_phi) @ (n_phi x 6), of
         # at least 2 cells, so numpy runs it on gemm and not on gemv
         assert len(shapes) == blocks and sum(cells for cells, _ in shapes) == n_t1 * n_t2
         assert all(shape[1:] == (n_phi,) and shape[0] >= 2 for shape in shapes)
-        assert all(math.prod(shape) * 6 <= analysis._BLAS_THREADED_MNK for shape in shapes)
+        assert all(math.prod(shape) * 6 <= emission._BLAS_THREADED_MNK for shape in shapes)
 
     @pytest.mark.parametrize("n_phi", [3, 4, 33])
     def test_phi_weights_are_simpson(self, n_phi):

@@ -33,6 +33,8 @@ FASTLIGHT_WINDOW = {
     "resonance": {"max_slope_at_um": 0.3348859342688826},
     "fastlight_window_um": [0.26, 0.47],
 }
+# a JSON integer beyond the float range: float() raises OverflowError on it
+HUGE_INT = 10**400
 
 
 def write_config(tmp_path, extra, name="run.json"):
@@ -347,13 +349,20 @@ class TestBadScalars:
             # nor are JSON strings: "20" is not read as 20
             ("maxima", {"beta": "20"}),
             ("maxima", {"betas": ["20"]}),
+            # nor is an integer too large for a float
+            ("maxima", {"beta": HUGE_INT}),
+            ("maxima", {"L_m": HUGE_INT}),
+            ("spectrum", {**GRID_WINDOWS, "resolution": HUGE_INT}),
+            ("total", {**SMALL_TOTAL, "max_refinements": HUGE_INT}),
+            ("total", {**SMALL_TOTAL, "cone_half_angle_deg": HUGE_INT}),
         ],
         ids=[
             "scalar_base_resolution", "list_rel_tol", "list_cone", "list_resolution",
             "list_resonance", "list_amplitude", "one_node_resolution",
             "negative_refinements", "fractional_refinements", "fractional_base_resolution",
             "bool_beta", "bool_betas", "bool_refinements", "bool_cone",
-            "string_beta", "string_betas",
+            "string_beta", "string_betas", "huge_int_beta", "huge_int_length",
+            "huge_int_resolution", "huge_int_refinements", "huge_int_cone",
         ],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, command, extra):
@@ -437,9 +446,9 @@ class TestBadWindows:
         "window",
         # a string or an object of two characters or keys is not a pair
         [[0.3, math.inf], [0.3, "inf"], [0.3, math.nan], [-0.3, 0.4], None,
-         "34", {"3": 0, "4": 1}, [0.3, 0.4, 0.5], [True, 4], ["0.3", 5]],
+         "34", {"3": 0, "4": 1}, [0.3, 0.4, 0.5], [True, 4], ["0.3", 5], [0.3, HUGE_INT]],
         ids=["inf", "inf_string", "nan", "negative", "null", "string", "object", "three_items",
-             "bool_item", "string_item"],
+             "bool_item", "string_item", "huge_int"],
     )
     @pytest.mark.parametrize(
         "command, extra, key",
@@ -634,12 +643,13 @@ class TestMalformedConfig:
             # nor are JSON strings: "0.001" is not read as 0.001
             {"profile": {**BASE_CONFIG["profile"], "eta": "0.001"}},
             {"material": {"sellmeier": [["0.6961663", 0.0046791]]}},
+            {"material": {"sellmeier": [[HUGE_INT, 0.004679148]]}},
         ],
         ids=["profile_without_eta", "profile_as_string", "resonance_without_amplitude",
              "sellmeier_term_as_string", "bool_eta", "bool_tanh_sigma", "bool_constant_index",
              "bool_sellmeier_a", "bool_sellmeier_l", "bool_resonance_center",
              "bool_resonance_amplitude", "bool_resonance_width", "string_eta",
-             "string_sellmeier_a"],
+             "string_sellmeier_a", "huge_int_sellmeier_a"],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, extra):
         config = write_config(tmp_path, extra)

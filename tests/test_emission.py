@@ -464,8 +464,10 @@ class TestGrid:
             collinear_grid(silica_config(beta=20.0), (0.3, 0.4), (0.3, 0.4), resolution)
 
     @pytest.mark.parametrize(
-        "bad", [(-0.3, 0.4), (0.3, math.nan), (math.nan, 0.4), (0.3, math.inf)],
-        ids=["negative", "nan_max", "nan_min", "inf_max"],
+        "bad",
+        [(-0.3, 0.4), (0.3, math.nan), (math.nan, 0.4), (0.3, math.inf), (0.4, 0.3),
+         (0.3, 0.4, 0.5)],
+        ids=["negative", "nan_max", "nan_min", "inf_max", "reversed", "three_items"],
     )
     @pytest.mark.parametrize("axis", ["lambda1_range", "lambda2_range"])
     def test_rejects_bad_range(self, axis, bad):
