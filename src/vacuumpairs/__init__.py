@@ -38,7 +38,6 @@ from .emission import (
     PairDensityGrid,
     TanhProfile,
     collinear_grid,
-    config_to_dict,
     density_gaussian,
     density_tanh,
 )

@@ -6,10 +6,11 @@ pulse in a collection cone), ``fastlight`` (Lorentzian-modified comparison).
 
 All computations are configured through a JSON document passed with
 ``--config``; every artifact embeds that configuration so a run can be
-reproduced from its artifact alone.  This module alone reads and writes the
-run-file format (``_emission_config`` and ``_write``).  Exit codes: 0
-success, 1 bad configuration, 2 unknown material, 3 numerical failure or
-an array that cannot be allocated.
+reproduced from its artifact alone.  This module alone reads and writes run
+files and artifacts (``_emission_config``, ``config_to_dict`` and
+``_write``); ``materials`` reads and writes the material documents of its
+library.  Exit codes: 0 success, 1 bad configuration, 2 unknown material,
+3 numerical failure or an array that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import analysis, dispersion, emission, kinematics, materials
 from .dispersion import DispersionError, LorentzianResonance
-from .emission import EmissionConfig, config_to_dict, profile_from_dict
+from .emission import EmissionConfig, GaussianProfile, TanhProfile
 from .kinematics import KinematicsError, PerturbationKinematics
 from .materials import UnknownMaterialError
 
@@ -32,6 +33,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_UNKNOWN_MATERIAL = 2
 EXIT_NUMERICAL = 3
+
+FLAG_LEGEND = {
+    emission.FLAG_OK: "ok", emission.FLAG_FORBIDDEN: "forbidden", emission.FLAG_HOLE: "hole"
+}
+
+# each profile shape's keys, in its class's field order: read and written here alone
+_PROFILES = {
+    "gaussian": (GaussianProfile, ("eta", "sigma_um")),
+    "tanh": (TanhProfile, ("eta", "sigma_x_um", "sigma_y_um", "sigma_z_um")),
+}
 
 
 class ConfigError(ValueError):
@@ -59,9 +70,45 @@ def _parse(from_dict, what: str, doc):
     """from_dict(doc), with a malformed document raised as a ConfigError."""
     try:
         return from_dict(doc)
+    except ConfigError:
+        raise
     except (KeyError, AttributeError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"bad {what}: {detail}") from exc
+
+
+def _known_keys(what: str, doc: dict, keys) -> None:
+    """Raise a ConfigError that names the first key of doc outside keys, if any."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"bad {what}: unknown key {unknown[0]!r}")
+
+
+def _profile_from_dict(doc: dict):
+    shape = doc.get("shape")
+    if not (isinstance(shape, str) and shape in _PROFILES):
+        raise ValueError(f"unknown profile shape: {shape!r}")
+    cls, keys = _PROFILES[shape]
+    _known_keys("profile", doc, ("shape", *keys))
+    return cls(*(materials._float(doc[key]) for key in keys))
+
+
+def _profile_to_dict(profile) -> dict:
+    for shape, (cls, keys) in _PROFILES.items():
+        if isinstance(profile, cls):
+            return {"shape": shape, **dict(zip(keys, dataclasses.astuple(profile)))}
+
+
+def config_to_dict(config: EmissionConfig) -> dict:
+    """The emission keys of a run file, the snapshot that every artifact embeds."""
+    return {
+        "material": materials.model_to_dict(config.material),
+        "profile": _profile_to_dict(config.profile),
+        "beta": config.kin.beta,
+        "L_m": config.length_m,
+        "calibration": config.calibration,
+        "convention": emission.CONVENTION,
+    }
 
 
 def _resolve_material(spec):
@@ -106,7 +153,7 @@ def _emission_config(doc: dict) -> EmissionConfig:
     if convention != emission.CONVENTION:
         raise ConfigError(f"unsupported normalization convention: {convention!r}")
     material = _resolve_material(_require(doc, "material"))
-    profile = _parse(profile_from_dict, "profile", _require(doc, "profile"))
+    profile = _parse(_profile_from_dict, "profile", _require(doc, "profile"))
     beta = _number(doc, "beta")
     length_m = _number(doc, "L_m")
     calibration = _number(doc, "calibration", emission.DEFAULT_CALIBRATION)
@@ -217,7 +264,6 @@ def cmd_spectrum(args) -> int:
     _emit(args, f"grid {resolution}x{resolution}, max density {grid.max_value():.6g}")
     lam1, lam2 = grid.lambda1_um.tolist(), grid.lambda2_um.tolist()
     values, flags = grid.values.tolist(), grid.flags.tolist()
-    legend = emission.FLAG_LEGEND
     _write(
         args.out,
         config,
@@ -230,11 +276,11 @@ def cmd_spectrum(args) -> int:
             "lambda2_um": lam2,
             "values": values,
             "flags": flags,
-            "flag_legend": {str(k): v for k, v in legend.items()},
+            "flag_legend": {str(k): v for k, v in FLAG_LEGEND.items()},
         },
         ("lambda1_um", "lambda2_um", "density", "flag"),
         (
-            (l1, l2, v, legend[f])
+            (l1, l2, v, FLAG_LEGEND[f])
             for l1, value_row, flag_row in zip(lam1, values, flags)
             for l2, v, f in zip(lam2, value_row, flag_row)
         ),
@@ -325,20 +371,17 @@ def cmd_fastlight(args) -> int:
     raw = doc.get("resonance", {})
     if not isinstance(raw, dict):
         raise ConfigError("'resonance' must be an object")
+    _known_keys("resonance", raw, ("amplitude", "width_um", "center_um", "max_slope_at_um"))
+    if "center_um" in raw and "max_slope_at_um" in raw:
+        raise ConfigError("bad resonance: 'center_um' and 'max_slope_at_um' exclude each other")
     amplitude = _number(raw, "amplitude", analysis.FAST_LIGHT_AMPLITUDE)
     width = _number(raw, "width_um", analysis.FAST_LIGHT_WIDTH_UM)
     if "center_um" in raw:
-        resonance = LorentzianResonance(
-            center=_number(raw, "center_um"), amplitude=amplitude, width=width
-        )
+        resonance = LorentzianResonance(_number(raw, "center_um"), amplitude, width)
     else:
-        if "max_slope_at_um" in raw:
-            at = _number(raw, "max_slope_at_um")
-        else:
-            at = analysis.find_maximum(config).lambda1_um
-        resonance = dispersion.fast_light_resonance(
-            amplitude=amplitude, width=width, max_slope_at=at
-        )
+        at = (_number(raw, "max_slope_at_um") if "max_slope_at_um" in raw
+              else analysis.find_maximum(config).lambda1_um)
+        resonance = dispersion.fast_light_resonance(amplitude, width, at)
     study = analysis.fast_light_study(
         config,
         resonance,

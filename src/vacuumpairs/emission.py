@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dispersion, kinematics, materials
+from . import dispersion, kinematics
 from .dispersion import DispersionModel, as_model
 from .kinematics import PerturbationKinematics, PhotonMode
-from .materials import _float
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,8 +45,6 @@ CONVENTION = (
 FLAG_OK = 0
 FLAG_FORBIDDEN = 1  # no real emission angle for this cell
 FLAG_HOLE = 2  # numerical singularity (pole, negative radicand, n_g ~ 0)
-
-FLAG_LEGEND = {FLAG_OK: "ok", FLAG_FORBIDDEN: "forbidden", FLAG_HOLE: "hole"}
 
 # cells per row block of a collinear grid and of a total pass, whose partner
 # solve and density temporaries it bounds: a float64 temporary of a block stays
@@ -148,39 +145,6 @@ class EmissionConfig:
     @property
     def length_um(self) -> float:
         return self.length_m * 1e6
-
-
-def profile_to_dict(profile) -> dict:
-    if isinstance(profile, GaussianProfile):
-        return {"shape": "gaussian", "eta": profile.eta, "sigma_um": profile.sigma}
-    return {
-        "shape": "tanh",
-        "eta": profile.eta,
-        "sigma_x_um": profile.sigma_x,
-        "sigma_y_um": profile.sigma_y,
-        "sigma_z_um": profile.sigma_z,
-    }
-
-
-def profile_from_dict(doc: dict):
-    shape = doc.get("shape")
-    if shape == "gaussian":
-        return GaussianProfile(eta=_float(doc["eta"]), sigma=_float(doc["sigma_um"]))
-    if shape == "tanh":
-        sizes = ("eta", "sigma_x_um", "sigma_y_um", "sigma_z_um")  # TanhProfile's field order
-        return TanhProfile(*(_float(doc[key]) for key in sizes))
-    raise ValueError(f"unknown profile shape: {shape!r}")
-
-
-def config_to_dict(config: EmissionConfig) -> dict:
-    return {
-        "material": materials.model_to_dict(config.material),
-        "profile": profile_to_dict(config.profile),
-        "beta": config.kin.beta,
-        "L_m": config.length_m,
-        "calibration": config.calibration,
-        "convention": CONVENTION,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from vacuumpairs.emission import (
     GaussianProfile,
     TanhProfile,
     collinear_grid,
-    config_to_dict,
     density_gaussian,
 )
 from vacuumpairs.kinematics import (
@@ -284,7 +283,7 @@ def test_criterion_09_numerical_hygiene(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run = tmp_path / "run.json"
     run.write_text(json.dumps({
-        **config_to_dict(config),
+        **cli.config_to_dict(config),
         "lambda1_window_um": [0.3, 0.4],
         "lambda2_window_um": [0.3, 0.4],
         "resolution": 41,

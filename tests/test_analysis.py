@@ -80,6 +80,23 @@ class TestFindMaximum:
         with pytest.raises(NoEmissionError):
             find_maximum(silica_config(beta=0.5))
 
+    def test_hashable_and_equal_for_equal_results(self):
+        a = find_maximum(silica_config(beta=20.0))
+        b = find_maximum(silica_config(beta=20.0))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_fast_light_maximum_carries_no_material_label(self):
+        # the modified medium is the config's alone: no label names it plain fused silica
+        peak = find_maximum(fast_light_config(0.06))
+        assert dataclasses.asdict(peak) == {
+            "lambda1_um": peak.lambda1_um,
+            "lambda2_um": peak.lambda2_um,
+            "density": peak.density,
+            "beta": 20.0,
+        }
+        assert getattr(peak, "material", None) is None
+
     @pytest.mark.parametrize(
         "window", [(math.nan, 5.0), (-1.0, 5.0), (0.2, 5.0, 20.0)],
         ids=["nan", "negative", "three_items"],
@@ -264,6 +281,19 @@ class TestTotalCount:
             max_refinements=1,
         )
         assert result.pairs_per_pulse == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_library_defaults_meet_rel_tol(self):
+        # the README's library-default total: it starts at (17, 9, 65, 33) and
+        # stops at (65, 33, 257, 129), the first pass whose estimate meets 1e-3
+        result = total_count(silica_config(), math.radians(30.0), (0.1, 5.0))
+        assert result.rel_error <= 1e-3
+        assert result.pairs_per_pulse == pytest.approx(
+            9.242583698142206e-05, rel=result.rel_error, abs=0.0
+        )
+        # the (129, 65, 513, 257) pass, the default before it started coarse
+        assert result.pairs_per_pulse == pytest.approx(
+            9.242608032745966e-05, rel=result.rel_error, abs=0.0
+        )
 
     def test_unrefined_error_not_estimated(self):
         result = total_count(

@@ -13,9 +13,13 @@ from vacuumpairs.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNKNOWN_MATERIAL,
+    _emission_config,
+    _profile_from_dict,
+    _profile_to_dict,
+    config_to_dict,
     main,
 )
-from vacuumpairs.emission import EmissionConfig, GaussianProfile, collinear_grid
+from vacuumpairs.emission import EmissionConfig, GaussianProfile, TanhProfile, collinear_grid
 from vacuumpairs.kinematics import PerturbationKinematics
 from vacuumpairs.materials import get_material, model_to_dict
 
@@ -35,6 +39,15 @@ FASTLIGHT_WINDOW = {
 }
 # a JSON integer beyond the float range: float() raises OverflowError on it
 HUGE_INT = 10**400
+
+
+def silica_config(beta=10.0):
+    return EmissionConfig(
+        material=get_material("fused_silica"),
+        profile=GaussianProfile(eta=0.001, sigma=1.0),
+        kin=PerturbationKinematics(beta=beta),
+        length_m=0.05,
+    )
 
 
 def write_config(tmp_path, extra, name="run.json"):
@@ -135,13 +148,7 @@ class TestSpectrum:
         assert np.array(doc["values"]).shape == (21, 21)
 
     def test_csv_roundtrips_floats_exactly(self, tmp_path):
-        config = EmissionConfig(
-            material=get_material("fused_silica"),
-            profile=GaussianProfile(eta=0.001, sigma=1.0),
-            kin=PerturbationKinematics(beta=20.0),
-            length_m=0.05,
-        )
-        grid = collinear_grid(config, (0.3, 0.4), (0.3, 0.4), 11)
+        grid = collinear_grid(silica_config(beta=20.0), (0.3, 0.4), (0.3, 0.4), 11)
         path = tmp_path / "grid.csv"
         run = write_config(tmp_path, {**GRID_WINDOWS, "resolution": 11})
         assert main(["spectrum", "--config", run, "--out", str(path)]) == EXIT_OK
@@ -198,6 +205,14 @@ class TestMaxima:
         doc = json.loads(json_path.read_text())
         assert len(doc["rows"]) == 2
         assert doc["config"]["beta"] == 10.0
+
+    def test_rows_hold_the_maximum_alone(self, tmp_path):
+        # the profile and material are the config snapshot's, not each row's
+        config = write_config(tmp_path, {"betas": [10.0, 20.0]})
+        out = tmp_path / "sweep.json"
+        assert main(["maxima", "--config", config, "--out", str(out)]) == EXIT_OK
+        rows = json.loads(out.read_text())["rows"]
+        assert [set(row) for row in rows] == [{"beta", "lambda1_um", "lambda2_um", "density"}] * 2
 
     @pytest.mark.parametrize("betas", [[], "20", {"beta": 20.0}, [20.0, "x"]],
                              ids=["empty", "string", "object", "non_number"])
@@ -654,3 +669,57 @@ class TestMalformedConfig:
     def test_config_error_without_traceback(self, tmp_path, capsys, extra):
         config = write_config(tmp_path, extra)
         assert_config_error(capsys, ["maxima", "--config", config])
+
+    @pytest.mark.parametrize(
+        "command, extra, key",
+        [
+            ("maxima", {"profile": {**BASE_CONFIG["profile"], "sigma_x_um": 2.0}}, "sigma_x_um"),
+            ("maxima", {"profile": {**TANH_PROFILE, "sigma_um": 1.0}}, "sigma_um"),
+            # a misspelt width, and a center beside max_slope_at_um
+            ("fastlight", {"resonance": {"amplitude": 0.06, "width": 0.5,
+                                         "max_slope_at_um": 0.334886, "center_um": 0.3}},
+             "width"),
+            ("fastlight", {"resonance": {"max_slope_at_um": 0.334886, "center_um": 0.3}},
+             "center_um"),
+        ],
+        ids=["gaussian_sigma_x", "tanh_sigma", "resonance_width", "resonance_center_and_slope"],
+    )
+    def test_unknown_or_conflicting_key_named(self, tmp_path, capsys, command, extra, key):
+        config = write_config(tmp_path, {"fastlight_window_um": [0.26, 0.47], **extra})
+        assert repr(key) in assert_config_error(capsys, [command, "--config", config])
+
+
+class TestSerialization:
+    def test_config_roundtrip(self):
+        config = silica_config()
+        doc = config_to_dict(config)
+        again = _emission_config(json.loads(json.dumps(doc)))
+        assert again == config
+
+    def test_config_convention_mismatch_rejected(self):
+        doc = config_to_dict(silica_config())
+        with pytest.raises(ValueError, match="convention"):
+            _emission_config({**doc, "convention": "per-domega"})
+
+    def test_config_without_convention_accepted(self):
+        doc = config_to_dict(silica_config())
+        del doc["convention"]
+        assert _emission_config(doc) == silica_config()
+
+    def test_rewrite_byte_identical(self, tmp_path):
+        doc = {
+            **config_to_dict(silica_config(beta=20.0)),
+            "lambda1_window_um": [0.3, 0.4],
+            "lambda2_window_um": [0.3, 0.4],
+            "resolution": 21,
+        }
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (p1, p2):
+            assert main(["spectrum", "--config", str(config), "--out", str(path)]) == 0
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_tanh_profile_roundtrip(self):
+        profile = TanhProfile(eta=0.001, sigma_x=1.1, sigma_y=0.9, sigma_z=1.3)
+        assert _profile_from_dict(_profile_to_dict(profile)) == profile

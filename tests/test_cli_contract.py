@@ -50,10 +50,6 @@ CONFIGS = {
     },
 }
 
-# Dropping these selects the library's total-count resolution, a valid run
-# of about a minute, so they are mutated but never dropped.
-KEEP = {("base_resolution",), ("max_refinements",)}
-
 # No positive number above 1: a large resolution or refinement count is a
 # valid request for a long run, not a contract question.
 BAD_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0, 0.5, 1, "x", None, True, [], {}, [1.0]]
@@ -92,7 +88,7 @@ def mutated_configs(draw, command):
     doc = CONFIGS[command]
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(paths(doc))))
-        drop = path not in KEEP and draw(st.booleans())
+        drop = draw(st.booleans())
         values = BAD_VALUES + HUGE_SIZES if path in SIZES else BAD_VALUES
         doc = mutate(doc, path, draw(st.sampled_from(values)), drop)
     return doc

@@ -1,6 +1,5 @@
-"""Emission-density tests: oracles, scaling laws, grids, config snapshots."""
+"""Emission-density tests: oracles, scaling laws, grids."""
 
-import json
 import math
 import tracemalloc
 
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 from vacuumpairs import dispersion, emission
-from vacuumpairs.cli import _emission_config, main
 from vacuumpairs.dispersion import ConstantIndex, DispersionModel
 from vacuumpairs.emission import (
     FLAG_FORBIDDEN,
@@ -18,7 +16,6 @@ from vacuumpairs.emission import (
     GaussianProfile,
     TanhProfile,
     collinear_grid,
-    config_to_dict,
     density_gaussian,
     density_tanh,
     gaussian_form_factor,
@@ -545,39 +542,3 @@ class TestGridBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * (grid.values.nbytes + grid.flags.nbytes)
-
-
-class TestSerialization:
-    def test_config_roundtrip(self):
-        config = silica_config()
-        doc = config_to_dict(config)
-        again = _emission_config(json.loads(json.dumps(doc)))
-        assert again == config
-
-    def test_config_convention_mismatch_rejected(self):
-        doc = config_to_dict(silica_config())
-        with pytest.raises(ValueError, match="convention"):
-            _emission_config({**doc, "convention": "per-domega"})
-
-    def test_config_without_convention_accepted(self):
-        doc = config_to_dict(silica_config())
-        del doc["convention"]
-        assert _emission_config(doc) == silica_config()
-
-    def test_rewrite_byte_identical(self, tmp_path):
-        doc = {
-            **config_to_dict(silica_config(beta=20.0)),
-            "lambda1_window_um": [0.3, 0.4],
-            "lambda2_window_um": [0.3, 0.4],
-            "resolution": 21,
-        }
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps(doc))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        for path in (p1, p2):
-            assert main(["spectrum", "--config", str(config), "--out", str(path)]) == 0
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_tanh_profile_roundtrip(self):
-        profile = TanhProfile(eta=0.001, sigma_x=1.1, sigma_y=0.9, sigma_z=1.3)
-        assert emission.profile_from_dict(emission.profile_to_dict(profile)) == profile
