@@ -395,6 +395,11 @@ def count_peaks(values: np.ndarray) -> int:
     return int(count)
 
 
+def fast_light_window(base_max: EmissionMaximum) -> tuple[float, float]:
+    """The default comparison window around the base maximum: 0.75 lambda1 to 1.35 lambda2."""
+    return (0.75 * base_max.lambda1_um, 1.35 * base_max.lambda2_um)
+
+
 def fast_light_study(
     config: EmissionConfig,
     resonance: LorentzianResonance,
@@ -404,7 +409,8 @@ def fast_light_study(
     """Collinear grids with and without the Lorentzian correction.
 
     enhancement is the ratio of grid maxima; peak_count counts distinct
-    maxima above half the global maximum in the modified grid.
+    maxima above half the global maximum in the modified grid.  window
+    defaults to fast_light_window of config's maximum.
     """
     base_model = config.material
     modified_model = DispersionModel(
@@ -412,8 +418,7 @@ def fast_light_study(
     )
     config_mod = dataclasses.replace(config, material=modified_model)
     if window is None:
-        base_max = find_maximum(config)
-        window = (0.75 * base_max.lambda1_um, 1.35 * base_max.lambda2_um)
+        window = fast_light_window(find_maximum(config))
     grid_base = collinear_grid(config, window, window, resolution)
     grid_mod = collinear_grid(config_mod, window, window, resolution)
     base_peak = grid_base.max_value()

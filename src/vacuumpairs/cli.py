@@ -70,18 +70,9 @@ def _parse(from_dict, what: str, doc):
     """from_dict(doc), with a malformed document raised as a ConfigError."""
     try:
         return from_dict(doc)
-    except ConfigError:
-        raise
     except (KeyError, AttributeError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"bad {what}: {detail}") from exc
-
-
-def _known_keys(what: str, doc: dict, keys) -> None:
-    """Raise a ConfigError that names the first key of doc outside keys, if any."""
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ConfigError(f"bad {what}: unknown key {unknown[0]!r}")
 
 
 def _profile_from_dict(doc: dict):
@@ -89,7 +80,7 @@ def _profile_from_dict(doc: dict):
     if not (isinstance(shape, str) and shape in _PROFILES):
         raise ValueError(f"unknown profile shape: {shape!r}")
     cls, keys = _PROFILES[shape]
-    _known_keys("profile", doc, ("shape", *keys))
+    materials._known_keys(doc, ("shape", *keys))
     return cls(*(materials._float(doc[key]) for key in keys))
 
 
@@ -226,11 +217,6 @@ def _extremes(grid) -> list[float]:
     return [float(grid.values.min()), float(grid.values.max())]
 
 
-def _emit(args, text: str) -> None:
-    if args.verbose:
-        print(text, file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -251,47 +237,35 @@ def cmd_material(args) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    doc = _load_config(args.config)
-    config = _emission_config(doc)
-    window1 = _window(doc, "lambda1_window_um", None)
-    window2 = _window(doc, "lambda2_window_um", None)
-    if window1 is None or window2 is None:
-        raise ConfigError("spectrum needs 'lambda1_window_um' and 'lambda2_window_um'")
+def cmd_spectrum(doc: dict, config: EmissionConfig):
+    window1, window2 = (_bounds(_require(doc, key), repr(key))
+                        for key in ("lambda1_window_um", "lambda2_window_um"))
     resolution = _number(doc, "resolution", 121, integer=True)
     grid = emission.collinear_grid(config, window1, window2, resolution)
     _check_finite("density", _extremes(grid))
-    _emit(args, f"grid {resolution}x{resolution}, max density {grid.max_value():.6g}")
     lam1, lam2 = grid.lambda1_um.tolist(), grid.lambda2_um.tolist()
     values, flags = grid.values.tolist(), grid.flags.tolist()
-    _write(
-        args.out,
-        config,
-        {
-            # the geometry of collinear_grid: photon 1 forward, photon 2 at
-            # theta2 = pi on the constraint curve
-            "theta1": 0.0,
-            "theta2_nominal": math.pi,
-            "lambda1_um": lam1,
-            "lambda2_um": lam2,
-            "values": values,
-            "flags": flags,
-            "flag_legend": {str(k): v for k, v in FLAG_LEGEND.items()},
-        },
-        ("lambda1_um", "lambda2_um", "density", "flag"),
-        (
-            (l1, l2, v, FLAG_LEGEND[f])
-            for l1, value_row, flag_row in zip(lam1, values, flags)
-            for l2, v, f in zip(lam2, value_row, flag_row)
-        ),
+    body = {
+        # the geometry of collinear_grid: photon 1 forward, photon 2 at
+        # theta2 = pi on the constraint curve
+        "theta1": 0.0,
+        "theta2_nominal": math.pi,
+        "lambda1_um": lam1,
+        "lambda2_um": lam2,
+        "values": values,
+        "flags": flags,
+        "flag_legend": {str(k): v for k, v in FLAG_LEGEND.items()},
+    }
+    rows = (
+        (l1, l2, v, FLAG_LEGEND[f])
+        for l1, value_row, flag_row in zip(lam1, values, flags)
+        for l2, v, f in zip(lam2, value_row, flag_row)
     )
-    print(f"max density {grid.max_value():.6g} -> {args.out}")
-    return EXIT_OK
+    columns = ("lambda1_um", "lambda2_um", "density", "flag")
+    return [f"max density {grid.max_value():.6g}"], [], (body, columns, rows)
 
 
-def cmd_maxima(args) -> int:
-    doc = _load_config(args.config)
-    config = _emission_config(doc)
+def cmd_maxima(doc: dict, config: EmissionConfig):
     betas = doc.get("betas", [config.kin.beta])
     if not (isinstance(betas, list) and betas):
         raise ConfigError("'betas' must be a non-empty list of numbers")
@@ -303,36 +277,27 @@ def cmd_maxima(args) -> int:
     _check_finite(
         "maximum", (x for r in sweep.rows for x in (r.lambda1_um, r.lambda2_um, r.density))
     )
-    for row in sweep.rows:
-        print(
-            f"beta={row.beta:g} lambda1max={row.lambda1_um:.6g} um "
-            f"lambda2max={row.lambda2_um:.6g} um N={row.density:.6g}"
-        )
-    for beta, msg in sweep.failures:
-        print(f"beta={beta:g} no emission ({msg})", file=sys.stderr)
-    if args.out:
-        _write(
-            args.out,
-            config,
-            {
-                "rows": [dataclasses.asdict(r) for r in sweep.rows],
-                "failures": [[b, msg] for b, msg in sweep.failures],
-                "audits": {
-                    "wavelengths_decreasing": sweep.wavelengths_decreasing,
-                    "density_increasing": sweep.density_increasing,
-                    "ratio_decreasing": sweep.ratio_decreasing,
-                },
-            },
-            ("beta", "lambda1max_um", "lambda2max_um", "n_max"),
-            [(r.beta, r.lambda1_um, r.lambda2_um, r.density) for r in sweep.rows],
-        )
-        _emit(args, f"sweep written to {args.out}")
-    return EXIT_OK
+    lines = [
+        f"beta={r.beta:g} lambda1max={r.lambda1_um:.6g} um "
+        f"lambda2max={r.lambda2_um:.6g} um N={r.density:.6g}"
+        for r in sweep.rows
+    ]
+    body = {
+        "rows": [dataclasses.asdict(r) for r in sweep.rows],
+        "failures": [[b, msg] for b, msg in sweep.failures],
+        "audits": {
+            "wavelengths_decreasing": sweep.wavelengths_decreasing,
+            "density_increasing": sweep.density_increasing,
+            "ratio_decreasing": sweep.ratio_decreasing,
+        },
+    }
+    notes = [f"beta={b:g} no emission ({msg})" for b, msg in sweep.failures]
+    columns = ("beta", "lambda1max_um", "lambda2max_um", "n_max")
+    rows = [(r.beta, r.lambda1_um, r.lambda2_um, r.density) for r in sweep.rows]
+    return lines, notes, (body, columns, rows)
 
 
-def cmd_total(args) -> int:
-    doc = _load_config(args.config)
-    config = _emission_config(doc)
+def cmd_total(doc: dict, config: EmissionConfig):
     cone_deg = _number(doc, "cone_half_angle_deg", 30.0)
     if not 0.0 < cone_deg <= 180.0:  # also rejects nan
         raise ConfigError(f"'cone_half_angle_deg' must lie in (0, 180], got {cone_deg!r}")
@@ -357,59 +322,78 @@ def cmd_total(args) -> int:
         error = "quadrature error not estimated"
     else:
         error = f"relative quadrature error {result.rel_error:.2g}"
-    print(f"pairs per pulse: {result.pairs_per_pulse:.6g} ({error})")
-    if args.out:
-        fields = dataclasses.asdict(result)
-        _write(args.out, config, {"result": fields}, list(fields), [fields.values()])
-        _emit(args, f"total written to {args.out}")
-    return EXIT_OK
+    line = f"pairs per pulse: {result.pairs_per_pulse:.6g} ({error})"
+    fields = dataclasses.asdict(result)
+    return [line], [], ({"result": fields}, list(fields), [fields.values()])
 
 
-def cmd_fastlight(args) -> int:
-    doc = _load_config(args.config)
-    config = _emission_config(doc)
+def cmd_fastlight(doc: dict, config: EmissionConfig):
     raw = doc.get("resonance", {})
     if not isinstance(raw, dict):
         raise ConfigError("'resonance' must be an object")
-    _known_keys("resonance", raw, ("amplitude", "width_um", "center_um", "max_slope_at_um"))
+    keys = ("amplitude", "width_um", "center_um", "max_slope_at_um")
+    _parse(lambda spec: materials._known_keys(spec, keys), "resonance", raw)
     if "center_um" in raw and "max_slope_at_um" in raw:
         raise ConfigError("bad resonance: 'center_um' and 'max_slope_at_um' exclude each other")
     amplitude = _number(raw, "amplitude", analysis.FAST_LIGHT_AMPLITUDE)
     width = _number(raw, "width_um", analysis.FAST_LIGHT_WIDTH_UM)
+    window = _window(doc, "fastlight_window_um", None)
+    resolution = _number(doc, "resolution", 161, integer=True)
+    # the base maximum places the line and the window unless both are given
+    anchored = "center_um" in raw or "max_slope_at_um" in raw
+    base_max = None if anchored and window else analysis.find_maximum(config)
     if "center_um" in raw:
         resonance = LorentzianResonance(_number(raw, "center_um"), amplitude, width)
     else:
-        at = (_number(raw, "max_slope_at_um") if "max_slope_at_um" in raw
-              else analysis.find_maximum(config).lambda1_um)
+        at = _number(raw, "max_slope_at_um") if "max_slope_at_um" in raw else base_max.lambda1_um
         resonance = dispersion.fast_light_resonance(amplitude, width, at)
-    study = analysis.fast_light_study(
-        config,
-        resonance,
-        window=_window(doc, "fastlight_window_um", None),
-        resolution=_number(doc, "resolution", 161, integer=True),
-    )
+    window = window or analysis.fast_light_window(base_max)
+    study = analysis.fast_light_study(config, resonance, window=window, resolution=resolution)
     _check_finite(
         "density", [*_extremes(study.grid_base), *_extremes(study.grid_modified)]
     )
     _check_finite("enhancement", [study.enhancement])
-    print(
-        f"enhancement: {study.enhancement:.6g}, "
-        f"peaks above half maximum: {study.peak_count}"
-    )
+    line = f"enhancement: {study.enhancement:.6g}, peaks above half maximum: {study.peak_count}"
+    fields = dataclasses.asdict(resonance)
+    body = {"enhancement": study.enhancement, "peak_count": study.peak_count, "resonance": fields}
+    columns = ("enhancement", "peak_count", *(f"resonance_{k}" for k in fields))
+    rows = [(study.enhancement, study.peak_count, *fields.values())]
+    return [line], [], (body, columns, rows)
+
+
+# name -> (subcommand, whether --out is required: then its path ends the summary)
+_RUNS = {
+    "spectrum": (cmd_spectrum, True),
+    "maxima": (cmd_maxima, False),
+    "total": (cmd_total, False),
+    "fastlight": (cmd_fastlight, False),
+}
+
+
+def _run(args) -> int:
+    """Read the run file, compute, write the artifact, then print the summary.
+
+    A subcommand computes from (doc, config), checks that its result is finite
+    and returns its lines for stdout and stderr and its artifact (doc, columns,
+    rows).  A run that fails, in its write too, prints only its error line.
+    """
+    doc = _load_config(args.config)
+    config = _emission_config(doc)
+    command, out_required = _RUNS[args.command]
+    lines, notes, (body, columns, rows) = command(doc, config)
     if args.out:
-        fields = dataclasses.asdict(resonance)
-        _write(
-            args.out,
-            config,
-            {
-                "enhancement": study.enhancement,
-                "peak_count": study.peak_count,
-                "resonance": fields,
-            },
-            ("enhancement", "peak_count", *(f"resonance_{k}" for k in fields)),
-            [(study.enhancement, study.peak_count, *fields.values())],
-        )
-        _emit(args, f"fast-light study written to {args.out}")
+        try:
+            _write(args.out, config, body, columns, rows)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
+        if out_required:
+            lines[0] += f" -> {args.out}"
+        if args.verbose:
+            print(f"{args.command} artifact written to {args.out}", file=sys.stderr)
+    for line in lines:
+        print(line)
+    for line in notes:
+        print(line, file=sys.stderr)
     return EXIT_OK
 
 
@@ -437,17 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_material)
 
-    for name, func, needs_out in (
-        ("spectrum", cmd_spectrum, True),
-        ("maxima", cmd_maxima, False),
-        ("total", cmd_total, False),
-        ("fastlight", cmd_fastlight, False),
-    ):
+    for name, (_, out_required) in _RUNS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", required=needs_out, default=None,
+        p.add_argument("--out", required=out_required, default=None,
                        help="output path (.csv or .json)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_run)
     return parser
 
 

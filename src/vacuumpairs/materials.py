@@ -1,8 +1,9 @@
 """Built-in material library and (de)serialization of dispersion models.
 
 Each library entry is a key-value document with fields
-``{name, sellmeier: [[a, l], ...], resonances: [{center, amplitude, width}...]}``.
-Sellmeier ``l`` values are squared resonance wavelengths in um^2.
+``{name, comment, sellmeier: [[a, l], ...], resonances: [{center, amplitude, width}...]}``,
+all but ``sellmeier`` optional; ``{constant_index, resonances}`` is a constant
+medium.  Sellmeier ``l`` values are squared resonance wavelengths in um^2.
 """
 
 from __future__ import annotations
@@ -47,11 +48,20 @@ def _float(value) -> float:
         raise ValueError(f"{value!r} is too large for a float") from None
 
 
+def _known_keys(doc: dict, keys) -> None:
+    """Raise a ValueError that names the first key of doc outside keys, if any."""
+    unknown = doc.keys() - keys
+    if unknown:
+        raise ValueError(f"unknown key {min(unknown)!r}")
+
+
 def model_from_dict(doc: dict) -> DispersionModel:
-    """Build a DispersionModel from a material document."""
+    """A DispersionModel from a material document; a key outside its schema is a ValueError."""
     if "constant_index" in doc:
+        _known_keys(doc, ("constant_index", "resonances"))
         base = ConstantIndex(_float(doc["constant_index"]))
     elif "sellmeier" in doc:
+        _known_keys(doc, ("name", "comment", "sellmeier", "resonances"))
         if not all(isinstance(term, (list, tuple)) for term in doc["sellmeier"]):
             raise ValueError("each Sellmeier term must be an [a, l] pair")
         base = SellmeierModel(
@@ -60,10 +70,11 @@ def model_from_dict(doc: dict) -> DispersionModel:
         )
     else:
         raise ValueError("material document needs 'sellmeier' or 'constant_index'")
-    resonances = tuple(
-        LorentzianResonance(*(_float(r[key]) for key in ("center", "amplitude", "width")))
-        for r in doc.get("resonances", ())
-    )
+    keys = ("center", "amplitude", "width")
+    lines = doc.get("resonances", ())
+    for line in lines:
+        _known_keys(line, keys)
+    resonances = tuple(LorentzianResonance(*(_float(r[key]) for key in keys)) for r in lines)
     return DispersionModel(base=base, resonances=resonances)
 
 

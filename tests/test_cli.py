@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vacuumpairs import emission
+from vacuumpairs import analysis, cli, emission
 from vacuumpairs.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -441,6 +441,20 @@ class TestFastlight:
         assert "enhancement: 1," in capsys.readouterr().out
 
 
+    def test_default_study_finds_the_maximum_once(self, tmp_path, monkeypatch):
+        # the base maximum both places the line and sets the window
+        calls = []
+        find_maximum = analysis.find_maximum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return find_maximum(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "find_maximum", counted)
+        config = write_config(tmp_path, {"resolution": 41})
+        assert main(["fastlight", "--config", config]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_csv_out(self, tmp_path):
         config = write_config(tmp_path, {**FASTLIGHT_WINDOW, "resolution": 41})
         csv_path, json_path = tmp_path / "study.csv", tmp_path / "study.json"
@@ -636,6 +650,44 @@ class TestMemoryError:
         assert not out.exists()
 
 
+# a small valid run of each emission subcommand; maxima's speed 0.5 has no
+# emission, so a run that reaches its summary prints a note on stderr
+SMALL_RUNS = {
+    "spectrum": {**GRID_WINDOWS, "resolution": 5},
+    "maxima": {"betas": [0.5, 20.0], "lambda1_window_um": [0.3, 0.4]},
+    "total": {**SMALL_TOTAL, "max_refinements": 0},
+    "fastlight": {**FASTLIGHT_WINDOW, "resolution": 21},
+}
+
+
+class TestWriteFailure:
+    @pytest.mark.parametrize("command", list(SMALL_RUNS))
+    @pytest.mark.parametrize("target", ["no_such_dir/out.csv", "."],
+                             ids=["missing_dir", "directory"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, command, target):
+        config = write_config(tmp_path, SMALL_RUNS[command])
+        out = str(tmp_path / target)
+        line = assert_config_error(capsys, [command, "--config", config, "--out", out])
+        assert repr(out) in line
+
+    @pytest.mark.parametrize("command", list(SMALL_RUNS))
+    def test_artifact_written_before_summary(self, tmp_path, capsys, monkeypatch, command):
+        written = []
+        write = cli._write
+
+        def spy(path, *args):
+            # the summary is printed after the write, so none is captured yet
+            written.append(capsys.readouterr())
+            write(path, *args)
+
+        monkeypatch.setattr(cli, "_write", spy)
+        config = write_config(tmp_path, SMALL_RUNS[command])
+        out = tmp_path / "out.json"
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_OK
+        assert [(c.out, c.err) for c in written] == [("", "")]
+        assert capsys.readouterr().out and out.exists()
+
+
 class TestMalformedConfig:
     @pytest.mark.parametrize(
         "extra",
@@ -681,8 +733,15 @@ class TestMalformedConfig:
              "width"),
             ("fastlight", {"resonance": {"max_slope_at_um": 0.334886, "center_um": 0.3}},
              "center_um"),
+            # an inline material takes only the keys of its schema
+            ("maxima", {"material": {"constant_index": 1.5,
+                                     "sellmeier": [[0.6961663, 0.004679148]]}},
+             "sellmeier"),
+            ("maxima", {"material": inline_silica(widht=0.5)}, "widht"),
+            ("maxima", {"material": {**inline_silica(), "resonaces": []}}, "resonaces"),
         ],
-        ids=["gaussian_sigma_x", "tanh_sigma", "resonance_width", "resonance_center_and_slope"],
+        ids=["gaussian_sigma_x", "tanh_sigma", "resonance_width", "resonance_center_and_slope",
+             "constant_index_and_sellmeier", "material_resonance_width", "material_resonances"],
     )
     def test_unknown_or_conflicting_key_named(self, tmp_path, capsys, command, extra, key):
         config = write_config(tmp_path, {"fastlight_window_um": [0.26, 0.47], **extra})
