@@ -49,7 +49,9 @@ FLAG_HOLE = 2  # numerical singularity (pole, negative radicand, n_g ~ 0)
 # cells per row block of a collinear grid and of a total pass, whose partner
 # solve and density temporaries it bounds: a float64 temporary of a block stays
 # below glibc's 128 KiB mmap threshold, so it is reused from the heap instead
-# of being mapped and zeroed afresh
+# of being mapped and zeroed afresh; a grid block's density temporaries cover
+# whole eighths of its rows (see _grid_fields), so they come in a few sizes per
+# grid, which the heap reuses instead of fragmenting
 _BLOCK_CELLS = 15_000
 
 # the cap on a phi block's product (cells x n_phi) @ (n_phi x 6) in _cone_rows:
@@ -355,10 +357,24 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     Returns (values, flags) of shape (len(lam1), len(lam2)).  lam1 is the
     forward photon (theta1 = 0); the partner angle follows from the
     constraint at each cell.  The per-axis fields are evaluated once, the
-    cells in blocks of whole rows of at most _BLOCK_CELLS cells; every cell
-    runs the same operations on the same operands in any blocking.
+    cells in blocks of whole rows of at most _BLOCK_CELLS cells.
+
+    Each block flags every cell first: HOLE where a wavelength is bad or
+    |n_g| is below NG_FLOOR, or on the tanh csch^2 pole |k1x + k2x| <
+    KX_FLOOR, else FORBIDDEN where |cos(theta2)| > 1.  The density runs only
+    on the block's span: the columns from the first to the last that hold an
+    ok cell, rounded out to whole eighths of the row (ceil(len(lam2) / 8)
+    columns each).  Every other cell is an exact 0, and a block without an ok
+    cell runs no density at all.  Exact spans would give each block
+    temporaries of its own size, which fragments glibc's heap; eighths keep
+    the sizes to a few that it reuses, and each block frees its temporaries
+    before the next block makes its own, so that a block's memory is reused
+    rather than carved from the free space that the next grid's outputs
+    need.  Every cell runs the same operations on the same operands in any
+    blocking or span.
     """
     model = config.material
+    tanh = isinstance(config.profile, TanhProfile)
     lam1, lam2 = lam1[:, None], lam2[None, :]
     n1, ng1, bad1 = _index_fields(model, lam1)
     n2, ng2, bad2 = _index_fields(model, lam2)
@@ -366,22 +382,39 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     k2 = TWO_PI * n2 / lam2
     values = np.empty((lam1.size, lam2.size))
     flags = np.empty(values.shape, dtype=np.int64)
+    eighth = -(-lam2.size // 8)
     for b in _row_blocks(lam1.size, lam2.size):
         s_total = kinematics._on_shell_sum(lam1[b], lam2, config.kin)
         # cos(theta2) = k2x / k2
         with np.errstate(invalid="ignore", divide="ignore"):
             cos_t2 = (s_total - k1[b]) / k2
         forbidden = np.abs(cos_t2) > 1.0
-        cos_t2 = np.clip(cos_t2, -1.0, 1.0)
-        ky = k2 * np.sqrt(np.clip(1.0 - cos_t2 * cos_t2, 0.0, None))
-        block, csch = _density_kernel(
-            config, lam1[b], lam2, (n1[b], ng1[b]), (n2, ng2), (s_total, ky, 0.0), 1.0,
-            cos_t2, 1.0 + cos_t2 * cos_t2,
-        )
-        hole = bad1[b] | bad2 | csch
+        hole = bad1[b] | bad2
+        if tanh:
+            hole |= np.abs(s_total) < KX_FLOOR
         flags[b] = np.where(hole, FLAG_HOLE, forbidden * FLAG_FORBIDDEN)
-        # an ok cell keeps a density that overflowed, so callers can reject it
-        values[b] = np.where(hole | forbidden, 0.0, block)
+        zero = hole | forbidden
+        cols = np.flatnonzero(~zero.all(axis=0))
+        lo = hi = 0
+        if cols.size:
+            lo = cols[0] // eighth * eighth
+            hi = min(lam2.size, -(-(cols[-1] + 1) // eighth) * eighth)
+        values[b, :lo] = 0.0
+        values[b, hi:] = 0.0
+        if lo < hi:
+            span = slice(lo, hi)
+            cos_span = np.clip(cos_t2[:, span], -1.0, 1.0)
+            ky = k2[:, span] * np.sqrt(np.clip(1.0 - cos_span * cos_span, 0.0, None))
+            block, _ = _density_kernel(
+                config, lam1[b], lam2[:, span], (n1[b], ng1[b]), (n2[:, span], ng2[:, span]),
+                (s_total[:, span], ky, 0.0), 1.0, cos_span, 1.0 + cos_span * cos_span,
+            )
+            # an ok cell keeps a density that overflowed, so callers can reject it
+            values[b, span] = np.where(zero[:, span], 0.0, block)
+            del cos_span, ky, block
+        # each del frees a block's temporaries before the next block makes its
+        # own, whose sizes change with the span (see the docstring)
+        del s_total, cos_t2, forbidden, hole, zero, cols
     return values, flags
 
 

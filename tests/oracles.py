@@ -128,3 +128,37 @@ def total_row_density_3d(config, lam1, t1, t2, phi):
     )
     mean = simpson(values, x=phi, axis=2) / math.pi
     return np.where((none | bad2 | csch)[:, :, 0], 0.0, mean)
+
+
+def grid_fields_full_blocks(config, lam1, lam2):
+    """The collinear grid's (values, flags) with the density run on every cell of each row block.
+
+    The kernel runs on whole blocks of emission._row_blocks and the flags
+    and zeros follow from its csch mask.  emission._grid_fields runs it only
+    on each block's span and must give the same bytes.
+    """
+    model = config.material
+    lam1, lam2 = lam1[:, None], lam2[None, :]
+    n1, ng1, bad1 = emission._index_fields(model, lam1)
+    n2, ng2, bad2 = emission._index_fields(model, lam2)
+    k1 = TWO_PI * n1 / lam1
+    k2 = TWO_PI * n2 / lam2
+    values = np.empty((lam1.size, lam2.size))
+    flags = np.empty(values.shape, dtype=np.int64)
+    for b in emission._row_blocks(lam1.size, lam2.size):
+        s_total = kinematics._on_shell_sum(lam1[b], lam2, config.kin)
+        # cos(theta2) = k2x / k2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos_t2 = (s_total - k1[b]) / k2
+        forbidden = np.abs(cos_t2) > 1.0
+        cos_t2 = np.clip(cos_t2, -1.0, 1.0)
+        ky = k2 * np.sqrt(np.clip(1.0 - cos_t2 * cos_t2, 0.0, None))
+        block, csch = emission._density_kernel(
+            config, lam1[b], lam2, (n1[b], ng1[b]), (n2, ng2), (s_total, ky, 0.0), 1.0,
+            cos_t2, 1.0 + cos_t2 * cos_t2,
+        )
+        hole = bad1[b] | bad2 | csch
+        flags[b] = np.where(hole, emission.FLAG_HOLE, forbidden * emission.FLAG_FORBIDDEN)
+        # an ok cell keeps a density that overflowed, so callers can reject it
+        values[b] = np.where(hole | forbidden, 0.0, block)
+    return values, flags

@@ -29,7 +29,7 @@ from vacuumpairs.kinematics import (
 )
 from vacuumpairs.materials import get_material
 
-from oracles import density_nondispersive
+from oracles import density_nondispersive, grid_fields_full_blocks
 
 
 def silica_config(beta=10.0, sigma=1.0, eta=0.001, length_m=0.05):
@@ -480,7 +480,8 @@ class TestGrid:
 
 
 class TestGridBlocks:
-    """A grid keeps its bits in any row blocking, and its temporaries stay small."""
+    """A grid keeps its bits in any row blocking, runs the density only on each
+    block's span, and its temporaries stay small."""
 
     # (model, profile, beta, window in um, resolution), with the models and
     # profiles of TestScalarKernelBits
@@ -491,30 +492,98 @@ class TestGridBlocks:
         "fast_light": ("fast_light", "gaussian", 20.0, (0.2512, 0.4825), 41),
         # holds all three flags: 3365 ok, 2564 forbidden, 3480 hole
         "all_flags": ("fused_silica", "gaussian", 10.0, (0.05, 0.3), 97),
+        # inside the transparency window, so every HOLE is on the csch^2 pole,
+        # and some lie in forbidden cells outside their row's span
+        "tanh_csch": ("fused_silica", "tanh", 1e7, (0.3, 6.0), 41),
+        # across the infrared edge of the transparency window: HOLE cells that
+        # are also forbidden, outside their row's span
+        "infrared_edge": ("fused_silica", "gaussian", 20.0, (2.0, 12.0), 41),
+        # subluminal: every cell FORBIDDEN, no span at all
+        "subluminal": ("fused_silica", "gaussian", 0.5, (0.25, 0.5), 41),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_blocking_keeps_bits(self, monkeypatch, case):
-        model, profile, beta, window, resolution = self.CASES[case]
-        config = EmissionConfig(
+    def config(self, case):
+        model, profile, beta, _, _ = self.CASES[case]
+        return EmissionConfig(
             material=TestScalarKernelBits.MODELS[model](),
             profile=TestScalarKernelBits.PROFILES[profile],
             kin=PerturbationKinematics(beta=beta),
             length_m=0.05,
         )
+
+    @staticmethod
+    def forbidden(config, lam):
+        """|cos(theta2)| > 1 on the (lam, lam) grid, from the constraint alone."""
+        n, _, _ = dispersion.index_fields(config.material, lam)
+        k = 2.0 * math.pi * n / lam
+        on_shell = (2.0 * math.pi / config.kin.beta) * (1.0 / lam[:, None] + 1.0 / lam[None, :])
+        with np.errstate(invalid="ignore"):
+            return np.abs((on_shell - k[:, None]) / k[None, :]) > 1.0
+
+    @staticmethod
+    def outside_spans(flags):
+        """The cells outside each row's span: its first to last ok column, in whole eighths."""
+        eighth = -(-flags.shape[1] // 8)
+        outside = np.ones(flags.shape, dtype=bool)
+        for row, ok in zip(outside, flags == FLAG_OK):
+            cols = np.flatnonzero(ok)
+            if cols.size:
+                row[cols[0] // eighth * eighth : -(-(cols[-1] + 1) // eighth) * eighth] = False
+        return outside
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocking_keeps_bits(self, monkeypatch, case):
+        _, _, _, window, resolution = self.CASES[case]
+        config = self.config(case)
+        lam = np.geomspace(*window, resolution)
         grids = []
         # one block; one row per block; three rows per block and a partial last block
         for cells in (10**9, 7, 3 * resolution + 2):
             monkeypatch.setattr(emission, "_BLOCK_CELLS", cells)
-            grids.append(collinear_grid(config, window, window, resolution))
+            grid = collinear_grid(config, window, window, resolution)
+            values, flags = grid_fields_full_blocks(config, lam, lam)
+            assert grid.values.tobytes() == values.tobytes()
+            assert grid.flags.dtype == flags.dtype
+            assert grid.flags.tobytes() == flags.tobytes()
+            grids.append(grid)
         one = grids[0]
-        assert np.bincount(one.flags.ravel(), minlength=3)[FLAG_OK] > 0
         for grid in grids[1:]:
             assert grid.values.tobytes() == one.values.tobytes()
-            assert grid.flags.dtype == one.flags.dtype
             assert np.array_equal(grid.flags, one.flags)
+        counts = np.bincount(one.flags.ravel(), minlength=3)
+        if case == "subluminal":
+            assert counts.tolist() == [0, resolution**2, 0]
+        else:
+            assert counts[FLAG_OK] > 0
         if case == "all_flags":
-            assert np.bincount(one.flags.ravel(), minlength=3).tolist() == [3365, 2564, 3480]
+            assert counts.tolist() == [3365, 2564, 3480]
+        if case in ("tanh_csch", "infrared_edge"):
+            # HOLE beats FORBIDDEN where the density never runs
+            hole = one.flags == emission.FLAG_HOLE
+            assert (hole & self.forbidden(config, lam) & self.outside_spans(one.flags)).any()
+        if case == "tanh_csch":
+            lo, hi = dispersion.transparency_window(config.material)
+            assert lo < window[0] and window[1] < hi
+
+    def test_density_runs_on_spans_only(self, monkeypatch):
+        cells = []
+        kernel = emission._density_kernel
+
+        def counted(*args):
+            values, csch = kernel(*args)
+            cells.append(np.size(values))
+            return values, csch
+
+        monkeypatch.setattr(emission, "_density_kernel", counted)
+        # one row per block: a 41 x 41 grid is one block by default, whose
+        # span is the whole row
+        monkeypatch.setattr(emission, "_BLOCK_CELLS", 7)
+        for case, expect_calls in (("subluminal", False), ("gaussian", True)):
+            cells.clear()
+            _, _, _, window, resolution = self.CASES[case]
+            grid = collinear_grid(self.config(case), window, window, resolution)
+            assert bool(cells) == expect_calls
+            assert sum(cells) < grid.values.size
 
     @pytest.mark.parametrize("cap", [1, 7, 100, 15_000])
     def test_row_blocks(self, monkeypatch, cap):
