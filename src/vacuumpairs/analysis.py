@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -22,13 +21,12 @@ from .emission import (
     GaussianProfile,
     PairDensityGrid,
     collinear_grid,
+    _check_count,
     _check_window,
     _collinear_scan,
     _index_fields,
 )
 from .kinematics import PerturbationKinematics, PhotonMode
-
-TWO_PI = 2.0 * math.pi
 
 _COARSE_POINTS = 200  # log-grid points of the collinear scan of find_maximum
 
@@ -180,7 +178,14 @@ def beta_sweep(
     betas: list[float],
     window: tuple[float, float] = (0.2, 20.0),
 ) -> SweepResult:
-    """find_maximum for every beta, with monotonicity audits."""
+    """find_maximum for every beta, with monotonicity audits.
+
+    A beta without emission is recorded in failures.  Raises ValueError for
+    an empty betas and NoEmissionError, with every failure message, when no
+    beta has a maximum.
+    """
+    if len(betas) == 0:
+        raise ValueError("betas must hold at least one beta")
     rows: list[EmissionMaximum] = []
     failures: list[tuple[float, str]] = []
     for beta in betas:
@@ -189,6 +194,8 @@ def beta_sweep(
             rows.append(find_maximum(cfg, window=window))
         except NoEmissionError as exc:
             failures.append((float(beta), str(exc)))
+    if not rows:
+        raise NoEmissionError("; ".join(msg for _, msg in failures))
     ordered = sorted(rows, key=lambda r: r.beta)
     lam1 = [r.lambda1_um for r in ordered]
     lam2 = [r.lambda2_um for r in ordered]
@@ -276,8 +283,6 @@ def _integrate(integrand, half_angle, lam_window, resolution, rel_tol, max_refin
     QuadratureNotConvergedError is raised if max_refinements passes do not.
     max_refinements = 0 runs one pass at resolution, with rel_error None.
     """
-    from scipy.integrate import simpson
-
     def one_pass(n_lam, n_t1, n_t2, n_phi):
         lam1 = np.geomspace(lam_window[0], lam_window[1], n_lam)
         t1 = np.linspace(0.0, half_angle, n_t1)
@@ -291,7 +296,8 @@ def _integrate(integrand, half_angle, lam_window, resolution, rel_tol, max_refin
 
         blocks = emission._row_blocks(n_lam, n_t1 * n_t2)
         f = np.concatenate(_map_blocks(contract, blocks, min(_MAX_THREADS, _usable_cpus())))
-        return float(simpson(f[:, 0], x=lam1)), float(simpson(f[::2, 1], x=lam1[::2]))
+        total, coarse = np.einsum("br,rb->r", f, _simpson_weights(lam1))
+        return float(total), float(coarse)
 
     if max_refinements == 0:
         return one_pass(*resolution)[0], None
@@ -336,18 +342,11 @@ def total_count(
     _check_window("lam_window", lam_window)
     if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-    if not (
-        isinstance(base_resolution, (tuple, list))
-        and len(base_resolution) == 4
-        and all(isinstance(n, numbers.Integral) and n >= 3 for n in base_resolution)
-    ):
-        raise ValueError(
-            f"base_resolution must be four integers, each >= 3, got {base_resolution!r}"
-        )
-    if isinstance(max_refinements, bool) or not (
-        isinstance(max_refinements, numbers.Integral) and max_refinements >= 0
-    ):
-        raise ValueError(f"max_refinements must be an integer >= 0, got {max_refinements!r}")
+    if not (isinstance(base_resolution, (tuple, list)) and len(base_resolution) == 4):
+        raise ValueError(f"base_resolution must be four integers, got {base_resolution!r}")
+    for n in base_resolution:
+        _check_count("each base_resolution item", n, 3)
+    _check_count("max_refinements", max_refinements, 0)
     lam_scan = np.geomspace(lam_window[0], lam_window[1], 64)
     n_scan, _, bad_scan = _index_fields(config.material, lam_scan)
     if not np.any(~bad_scan & (config.kin.beta * n_scan > 1.0)):

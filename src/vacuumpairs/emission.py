@@ -46,12 +46,8 @@ FLAG_OK = 0
 FLAG_FORBIDDEN = 1  # no real emission angle for this cell
 FLAG_HOLE = 2  # numerical singularity (pole, negative radicand, n_g ~ 0)
 
-# cells per row block of a collinear grid and of a total pass, whose partner
-# solve and density temporaries it bounds: a float64 temporary of a block stays
-# below glibc's 128 KiB mmap threshold, so it is reused from the heap instead
-# of being mapped and zeroed afresh; a grid block's density temporaries cover
-# whole eighths of its rows (see _grid_fields), so they come in a few sizes per
-# grid, which the heap reuses instead of fragmenting
+# cells per row block of a collinear grid and of a total pass: a block's float64
+# temporaries stay under glibc's 128 KiB mmap threshold, so the heap reuses them
 _BLOCK_CELLS = 15_000
 
 # the cap on a phi block's product (cells x n_phi) @ (n_phi x 6) in _cone_rows:
@@ -220,27 +216,24 @@ def _mode_pair_density(mode1: PhotonMode, mode2: PhotonMode, config: EmissionCon
             f"pair constraint residual {residual:.3e} um^-1 exceeds tolerance {tol:.3e}"
         )
     k1, k2 = float(TWO_PI * n1 / lam1), float(TWO_PI * n2 / lam2)
-    kvec1, kvec2 = _wavevector(k1, mode1), _wavevector(k2, mode2)
-    ksum = (kvec1 + kvec2).tolist()
+    sin_t1, sin_t2 = math.sin(mode1.theta), math.sin(mode2.theta)
+    s1, s2 = k1 * sin_t1, k2 * sin_t2
+    ksum = (
+        k1 * cos_t1 + k2 * cos_t2,
+        s1 * math.cos(mode1.phi) + s2 * math.cos(mode2.phi),
+        s1 * math.sin(mode1.phi) + s2 * math.sin(mode2.phi),
+    )
     if isinstance(config.profile, TanhProfile) and abs(ksum[0]) < KX_FLOOR:
         raise CschSingularError("k1x + k2x too close to the csch^2 pole")
     for lam, ng in ((lam1, ng1), (lam2, ng2)):
         if abs(ng) < NG_FLOOR:
             raise GroupIndexSingularError(f"|n_g| = {abs(ng):.2e} < {NG_FLOOR} at {lam} um")
-    cos_psi = float(np.dot(kvec1, kvec2)) / (k1 * k2)
+    cos_psi = cos_t1 * cos_t2 + sin_t1 * sin_t2 * math.cos(mode1.phi - mode2.phi)
     value, _ = _density_kernel(
         config, lam1, lam2, (n1, ng1), (n2, ng2), ksum, cos_t1, cos_t2,
         1.0 + cos_psi * cos_psi,
     )
     return float(value)
-
-
-def _wavevector(k: float, mode: PhotonMode) -> np.ndarray:
-    """(kx, ky, kz) of a photon of wavenumber k along (theta, phi)."""
-    st = math.sin(mode.theta)
-    return np.array(
-        [k * math.cos(mode.theta), k * st * math.cos(mode.phi), k * st * math.sin(mode.phi)]
-    )
 
 
 def density_gaussian(mode1: PhotonMode, mode2: PhotonMode, config: EmissionConfig) -> float:
@@ -364,14 +357,10 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     KX_FLOOR, else FORBIDDEN where |cos(theta2)| > 1.  The density runs only
     on the block's span: the columns from the first to the last that hold an
     ok cell, rounded out to whole eighths of the row (ceil(len(lam2) / 8)
-    columns each).  Every other cell is an exact 0, and a block without an ok
-    cell runs no density at all.  Exact spans would give each block
-    temporaries of its own size, which fragments glibc's heap; eighths keep
-    the sizes to a few that it reuses, and each block frees its temporaries
-    before the next block makes its own, so that a block's memory is reused
-    rather than carved from the free space that the next grid's outputs
-    need.  Every cell runs the same operations on the same operands in any
-    blocking or span.
+    columns each), which keeps the span temporaries to a few sizes that the
+    heap reuses.  Every other cell is an exact 0, and a block without an ok
+    cell runs no density at all.  Every cell runs the same operations on the
+    same operands in any blocking or span.
     """
     model = config.material
     tanh = isinstance(config.profile, TanhProfile)
@@ -413,7 +402,7 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
             values[b, span] = np.where(zero[:, span], 0.0, block)
             del cos_span, ky, block
         # each del frees a block's temporaries before the next block makes its
-        # own, whose sizes change with the span (see the docstring)
+        # own, so the heap reuses them
         del s_total, cos_t2, forbidden, hole, zero, cols
     return values, flags
 
@@ -529,6 +518,12 @@ def _check_window(name: str, window) -> None:
         raise ValueError(f"{name} must be two finite bounds with 0 < min < max, got {window!r}")
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is an integer, not a bool, of at least minimum."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def collinear_grid(
     config: EmissionConfig,
     lambda1_range: tuple[float, float],
@@ -543,8 +538,7 @@ def collinear_grid(
     """
     _check_window("lambda1_range", lambda1_range)
     _check_window("lambda2_range", lambda2_range)
-    if not (isinstance(resolution, numbers.Integral) and resolution >= 2):
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    _check_count("resolution", resolution, 2)
     lam1 = np.geomspace(lambda1_range[0], lambda1_range[1], resolution)
     lam2 = np.geomspace(lambda2_range[0], lambda2_range[1], resolution)
     values, flags = _grid_fields(config, lam1, lam2)

@@ -214,6 +214,17 @@ class TestBetaSweep:
         assert len(sweep.failures) == 1
         assert sweep.failures[0][0] == 0.5
 
+    def test_empty_betas_rejected(self):
+        with pytest.raises(ValueError, match="betas"):
+            beta_sweep(silica_config(), betas=[])
+
+    def test_all_subluminal_raises_with_every_failure(self):
+        with pytest.raises(NoEmissionError) as info:
+            beta_sweep(silica_config(), betas=(0.5, 0.6))
+        messages = str(info.value).split("; ")
+        assert len(messages) == 2
+        assert messages[0].endswith("beta = 0.5") and messages[1].endswith("beta = 0.6")
+
 
 class TestTotalCount:
     RES = (17, 9, 65, 33)
@@ -912,16 +923,15 @@ class TestPhiFactoring:
         assert all(shape[1:] == (n_phi,) and shape[0] >= 2 for shape in shapes)
         assert all(math.prod(shape) * 6 <= emission._BLAS_THREADED_MNK for shape in shapes)
 
-    @pytest.mark.parametrize("n_phi", [3, 4, 33])
-    def test_phi_weights_are_simpson(self, n_phi):
-        phi = np.linspace(0.0, math.pi, n_phi)
-        f = np.exp(np.cos(phi)) * (1.0 + np.sin(phi) ** 2)
-        weights = analysis._simpson_weights(phi)
-        assert f @ weights[0] == pytest.approx(simpson(f, x=phi), rel=1e-14, abs=0.0)
-        assert f @ weights[1] == pytest.approx(
-            simpson(f[::2], x=phi[::2]), rel=1e-14, abs=0.0
-        )
-        assert not weights[1, 1::2].any()
+    @pytest.mark.parametrize("n", [3, 4, 33])
+    def test_phi_weights_are_simpson(self, n):
+        # linear axes as phi, theta1 and theta2 are, log-spaced ones as lambda1 is
+        for x in (np.linspace(0.0, math.pi, n), np.geomspace(0.1, 5.0, n)):
+            f = np.exp(np.cos(x)) * (1.0 + np.sin(x) ** 2)
+            weights = analysis._simpson_weights(x)
+            assert f @ weights[0] == pytest.approx(simpson(f, x=x), rel=1e-14, abs=0.0)
+            assert f @ weights[1] == pytest.approx(simpson(f[::2], x=x[::2]), rel=1e-14, abs=0.0)
+            assert not weights[1, 1::2].any()
 
 
 class TestCountPeaks:

@@ -73,19 +73,24 @@ def mp_density_gaussian(mode1, mode2, config, dps=40):
         for mode in (mode1, mode2):
             lam = mpmath.mpf(repr(mode.wavelength))
             theta = mpmath.mpf(repr(mode.theta))
+            phi = mpmath.mpf(repr(mode.phi))
             n = nn(lam)
             k = 2 * pi * n / lam
             omega = 2 * pi * c_um / lam
-            vals.append((lam, theta, n, ng(lam), k, omega))
-        (l1, t1, n1, ng1, k1, w1), (l2, t2, n2, ng2, k2, w2) = vals
+            vals.append((lam, theta, phi, n, ng(lam), k, omega))
+        (l1, t1, p1, n1, ng1, k1, w1), (l2, t2, p2, n2, ng2, k2, w2) = vals
         kx = k1 * mpmath.cos(t1) + k2 * mpmath.cos(t2)
-        ky = k1 * mpmath.sin(t1) + k2 * mpmath.sin(t2)
-        cos_psi = mpmath.cos(t1) * mpmath.cos(t2) + mpmath.sin(t1) * mpmath.sin(t2)
+        ky = k1 * mpmath.sin(t1) * mpmath.cos(p1) + k2 * mpmath.sin(t2) * mpmath.cos(p2)
+        kz = k1 * mpmath.sin(t1) * mpmath.sin(p1) + k2 * mpmath.sin(t2) * mpmath.sin(p2)
+        cos_psi = (
+            mpmath.cos(t1) * mpmath.cos(t2)
+            + mpmath.sin(t1) * mpmath.sin(t2) * mpmath.cos(p1 - p2)
+        )
         common = (
             eta**2 * pi**2 / (v * v) * w1 * w2 * (n1 + n2) ** 2
             * (1 + cos_psi**2) / (n1 * n1 * ng1 * ng1 * n2 * n2 * ng2 * ng2)
         )
-        ff = sigma**6 * mpmath.exp(-sigma * sigma * (kx * kx + ky * ky))
+        ff = sigma**6 * mpmath.exp(-sigma * sigma * (kx * kx + ky * ky + kz * kz))
         g1 = 1 - mpmath.cos(t1) / (beta * ng1)
         g2 = 1 - mpmath.cos(t2) / (beta * ng2)
         jac = 1 / mpmath.sqrt(g1 * g1 + g2 * g2)
@@ -101,6 +106,20 @@ class TestPointDensity:
         m1, m2 = on_curve_pair(config, 0.65)
         expected = mp_density_gaussian(m1, m2, config)
         assert density_gaussian(m1, m2, config) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "lam1, theta1, phi1, theta2, phi2",
+        [(0.65, 0.3, 0.0, 2.5, 1.1), (0.9, 0.2, 0.5, 2.7, -2.0)],
+        ids=["phi1_zero", "both_azimuths"],
+    )
+    def test_high_precision_oracle_off_axis(self, lam1, theta1, phi1, theta2, phi2):
+        # photons out of the xz plane: kz and cos(phi1 - phi2) enter the density
+        config = silica_config()
+        lam2 = solve_partner(lam1, theta1, theta2, config.kin, config.material)
+        m1, m2 = PhotonMode(lam1, theta1, phi1), PhotonMode(lam2, theta2, phi2)
+        expected = mp_density_gaussian(m1, m2, config)
+        assert expected > 0.0
+        assert density_gaussian(m1, m2, config) == pytest.approx(expected, rel=1e-8, abs=0.0)
 
     def test_exchange_symmetry(self):
         config = silica_config()
@@ -352,14 +371,21 @@ class TestScalarKernelBits:
                 lam2 = solve_partner(lam1, theta1, theta2, config.kin, model)
             except NoSignChangeError:
                 continue
-            m1, m2 = PhotonMode(lam1, theta1), PhotonMode(lam2, theta2, phi2)
             k1 = 2.0 * math.pi * dispersion.refractive_index(model, lam1) / lam1
             k2 = 2.0 * math.pi * dispersion.refractive_index(model, lam2) / lam2
-            kvec1, kvec2 = emission._wavevector(k1, m1), emission._wavevector(k2, m2)
-            cos_psi = float(np.dot(kvec1, kvec2)) / (k1 * k2)
+            s1, s2 = k1 * math.sin(theta1), k2 * math.sin(theta2)
+            ksum = (
+                k1 * math.cos(theta1) + k2 * math.cos(theta2),
+                s1 + s2 * math.cos(phi2),
+                s2 * math.sin(phi2),
+            )
+            cos_psi = (
+                math.cos(theta1) * math.cos(theta2)
+                + math.sin(theta1) * math.sin(theta2) * math.cos(phi2)
+            )
             scalar, array = self.kernel_both_ways(
-                config, lam1, lam2, (kvec1 + kvec2).tolist(), math.cos(theta1),
-                math.cos(theta2), 1.0 + cos_psi * cos_psi,
+                config, lam1, lam2, ksum, math.cos(theta1), math.cos(theta2),
+                1.0 + cos_psi * cos_psi,
             )
             assert scalar == array
             checked += 1
