@@ -107,6 +107,47 @@ def constraint_density(config: EmissionConfig, lam1: float) -> tuple[float, floa
     return lam2, emission.density_tanh(*modes, config)
 
 
+# scipy's golden-section constants, the conjugate rounded to 8 digits as scipy has it
+_GOLD_R = 0.61803399
+_GOLD_C = 1.0 - _GOLD_R
+
+
+def _golden(func, xa: float, xb: float, xc: float, xtol: float):
+    """(x, func(x)) at a minimum of func by golden section in the bracket (xa, xb, xc).
+
+    A port of scipy.optimize.minimize_scalar(func, bracket=(xa, xb, xc),
+    method="golden", options={"xtol": xtol}): the same points in the same
+    order, so the same bits.  Raises ValueError, as scipy does, unless xb
+    lies strictly between xa and xc and func(xb) is below func at both ends.
+    """
+    if xa > xc:
+        xa, xc = xc, xa
+    if not (xa < xb and xb < xc):
+        raise ValueError("bracketing values (xa, xb, xc) must satisfy xa < xb < xc")
+    fa, fb, fc = func(xa), func(xb), func(xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError("bracketing values must satisfy f(xb) < f(xa) and f(xb) < f(xc)")
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLD_C * (xc - xb)
+    else:
+        x1, x2 = xb - _GOLD_C * (xb - xa), xb
+    f1 = func(x1)
+    f2 = func(x2)
+    for _ in range(5000):  # scipy's maxiter
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1 = x1, x2
+            x2 = _GOLD_R * x1 + _GOLD_C * x3
+            f1, f2 = f2, func(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = _GOLD_R * x2 + _GOLD_C * x0
+            f2, f1 = f1, func(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 def find_maximum(
     config: EmissionConfig, window: tuple[float, float] = (0.2, 20.0)
 ) -> EmissionMaximum:
@@ -117,14 +158,12 @@ def find_maximum(
     pass; every lobe above half the scan maximum is refined by golden section
     (fast-light media can be multimodal) and the highest lobe wins.
     Deterministic.  The refinement, and every value it is compared with, call
-    the scalar constraint_density with its brentq partners: the density is
+    the scalar constraint_density with its _brentq partners: the density is
     flat at the maximum, so root-solver rounding far below its precision
     moves the location.  Both solvers bracket their partners in one cached,
     read-only theta2 = pi table, built at most once per call.  Raises
     ValueError unless window is two finite bounds with 0 < min < max.
     """
-    from scipy.optimize import minimize_scalar
-
     _check_window("window", window)
     clear = dispersion.transparency_window(config.material)
     window = (max(window[0], clear[0]), min(window[1], clear[1]))
@@ -157,11 +196,8 @@ def find_maximum(
             a, b, c = (math.log(lam1_grid[i - 1]), math.log(lam1_grid[i]),
                        math.log(lam1_grid[i + 1]))
             try:
-                res = minimize_scalar(
-                    lambda x: -density_at(math.exp(x)), bracket=(a, b, c),
-                    method="golden", options={"xtol": 1e-10},
-                )
-                lam1_ref, val_ref = math.exp(float(res.x)), -float(res.fun)
+                x_ref, f_ref = _golden(lambda x: -density_at(math.exp(x)), a, b, c, 1e-10)
+                lam1_ref, val_ref = math.exp(x_ref), -f_ref
             except ValueError:
                 val_ref = density_at(lam1_ref)
         else:
@@ -216,17 +252,47 @@ def beta_sweep(
 # ---------------------------------------------------------------------------
 # total pair count
 
+def _simpson_rule(x: np.ndarray) -> np.ndarray:
+    """Each node's weight in scipy.integrate.simpson(f, x=x), bit for bit, for increasing x.
+
+    An odd number of nodes takes the composite rule, a parabola over each
+    pair of intervals; an even number takes it up to the second-last node and
+    adds Cartwright's correction for the last interval; two nodes take the
+    trapezoid.  Node j's weight is the sum scipy forms for f one at j and zero
+    elsewhere, in its order of operations: the two parabolas that share an
+    even node add their parts, and adding scipy's zeros changes no bit.
+    """
+    h = np.diff(x)
+    if x.size == 2:
+        return np.full(2, 0.5 * h[0])
+    w = np.zeros(x.size)
+    m = x.size - 1 + x.size % 2  # nodes under the composite rule: odd
+    h0, h1 = h[0:m - 1:2], h[1:m - 1:2]
+    hsum, h0divh1 = h0 + h1, h0 / h1
+    sixth = hsum / 6.0
+    w[0:m - 1:2] = sixth * (2.0 - 1.0 / h0divh1)
+    w[1:m:2] = sixth * (hsum * (hsum / (h0 * h1)))
+    w[2:m:2] += sixth * (2.0 - h0divh1)
+    if m < x.size:
+        # one-element arrays, as in scipy: h1 ** 3 runs numpy's power loop,
+        # whose bits can differ from a float's ** by an ulp
+        h0, h1 = h[-2:-1], h[-1:]
+        alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+        w[-3:] += np.concatenate([-eta, beta, alpha])
+    return w
+
+
 def _simpson_weights(x: np.ndarray) -> np.ndarray:
     """Rows w with f @ w[0] == simpson(f, x=x), f @ w[1] == simpson(f[::2], x=x[::2]).
 
-    Up to rounding.  The rules are linear in f, so column j of the identity
-    gives node j's weights; this keeps scipy's rule for any number of nodes.
+    Up to rounding: each weight has scipy's bits (_simpson_rule), the dot
+    product sums in its own order.
     """
-    from scipy.integrate import simpson
-
     weights = np.zeros((2, x.size))
-    weights[0] = simpson(np.eye(x.size), x=x, axis=1)
-    weights[1, ::2] = simpson(np.eye(x[::2].size), x=x[::2], axis=1)
+    weights[0] = _simpson_rule(x)
+    weights[1, ::2] = _simpson_rule(x[::2])
     return weights
 
 

@@ -270,13 +270,11 @@ def solve_partner(
     Returns the smallest root in the transparency window of the model,
     which keeps the search off any unphysical branch beyond an infrared
     pole: _column_bracket brackets it in the read-only _shared_table of
-    cos(theta2), which find_maximum's scan reads too, and brentq refines the
-    bracket on Python floats.  Warns via MultipleRootsWarning when the window
+    cos(theta2), which find_maximum's scan reads too, and _brentq refines
+    the bracket on Python floats.  Warns via MultipleRootsWarning when the window
     holds more than one root (fast-light dispersion), and raises
     NoSignChangeError when it holds none (in particular when subluminal).
     """
-    from scipy.optimize import brentq
-
     model = dispersion.as_model(model)
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta
@@ -295,7 +293,65 @@ def solve_partner(
         n2, _, bad = dispersion.index_fields(model, lam2)
         return math.nan if bad else 2.0 * math.pi * (part1 + _photon_term(lam2, n2, cos_t2, inv_b))
 
-    return brentq(residual, lo, hi, xtol=_XTOL, rtol=_RTOL)
+    return _brentq(residual, lo, hi, _XTOL, _RTOL)
+
+
+def _brentq(f, a, b, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b] by Brent's method: scipy.optimize.brentq, step for step.
+
+    The same float operations in the same order as scipy's C brentq, so the
+    same evaluation points and the same root.  Raises ValueError when f
+    returns nan or f(a) and f(b) are nonzero of equal sign, and RuntimeError
+    after scipy's default of 100 iterations without convergence.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):  # fpre is never 0; at fcur == 0 xcur is returned below
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides an underflowed den to inf or nan, and either bisects below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def _secant(lo, hi, f_lo, f_hi):

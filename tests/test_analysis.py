@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.optimize import minimize_scalar
 
 from vacuumpairs import analysis, dispersion, emission, kinematics
 from vacuumpairs.analysis import (
@@ -164,6 +165,72 @@ SCAN_CASES = {
     "fast_light": lambda: fast_light_config(0.06),
     "fast_light_multiroot": lambda: fast_light_config(0.3),
 }
+
+
+def both_golden(func, bracket, xtol, port=analysis._golden):
+    """((x, fun, points), (x, fun, points)) of the port and scipy's golden minimize_scalar.
+
+    points are the abscissae each evaluated func at, in order; an
+    exception's class takes the place of x and fun.
+    """
+    runs = []
+    for solve in (
+        lambda g: port(g, *bracket, xtol),
+        lambda g: (lambda res: (float(res.x), float(res.fun)))(
+            minimize_scalar(g, bracket=bracket, method="golden", options={"xtol": xtol})
+        ),
+    ):
+        points = []
+        try:
+            x, fun = solve(lambda x: points.append(x) or func(x))
+            runs.append((x.hex(), fun.hex(), points))
+        except ValueError as exc:
+            runs.append((type(exc), type(exc), points))
+    return runs
+
+
+class TestGolden:
+    """analysis._golden against scipy's golden-section minimize_scalar, its oracle: same bits."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    def test_matches_scipy_on_find_maximum_lobes(self, monkeypatch, name):
+        port, runs = analysis._golden, []
+
+        def compare(func, xa, xb, xc, xtol):
+            runs.append(both_golden(func, (xa, xb, xc), xtol, port=port))
+            return port(func, xa, xb, xc, xtol)
+
+        monkeypatch.setattr(analysis, "_golden", compare)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
+            find_maximum(SCAN_CASES[name]())
+        assert runs
+        for ours, scipys in runs:
+            assert ours == scipys
+
+    @pytest.mark.parametrize(
+        "func, bracket",
+        [
+            (lambda x: (x - 0.3) ** 2, (0.0, 0.2, 1.0)),
+            (lambda x: (x - 0.3) ** 2, (1.0, 0.2, 0.0)),  # ends reversed
+            (lambda x: -math.exp(-x * x) * math.cos(3.0 * x), (-0.5, 0.1, 0.4)),
+            (lambda x: math.cosh(x - 2.0) + 1e-3 * x, (-1.0, 2.5, 3.0)),
+            (lambda x: abs(x + 0.1), (-0.4, -0.05, 2.0)),
+        ],
+    )
+    @pytest.mark.parametrize("xtol", [1e-10, 1e-6])
+    def test_matches_scipy_on_synthetic_brackets(self, func, bracket, xtol):
+        ours, scipys = both_golden(func, bracket, xtol)
+        assert isinstance(ours[0], str) and ours == scipys
+
+    @pytest.mark.parametrize(
+        "bracket",
+        [(0.0, 1.5, 1.0), (0.0, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.9, 1.0)],
+        ids=["outside", "at_end", "nan", "not_lowest"],
+    )
+    def test_invalid_bracket_raises_as_scipy(self, bracket):
+        ours, scipys = both_golden(lambda x: (x - 0.3) ** 2, bracket, 1e-10)
+        assert ours[0] is ValueError and ours == scipys
 
 
 class TestCollinearScan:
@@ -923,12 +990,16 @@ class TestPhiFactoring:
         assert all(shape[1:] == (n_phi,) and shape[0] >= 2 for shape in shapes)
         assert all(math.prod(shape) * 6 <= emission._BLAS_THREADED_MNK for shape in shapes)
 
-    @pytest.mark.parametrize("n", [3, 4, 33])
+    @pytest.mark.parametrize("n", range(2, 301))
     def test_phi_weights_are_simpson(self, n):
         # linear axes as phi, theta1 and theta2 are, log-spaced ones as lambda1 is
         for x in (np.linspace(0.0, math.pi, n), np.geomspace(0.1, 5.0, n)):
             f = np.exp(np.cos(x)) * (1.0 + np.sin(x) ** 2)
             weights = analysis._simpson_weights(x)
+            # node by node, the bits of scipy's rule
+            assert weights[0].tobytes() == simpson(np.eye(n), x=x, axis=1).tobytes()
+            coarse = simpson(np.eye(x[::2].size), x=x[::2], axis=1)
+            assert weights[1, ::2].tobytes() == coarse.tobytes()
             assert f @ weights[0] == pytest.approx(simpson(f, x=x), rel=1e-14, abs=0.0)
             assert f @ weights[1] == pytest.approx(simpson(f[::2], x=x[::2]), rel=1e-14, abs=0.0)
             assert not weights[1, 1::2].any()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from vacuumpairs import dispersion, kinematics
 from vacuumpairs.analysis import find_maximum
@@ -483,6 +484,102 @@ class TestBracketSearch:
             column = kinematics._shared_table(cos_t2, kin, model)
             lo_s, hi_s, _ = kinematics._column_bracket(part1, column)
             np.testing.assert_array_equal([lo_s, hi_s], [lo_want, hi_want])
+
+
+def both_brentq(f, a, b, xtol, rtol, port=kinematics._brentq):
+    """((root, points), (root, points)) of the port and scipy's brentq on f over [a, b].
+
+    points are the abscissae each solver evaluated f at, in order; an
+    exception's class takes the place of the root.
+    """
+    runs = []
+    for solve in (
+        lambda g: port(g, a, b, xtol, rtol),
+        lambda g: brentq(g, a, b, xtol=xtol, rtol=rtol),
+    ):
+        points = []
+        try:
+            root = solve(lambda x: points.append(x) or f(x))
+        except (ValueError, RuntimeError) as exc:
+            root = type(exc)
+        runs.append((root, points))
+    return runs
+
+
+class TestBrentq:
+    """kinematics._brentq against scipy.optimize.brentq, the oracle it ports: same bits."""
+
+    MODELS = {
+        "fused_silica": lambda: get_material("fused_silica"),
+        "silicon": lambda: get_material("silicon"),
+        "fast_light": lambda: fast_light_silica(0.06),
+        "fast_light_multiroot": lambda: fast_light_silica(0.3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("beta", [2.0, 10.0, 30.0])
+    def test_matches_scipy_on_partner_residuals(self, monkeypatch, name, beta):
+        port, runs = kinematics._brentq, []
+
+        def compare(f, a, b, xtol, rtol):
+            runs.append(both_brentq(f, a, b, xtol, rtol, port=port))
+            return port(f, a, b, xtol, rtol)
+
+        monkeypatch.setattr(kinematics, "_brentq", compare)
+        model = self.MODELS[name]()
+        kin = PerturbationKinematics(beta=beta)
+        window = dispersion.transparency_window(model)
+        lams = np.geomspace(max(0.2, window[0]), min(20.0, window[1]), 15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootsWarning)
+            for theta2 in (math.pi, 2.9, 2.2, math.pi / 2.0 + 0.1):
+                for lam1 in lams:
+                    try:
+                        solve_partner(float(lam1), 0.0, theta2, kin, model)
+                    except NoSignChangeError:
+                        pass
+        assert len(runs) >= 15
+        for ours, scipys in runs:
+            assert ours[0].hex() == scipys[0].hex() and ours[1] == scipys[1]
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x * x * x - 2.0 * x - 5.0, 2.0, 3.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: math.exp(x) - 2.0, -4.0, 4.0),
+            (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+            (lambda x: (x - 0.7) * (1.0 + x * x), 0.0, 1.0),
+            (lambda x: 1.0 / (x - 0.5) if x != 0.5 else 1.0, 0.0, 1.0),
+            (lambda x: 1.0 / x - 3.0, 0.2, 2.5),
+            # residuals near 1e-110: the extrapolation's denominator underflows to 0
+            (lambda x: 1e-110 * (x * x * x - 2.0 * x - 5.0), 2.0, 3.0),
+            (lambda x: x - 0.25, 0.25, 1.0),  # an exact zero at a
+            (lambda x: x - 0.25, 0.0, 0.25),  # and at b
+            (lambda x: x - 0.25, 1.0, 0.0),  # ends reversed
+        ],
+    )
+    # the coarse xtol makes the step bound's delta term decide a step
+    @pytest.mark.parametrize(
+        "xtol, rtol", [(1e-14, 1e-15), (2e-12, 8.881784197001252e-16), (0.1, 1e-15)]
+    )
+    def test_matches_scipy_on_synthetic_brackets(self, f, a, b, xtol, rtol):
+        ours, scipys = both_brentq(f, a, b, xtol, rtol)
+        assert ours[0].hex() == scipys[0].hex() and ours[1] == scipys[1]
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: math.nan if x > 0.5 else x - 0.6, 0.0, 1.0),  # nan inside
+            (lambda x: math.nan, 0.0, 1.0),  # nan at a
+            (lambda x: x * x + 1.0, -1.0, 1.0),  # ends of equal sign
+            (lambda x: 1e-200, 0.0, 1.0),  # equal sign, product underflows
+            (lambda x: (x - 0.7) ** 9, 0.0, 1.0),  # too flat to converge in 100 iterations
+        ],
+    )
+    def test_raises_as_scipy(self, f, a, b):
+        ours, scipys = both_brentq(f, a, b, 1e-14, 1e-15)
+        assert ours[0] in (ValueError, RuntimeError) and ours == scipys
 
 
 class TestValidation:
