@@ -148,14 +148,38 @@ class EmissionConfig:
 # ---------------------------------------------------------------------------
 # profile form factors (squared Fourier transforms, delta stripped)
 
+# e^x < 2^-1075, half the least subnormal, for x below ln(2^-1075) = -745.133...,
+# so numpy's exp rounds every argument at or below this to exactly +0.0
+_EXP_ZERO_ARG = -745.2
+
+
+def _form_exp(x):
+    """np.exp(x), which the form factors take, with the bits of np.exp on every element.
+
+    On an array, exp runs only where x > _EXP_ZERO_ARG or x is nan, and every
+    other element is the +0.0 that exp would round to: numpy's exp takes a
+    path an order of magnitude slower on those arguments.  A float goes to
+    plain np.exp.
+    """
+    if not isinstance(x, np.ndarray):
+        return np.exp(x)
+    return np.exp(x, out=np.zeros_like(x), where=~(x <= _EXP_ZERO_ARG))
+
+
 def gaussian_form_factor(profile: GaussianProfile, kx, ky, kz):
-    """sigma^6 exp(-sigma^2 |K|^2) with K the summed pair momentum (um^-1)."""
+    """sigma^6 exp(-sigma^2 |K|^2) with K the summed pair momentum (um^-1).
+
+    The exp is _form_exp's: exactly +0.0 at or below _EXP_ZERO_ARG.
+    """
     s2 = profile.sigma * profile.sigma
-    return profile.sigma**6 * np.exp(-s2 * (kx * kx + ky * ky + kz * kz))
+    return profile.sigma**6 * _form_exp(-s2 * (kx * kx + ky * ky + kz * kz))
 
 
 def tanh_form_factor(profile: TanhProfile, kx, ky, kz):
-    """sx^2 sy^2 sz^2 (pi/2) csch^2(pi sx kx / 2) exp(-sy^2 ky^2 - sz^2 kz^2)."""
+    """sx^2 sy^2 sz^2 (pi/2) csch^2(pi sx kx / 2) exp(-sy^2 ky^2 - sz^2 kz^2).
+
+    The exp is _form_exp's: exactly +0.0 at or below _EXP_ZERO_ARG.
+    """
     arg = 0.5 * math.pi * profile.sigma_x * np.asarray(kx, dtype=float)
     # np.square, not ** 2, which on a float is libm pow (see _density_kernel)
     csch2 = 1.0 / np.square(np.sinh(arg))
@@ -163,7 +187,7 @@ def tanh_form_factor(profile: TanhProfile, kx, ky, kz):
         (profile.sigma_x * profile.sigma_y * profile.sigma_z) ** 2
         * (math.pi / 2.0)
         * csch2
-        * np.exp(-profile.sigma_y**2 * np.square(ky) - profile.sigma_z**2 * np.square(kz))
+        * _form_exp(-profile.sigma_y**2 * np.square(ky) - profile.sigma_z**2 * np.square(kz))
     )
 
 
@@ -178,7 +202,8 @@ def _transverse_weight(profile, ky):
     exp is slow below -708.4, and weights near the subnormal range slow the
     products that use them.  Only weights below exp(-690), about 2e-300, change;
     one that exp underflows to 0.0 stays 0.0, where a plain floor at -690
-    would make it 2e-300.
+    would make it 2e-300.  This flush is the total's own rule and does not
+    keep the bits of exp: the form factors' _form_exp does.
     """
     sy = profile.sigma if isinstance(profile, GaussianProfile) else profile.sigma_y
     np.square(ky, out=ky)
@@ -309,7 +334,7 @@ def _density_kernel(
         ff = gaussian_form_factor(profile, kx, ky, kz)
     else:
         csch = np.abs(kx) < KX_FLOOR
-        ff = tanh_form_factor(profile, np.where(csch, 1.0, kx), ky, kz)
+        ff = tanh_form_factor(profile, np.where(csch, 1.0, kx) if csch.any() else kx, ky, kz)
     w1, w2 = dispersion._omega(lam1), dispersion._omega(lam2)
     v_um = kin.v_um_s
     # huge sizes overflow to inf or nan here; callers mask or reject those
@@ -361,6 +386,10 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     heap reuses.  Every other cell is an exact 0, and a block without an ok
     cell runs no density at all.  Every cell runs the same operations on the
     same operands in any blocking or span.
+
+    One pass per block: values start as zeros, the flags are written in
+    place, the hole mask is built only where the block has a bad sample or
+    the profile is tanh, and no array pass runs that cannot change a value.
     """
     model = config.material
     tanh = isinstance(config.profile, TanhProfile)
@@ -369,7 +398,7 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
     n2, ng2, bad2 = _index_fields(model, lam2)
     k1 = TWO_PI * n1 / lam1
     k2 = TWO_PI * n2 / lam2
-    values = np.empty((lam1.size, lam2.size))
+    values = np.zeros((lam1.size, lam2.size))
     flags = np.empty(values.shape, dtype=np.int64)
     eighth = -(-lam2.size // 8)
     for b in _row_blocks(lam1.size, lam2.size):
@@ -377,33 +406,39 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
         # cos(theta2) = k2x / k2
         with np.errstate(invalid="ignore", divide="ignore"):
             cos_t2 = (s_total - k1[b]) / k2
-        forbidden = np.abs(cos_t2) > 1.0
-        hole = bad1[b] | bad2
-        if tanh:
-            hole |= np.abs(s_total) < KX_FLOOR
-        flags[b] = np.where(hole, FLAG_HOLE, forbidden * FLAG_FORBIDDEN)
-        zero = hole | forbidden
+        zero = np.abs(cos_t2) > 1.0
+        np.copyto(flags[b], zero)  # FLAG_FORBIDDEN is True, FLAG_OK False
+        if tanh or bad1[b].any() or bad2.any():
+            hole = bad1[b] | bad2
+            if tanh:
+                hole |= np.abs(s_total) < KX_FLOOR
+            np.copyto(flags[b], FLAG_HOLE, where=hole)
+            zero |= hole
+            del hole
         cols = np.flatnonzero(~zero.all(axis=0))
-        lo = hi = 0
         if cols.size:
-            lo = cols[0] // eighth * eighth
-            hi = min(lam2.size, -(-(cols[-1] + 1) // eighth) * eighth)
-        values[b, :lo] = 0.0
-        values[b, hi:] = 0.0
-        if lo < hi:
-            span = slice(lo, hi)
+            span = slice(
+                cols[0] // eighth * eighth, min(lam2.size, -(-(cols[-1] + 1) // eighth) * eighth)
+            )
             cos_span = np.clip(cos_t2[:, span], -1.0, 1.0)
-            ky = k2[:, span] * np.sqrt(np.clip(1.0 - cos_span * cos_span, 0.0, None))
+            angular = cos_span * cos_span
+            # ky = k2 sin(theta2), then angular = 1 + cos(theta2)^2
+            ky = np.subtract(1.0, angular)
+            np.maximum(ky, 0.0, out=ky)
+            np.sqrt(ky, out=ky)
+            ky *= k2[:, span]
+            angular += 1.0
             block, _ = _density_kernel(
                 config, lam1[b], lam2[:, span], (n1[b], ng1[b]), (n2[:, span], ng2[:, span]),
-                (s_total[:, span], ky, 0.0), 1.0, cos_span, 1.0 + cos_span * cos_span,
+                (s_total[:, span], ky, 0.0), 1.0, cos_span, angular,
             )
             # an ok cell keeps a density that overflowed, so callers can reject it
-            values[b, span] = np.where(zero[:, span], 0.0, block)
-            del cos_span, ky, block
+            np.copyto(block, 0.0, where=zero[:, span])
+            values[b, span] = block
+            del cos_span, angular, ky, block
         # each del frees a block's temporaries before the next block makes its
         # own, so the heap reuses them
-        del s_total, cos_t2, forbidden, hole, zero, cols
+        del s_total, cos_t2, zero, cols
     return values, flags
 
 

@@ -411,6 +411,69 @@ class TestScalarKernelBits:
                 assert scalar == array
 
 
+def exact_squares(targets):
+    """(ky, kz) with -(ky * ky + kz * kz) == t exactly for each target t <= 0."""
+    kz = np.arange(4000) * 1e-3
+    pairs = []
+    for t in targets:
+        ky = np.sqrt(-t - kz * kz)
+        for _ in range(3):
+            hit = np.flatnonzero(-(ky * ky + kz * kz) == t)
+            if hit.size:
+                break
+            ky = np.nextafter(ky, np.inf)
+        assert hit.size, t
+        pairs.append((ky[hit[0]], kz[hit[0]]))
+    return np.array(pairs).T
+
+
+@pytest.mark.parametrize("profile", sorted(TestScalarKernelBits.PROFILES))
+def test_form_factor_exp_keeps_bits(profile):
+    # the form factors skip exp at or below -745.2, where it rounds to +0.0; each
+    # must keep the bits of the unguarded sigma^6 exp(...) on every argument
+    profile = TestScalarKernelBits.PROFILES[profile]
+    boundary = [-745.2, -745.1332191019412, np.nextafter(-745.2, 0.0), -745.13, -708.4]
+    ky_exact, kz_exact = exact_squares(boundary)
+    spread = np.concatenate([np.linspace(0.0, 3000.0, 3001), np.linspace(708.4, 745.13, 1000)])
+    special = [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.nan),
+               (1.0, math.inf), (math.inf, -math.inf), (math.nan, math.inf)]
+    ky = np.concatenate([np.sqrt(spread), ky_exact, [y for y, _ in special]])
+    kz = np.concatenate([np.zeros(spread.size), kz_exact, [z for _, z in special]])
+    # the argument each form factor gives exp, with sigma = sigma_y = sigma_z = 1
+    arg = -(ky * ky + kz * kz)
+    assert set(boundary) <= set(arg.tolist())
+    finite = arg[np.isfinite(arg)]
+    assert finite.min() <= -3000.0 and finite.max() == 0.0
+    if isinstance(profile, GaussianProfile):
+        assert profile.sigma == 1.0
+        kx = np.zeros(ky.size)
+        s2 = profile.sigma * profile.sigma
+        expected = profile.sigma**6 * np.exp(-s2 * (kx * kx + ky * ky + kz * kz))
+        values = gaussian_form_factor(profile, kx, ky, kz)
+    else:
+        sx, sy, sz = profile.sigma_x, profile.sigma_y, profile.sigma_z
+        assert sy == sz == 1.0
+        # near the csch^2 pole, so the prefactor (about 63) keeps exp's subnormals
+        kx = np.full(ky.size, 0.1)
+        expected = (
+            (sx * sy * sz) ** 2
+            * (math.pi / 2.0)
+            * (1.0 / np.square(np.sinh(0.5 * math.pi * sx * kx)))
+            * np.exp(-sy**2 * np.square(ky) - sz**2 * np.square(kz))
+        )
+        values = tanh_form_factor(profile, kx, ky, kz)
+    assert values.tobytes() == expected.tobytes()
+    # the guard is live: zeros below the cut, subnormals just above it, nan kept
+    assert np.all(values[arg <= -745.2] == 0.0)
+    assert np.count_nonzero((values > 0.0) & (values < np.finfo(float).tiny)) >= 100
+    assert np.isnan(values).sum() == 3
+    form_factor = gaussian_form_factor if isinstance(profile, GaussianProfile) else tanh_form_factor
+    floats = np.array([
+        form_factor(profile, x, y, z) for x, y, z in zip(kx.tolist(), ky.tolist(), kz.tolist())
+    ])
+    assert floats.tobytes() == values.tobytes()
+
+
 class TestTanhDensity:
     def tanh_config(self, **kw):
         return EmissionConfig(
