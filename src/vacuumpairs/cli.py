@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import analysis, dispersion, emission, kinematics, materials
-from .dispersion import DispersionError, LorentzianResonance
+from .dispersion import DispersionError
 from .emission import EmissionConfig, GaussianProfile, TanhProfile
 from .kinematics import KinematicsError, PerturbationKinematics
 from .materials import UnknownMaterialError
@@ -329,22 +329,16 @@ def cmd_fastlight(doc: dict, config: EmissionConfig):
     raw = doc.get("resonance", {})
     if not isinstance(raw, dict):
         raise ConfigError("'resonance' must be an object")
-    keys = ("amplitude", "width_um", "center_um", "max_slope_at_um")
+    keys = ("amplitude", "width_um", "max_slope_at_um")
     _parse(lambda spec: materials._known_keys(spec, keys), "resonance", raw)
-    if "center_um" in raw and "max_slope_at_um" in raw:
-        raise ConfigError("bad resonance: 'center_um' and 'max_slope_at_um' exclude each other")
     amplitude = _number(raw, "amplitude", analysis.FAST_LIGHT_AMPLITUDE)
     width = _number(raw, "width_um", analysis.FAST_LIGHT_WIDTH_UM)
     window = _window(doc, "fastlight_window_um", None)
     resolution = _number(doc, "resolution", 161, integer=True)
     # the base maximum places the line and the window unless both are given
-    anchored = "center_um" in raw or "max_slope_at_um" in raw
-    base_max = None if anchored and window else analysis.find_maximum(config)
-    if "center_um" in raw:
-        resonance = LorentzianResonance(_number(raw, "center_um"), amplitude, width)
-    else:
-        at = _number(raw, "max_slope_at_um") if "max_slope_at_um" in raw else base_max.lambda1_um
-        resonance = dispersion.fast_light_resonance(amplitude, width, at)
+    base_max = None if "max_slope_at_um" in raw and window else analysis.find_maximum(config)
+    at = _number(raw, "max_slope_at_um") if "max_slope_at_um" in raw else base_max.lambda1_um
+    resonance = dispersion.fast_light_resonance(amplitude, width, at)
     window = window or analysis.fast_light_window(base_max)
     study = analysis.fast_light_study(config, resonance, window=window, resolution=resolution)
     _check_finite(

@@ -38,7 +38,7 @@ class PoleProximityError(DispersionError):
 
 
 class NegativeRadicandError(DispersionError):
-    """The Sellmeier bracket went negative; the model is not usable there."""
+    """The Sellmeier bracket went negative or not finite; the model is not usable there."""
 
 
 class NonPositiveError(DispersionError):
@@ -117,15 +117,6 @@ def group_regime(n_g: float) -> str:
     return "normal"
 
 
-def as_model(model) -> DispersionModel:
-    """Wrap a bare base medium in a DispersionModel; pass models through."""
-    if isinstance(model, DispersionModel):
-        return model
-    if isinstance(model, (SellmeierModel, ConstantIndex)):
-        return DispersionModel(base=model)
-    raise TypeError(f"not a dispersion model: {model!r}")
-
-
 def _sellmeier_term(rad, drad, lam, lam2, denom, a_i, l_i):
     """rad and drad plus one Sellmeier term a_i lam^2/(lam^2 - l_i) and its lam-derivative.
 
@@ -153,31 +144,34 @@ def _evaluate(model: DispersionModel, lam: np.ndarray):
 
     The array Sellmeier/Lorentzian evaluator; never raises.  Samples where
     the model is invalid (non-positive or non-finite wavelength, Sellmeier
-    pole within POLE_GUARD_UM2, negative radicand) are flagged in the mask;
-    their n, dn values are placeholders.
+    pole within POLE_GUARD_UM2, negative or non-finite radicand) are flagged
+    in the mask; their n, dn values are placeholders.  Beyond about 1.3e154
+    um lam^2 overflows and the radicand is nan: flagged, without a warning.
     """
     bad = ~np.isfinite(lam) | (lam <= 0.0)
     lam_safe = np.where(bad, 1.0, lam)
     base = model.base
-    if isinstance(base, ConstantIndex):
-        n = np.full(lam.shape, float(base.n0))
-        dn = np.zeros(lam.shape)
-    else:
-        lam2 = lam_safe * lam_safe
-        rad = np.ones_like(lam_safe)
-        drad = np.zeros_like(lam_safe)
-        for a_i, l_i in base.terms:
-            denom = lam2 - l_i
-            pole = np.abs(denom) <= POLE_GUARD_UM2
-            bad |= pole
-            denom = np.where(pole, 1.0, denom)
-            rad, drad = _sellmeier_term(rad, drad, lam_safe, lam2, denom, a_i, l_i)
-        bad |= rad < 0.0
-        rad = np.where(rad < 0.0, 1.0, rad)
-        n = np.sqrt(rad)
-        dn = 0.5 * drad / n
-    for res in model.resonances:
-        n, dn = _lorentzian_term(n, dn, lam_safe, res)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(base, ConstantIndex):
+            n = np.full(lam.shape, float(base.n0))
+            dn = np.zeros(lam.shape)
+        else:
+            lam2 = lam_safe * lam_safe
+            rad = np.ones_like(lam_safe)
+            drad = np.zeros_like(lam_safe)
+            for a_i, l_i in base.terms:
+                denom = lam2 - l_i
+                pole = np.abs(denom) <= POLE_GUARD_UM2
+                bad |= pole
+                denom = np.where(pole, 1.0, denom)
+                rad, drad = _sellmeier_term(rad, drad, lam_safe, lam2, denom, a_i, l_i)
+            invalid = ~(rad >= 0.0)
+            bad |= invalid
+            rad = np.where(invalid, 1.0, rad)
+            n = np.sqrt(rad)
+            dn = 0.5 * drad / n
+        for res in model.resonances:
+            n, dn = _lorentzian_term(n, dn, lam_safe, res)
     return n, dn, bad
 
 
@@ -201,7 +195,7 @@ def _evaluate_float(model: DispersionModel, lam: float):
             if abs(denom) <= POLE_GUARD_UM2:
                 bad, denom = True, 1.0
             rad, drad = _sellmeier_term(rad, drad, lam, lam2, denom, a_i, l_i)
-        if rad < 0.0:
+        if not rad >= 0.0:
             bad, rad = True, 1.0
         n = math.sqrt(rad)
         dn = 0.5 * drad / n
@@ -214,21 +208,22 @@ def _bad_sample_error(model: DispersionModel, lam) -> DispersionError:
     """The error for wavelengths lam (a float or an array) with a bad sample.
 
     Checked in order: non-positive or non-finite, then a Sellmeier pole,
-    else a negative radicand.  A valid sample meets none of these, so only
-    the bad samples decide the class.
+    else a negative or non-finite radicand.  A valid sample meets none of
+    these, so only the bad samples decide the class.
     """
     lam = np.asarray(lam)
     if not (np.isfinite(lam) & (lam > 0.0)).all():
         return NonPositiveError("wavelength must be positive and finite (um)")
     if isinstance(model.base, SellmeierModel):
-        lam2 = lam * lam
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam2 = lam * lam
         for _, l_i in model.base.terms:
             if (np.abs(lam2 - l_i) <= POLE_GUARD_UM2).any():
                 return PoleProximityError(
                     f"wavelength too close to Sellmeier pole at l={l_i} um^2"
                 )
     return NegativeRadicandError(
-        "Sellmeier bracket is negative; model invalid at this wavelength"
+        "Sellmeier bracket is negative or not finite; model invalid at this wavelength"
     )
 
 
@@ -251,12 +246,11 @@ def _fields(model: DispersionModel, wavelength):
     return np.asarray(n), np.asarray(n - lam * dn), np.asarray(bad)
 
 
-def refractive_index(model, wavelength):
+def refractive_index(model: DispersionModel, wavelength):
     """Refractive index at vacuum wavelength(s) in um; raises on any bad sample.
 
     A float or 0-d input gives a float, an array of the input's shape otherwise.
     """
-    model = as_model(model)
     n, _, bad = _fields(model, wavelength)
     if bad is False:  # the float path, kept free of numpy calls
         return n
@@ -265,17 +259,18 @@ def refractive_index(model, wavelength):
     return n if n.ndim else float(n)
 
 
-def index_fields(model, wavelength):
+def index_fields(model: DispersionModel, wavelength):
     """n, n_g and a bad-sample mask; never raises on bad cells.
 
     The mask flags the samples where _evaluate does; their n, n_g are
     placeholders.  A group index near 0 is not flagged here;
     emission._index_fields adds that floor.  dn/dlambda is (n - n_g)/lambda.
+    refractive_index calls _fields, not this, so a trace counts a sample once.
     """
-    return _fields(as_model(model), wavelength)
+    return _fields(model, wavelength)
 
 
-def transparency_window(model):
+def transparency_window(model: DispersionModel):
     """Widest contiguous wavelength interval (um) where the model is valid.
 
     Scans _WINDOW_BOUNDS on a log grid and returns the endpoints of the
@@ -283,7 +278,7 @@ def transparency_window(model):
     and negative radicands, once per model.  Root searches and maxima scans
     stay inside it, off the unphysical branch beyond an infrared pole.
     """
-    return _transparency_window(as_model(model))
+    return _transparency_window(model)
 
 
 @lru_cache(maxsize=256)

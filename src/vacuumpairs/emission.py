@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion, kinematics
-from .dispersion import DispersionModel, as_model
+from .dispersion import DispersionModel
 from .kinematics import PerturbationKinematics, PhotonMode
 
 TWO_PI = 2.0 * math.pi
@@ -134,7 +134,8 @@ class EmissionConfig:
     calibration: float = DEFAULT_CALIBRATION
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "material", as_model(self.material))
+        if not isinstance(self.material, DispersionModel):
+            raise TypeError(f"material is a {type(self.material).__name__}, not a DispersionModel")
         if not (self.length_m > 0.0 and math.isfinite(self.length_m)):
             raise ValueError("interaction length must be positive and finite")
         if not (self.calibration > 0.0 and math.isfinite(self.calibration)):
@@ -329,16 +330,17 @@ def _density_kernel(
     kx, ky, kz = ksum
     k1 = TWO_PI * n1 / lam1
     k2 = TWO_PI * n2 / lam2
-    if isinstance(profile, GaussianProfile):
-        csch = False
-        ff = gaussian_form_factor(profile, kx, ky, kz)
-    else:
-        csch = np.abs(kx) < KX_FLOOR
-        ff = tanh_form_factor(profile, np.where(csch, 1.0, kx) if csch.any() else kx, ky, kz)
     w1, w2 = dispersion._omega(lam1), dispersion._omega(lam2)
     v_um = kin.v_um_s
-    # huge sizes overflow to inf or nan here; callers mask or reject those
+    # huge sizes overflow to inf or nan here, a wide tanh front's sinh too;
+    # callers mask or reject those
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if isinstance(profile, GaussianProfile):
+            csch = False
+            ff = gaussian_form_factor(profile, kx, ky, kz)
+        else:
+            csch = np.abs(kx) < KX_FLOOR
+            ff = tanh_form_factor(profile, np.where(csch, 1.0, kx) if csch.any() else kx, ky, kz)
         common = (
             profile.eta**2
             * math.pi**2

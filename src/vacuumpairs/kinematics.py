@@ -159,7 +159,6 @@ def partner_table(cos_t2, kin: PerturbationKinematics, model) -> PartnerTable:
     functions counts the partner solves of total_count and find_maximum as
     kinematics work (find_maximum's one table is built by _shared_table).
     """
-    model = dispersion.as_model(model)
     grid, n = _scan_grid(model)
     cos_t2 = np.asarray(cos_t2, dtype=float)
     part2 = _photon_term(grid, n, cos_t2.reshape(-1, 1), 1.0 / kin.beta)
@@ -275,7 +274,6 @@ def solve_partner(
     holds more than one root (fast-light dispersion), and raises
     NoSignChangeError when it holds none (in particular when subluminal).
     """
-    model = dispersion.as_model(model)
     cos_t1, cos_t2 = math.cos(theta1), math.cos(theta2)
     inv_b = 1.0 / kin.beta
     part1 = _photon_term(lam1, dispersion.refractive_index(model, lam1), cos_t1, inv_b)

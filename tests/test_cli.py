@@ -79,6 +79,13 @@ class TestMaterial:
         out = capsys.readouterr().out
         assert ",invalid" in out
 
+    def test_overflowing_wavelengths_flagged(self, capsys):
+        # beyond about 1.3e154 um lambda^2 overflows: those rows are invalid, without a warning
+        argv = ["material", "fused_silica", "--window", "0.1,1e300", "--samples", "5"]
+        assert main(argv) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [row[3] for row in rows] == ["normal"] * 3 + ["invalid"] * 2
+
     def test_unknown_material(self, capsys):
         assert main(["material", "unobtainium"]) == EXIT_UNKNOWN_MATERIAL
         assert "unobtainium" in capsys.readouterr().err
@@ -688,6 +695,20 @@ class TestWriteFailure:
         assert capsys.readouterr().out and out.exists()
 
 
+class TestVerbose:
+    @pytest.mark.parametrize("command", list(SMALL_RUNS))
+    def test_artifact_line_only_with_out(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, SMALL_RUNS[command])
+        out = tmp_path / "out.json"
+        assert main(["--verbose", command, "--config", config, "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert f"{command} artifact written to {out}\n" in captured.err
+        assert "artifact written to" not in captured.out
+        if command != "spectrum":  # spectrum requires --out
+            assert main(["--verbose", command, "--config", config]) == EXIT_OK
+            assert "artifact written to" not in capsys.readouterr().err
+
+
 class TestMalformedConfig:
     @pytest.mark.parametrize(
         "extra",
@@ -727,12 +748,11 @@ class TestMalformedConfig:
         [
             ("maxima", {"profile": {**BASE_CONFIG["profile"], "sigma_x_um": 2.0}}, "sigma_x_um"),
             ("maxima", {"profile": {**TANH_PROFILE, "sigma_um": 1.0}}, "sigma_um"),
-            # a misspelt width, and a center beside max_slope_at_um
+            # a misspelt width; and a center, which max_slope_at_um alone places
             ("fastlight", {"resonance": {"amplitude": 0.06, "width": 0.5,
-                                         "max_slope_at_um": 0.334886, "center_um": 0.3}},
+                                         "max_slope_at_um": 0.334886}},
              "width"),
-            ("fastlight", {"resonance": {"max_slope_at_um": 0.334886, "center_um": 0.3}},
-             "center_um"),
+            ("fastlight", {"resonance": {"center_um": 0.3}}, "center_um"),
             # an inline material takes only the keys of its schema
             ("maxima", {"material": {"constant_index": 1.5,
                                      "sellmeier": [[0.6961663, 0.004679148]]}},
@@ -740,7 +760,7 @@ class TestMalformedConfig:
             ("maxima", {"material": inline_silica(widht=0.5)}, "widht"),
             ("maxima", {"material": {**inline_silica(), "resonaces": []}}, "resonaces"),
         ],
-        ids=["gaussian_sigma_x", "tanh_sigma", "resonance_width", "resonance_center_and_slope",
+        ids=["gaussian_sigma_x", "tanh_sigma", "resonance_width", "resonance_center",
              "constant_index_and_sellmeier", "material_resonance_width", "material_resonances"],
     )
     def test_unknown_or_conflicting_key_named(self, tmp_path, capsys, command, extra, key):

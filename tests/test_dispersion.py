@@ -57,7 +57,7 @@ def checked_fields(model, lam):
     """
     n, n_g, bad = index_fields(model, lam)
     if np.any(bad):
-        raise dispersion._bad_sample_error(dispersion.as_model(model), lam)
+        raise dispersion._bad_sample_error(model, lam)
     return n, n_g
 
 
@@ -81,6 +81,8 @@ REJECTING_EVALUATORS = RAISING_EVALUATORS + [
 BAD_SAMPLES = [
     (math.sqrt(SILICA_TERMS[0][1]), PoleProximityError),
     (9.0, NegativeRadicandError),
+    # lam^2 overflows, so the radicand is nan: not negative, yet not valid
+    (1e160, NegativeRadicandError),
     (0.0, NonPositiveError),
     (-1.0, NonPositiveError),
     (math.inf, NonPositiveError),
@@ -267,7 +269,7 @@ FLOAT_PATH_MODELS = {
 }
 
 # the invalid samples of test_flags_invalid_cells_without_raising, and nan
-INVALID_SAMPLES = [-1.0, 0.114, 9.0, np.inf, np.nan]
+INVALID_SAMPLES = [-1.0, 0.114, 9.0, np.inf, 1e160, 1e300, np.nan]
 
 
 def _bits(*values) -> bytes:
@@ -297,9 +299,9 @@ class TestIndexFields:
 
     def test_flags_invalid_cells_without_raising(self):
         model = silica()
-        lams = np.array([-1.0, 0.114, 1.0, 9.0, np.inf])
+        lams = np.array([-1.0, 0.114, 1.0, 9.0, np.inf, 1e160, 1e300])
         _, _, bad = dispersion.index_fields(model, lams)
-        assert bad.tolist() == [True, True, False, True, True]
+        assert bad.tolist() == [True, True, False, True, True, True, True]
 
     # the float path of the evaluators gives the bits of the array path
 

@@ -144,6 +144,16 @@ class TestPointDensity:
             m1, m2 = on_curve_pair(config, lam1)
             assert density_gaussian(m1, m2, config) > 0.0
 
+    def test_bare_base_medium_rejected(self):
+        # a material is a DispersionModel; a bare base is not wrapped in one
+        with pytest.raises(TypeError, match="ConstantIndex"):
+            EmissionConfig(
+                material=ConstantIndex(1.5),
+                profile=GaussianProfile(eta=0.001, sigma=1.0),
+                kin=PerturbationKinematics(beta=10.0),
+                length_m=0.05,
+            )
+
     def test_wrong_profile_type_rejected(self):
         config = silica_config()
         m1, m2 = on_curve_pair(config, 0.65)
@@ -495,6 +505,21 @@ class TestTanhDensity:
         tanh = self.tanh_config()
         m1, m2 = on_curve_pair(gauss, 0.335)
         assert density_tanh(m1, m2, tanh) < density_gaussian(m1, m2, gauss)
+
+    def test_wide_front_underflows_without_warning(self):
+        # sinh(pi sigma_x kx / 2) overflows for a 100 um front: csch^2 is an
+        # exact 0, and no RuntimeWarning (an error in this suite) is raised
+        config = EmissionConfig(
+            material=get_material("fused_silica"),
+            profile=TanhProfile(eta=0.001, sigma_x=100.0, sigma_y=1.0, sigma_z=1.0),
+            kin=PerturbationKinematics(beta=2.0),
+            length_m=0.05,
+        )
+        m1, m2 = on_curve_pair(config, 0.2)
+        assert density_tanh(m1, m2, config) == 0.0
+        grid = collinear_grid(config, (0.15, 0.3), (0.15, 0.3), 21)
+        assert (grid.flags == FLAG_OK).any()
+        assert not grid.values.any()
 
     def test_form_factor_limits(self):
         profile = TanhProfile(eta=0.001, sigma_x=1.0, sigma_y=1.0, sigma_z=1.0)
