@@ -24,7 +24,6 @@ from .emission import (
     _check_count,
     _check_window,
     _collinear_scan,
-    _index_fields,
 )
 from .kinematics import PerturbationKinematics, PhotonMode
 
@@ -43,7 +42,7 @@ class AnalysisError(ValueError):
 
 
 class NoEmissionError(AnalysisError):
-    """No kinematically allowed pair anywhere in the search window."""
+    """No emission: the density is 0 at every node the driver evaluated."""
 
 
 class QuadratureNotConvergedError(AnalysisError):
@@ -399,7 +398,8 @@ def total_count(
     Raises ValueError unless 0 < cone_half_angle_rad <= pi, lam_window is two
     finite bounds with 0 < min < max, rel_tol is positive and finite,
     base_resolution holds four integers of at least 3 (the smallest Simpson
-    rule) and max_refinements is an integer >= 0.
+    rule) and max_refinements is an integer >= 0.  Raises NoEmissionError
+    when the total is 0: the density is 0 at every node of the last pass.
     """
     if not 0.0 < cone_half_angle_rad <= math.pi:  # also rejects nan
         raise ValueError(
@@ -413,17 +413,16 @@ def total_count(
     for n in base_resolution:
         _check_count("each base_resolution item", n, 3)
     _check_count("max_refinements", max_refinements, 0)
-    lam_scan = np.geomspace(lam_window[0], lam_window[1], 64)
-    n_scan, _, bad_scan = _index_fields(config.material, lam_scan)
-    if not np.any(~bad_scan & (config.kin.beta * n_scan > 1.0)):
-        raise NoEmissionError(
-            "perturbation is slower than the in-medium phase velocity over the "
-            "whole wavelength window; no pairs are emitted"
-        )
     total, rel_err = _integrate(
         functools.partial(emission._cone_rows, config), cone_half_angle_rad, lam_window,
         base_resolution, rel_tol, max_refinements,
     )
+    if total == 0.0:
+        raise NoEmissionError(
+            f"no emission in [{lam_window[0]}, {lam_window[1]}] um within a "
+            f"{math.degrees(cone_half_angle_rad):g} degree cone at beta = {config.kin.beta}: "
+            "the density is 0 at every quadrature node"
+        )
     return TotalCount(
         pairs_per_pulse=total,
         cone_half_angle_rad=cone_half_angle_rad,

@@ -373,6 +373,22 @@ class TestTotalCount:
             9.242608032745966e-05, rel=result.rel_error, abs=0.0
         )
 
+    # fused silica's index passes 2 near its 0.116 um pole, so partners exist,
+    # but the density underflows to 0 at every node and the total is 0
+    @pytest.mark.parametrize(
+        "beta, lam_window, kwargs",
+        [
+            (0.5, (0.1, 5.0), {}),
+            (0.69, (0.2, 0.35), dict(base_resolution=(9, 5, 17, 9), max_refinements=0)),
+            (0.69, (0.2, 0.35), dict(base_resolution=(9, 5, 17, 9), max_refinements=1)),
+        ],
+        ids=["library_defaults", "unrefined", "refined"],
+    )
+    def test_zero_total_raises(self, beta, lam_window, kwargs):
+        message = rf"\[{lam_window[0]}, {lam_window[1]}\] um .* 30 degree cone at beta = {beta}"
+        with pytest.raises(NoEmissionError, match=message):
+            total_count(silica_config(beta=beta), math.radians(30.0), lam_window, **kwargs)
+
     def test_unrefined_error_not_estimated(self):
         result = total_count(
             silica_config(beta=20.0),
@@ -883,7 +899,7 @@ class TestThreadedPass:
 
         def recorded(fn, blocks, threads):
             seen.append(threads)
-            return [np.zeros((b.stop - b.start, 2)) for b in blocks]
+            return [np.ones((b.stop - b.start, 2)) for b in blocks]
 
         monkeypatch.setattr(analysis, "_map_blocks", recorded)
         for cpus in (64, 2, 1):

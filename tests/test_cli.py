@@ -320,6 +320,19 @@ class TestTotal:
         )
         assert main(["total", "--config", config]) == EXIT_NUMERICAL
 
+    # the default window's index passes 2 near the 0.116 um pole, yet the
+    # density is 0 at every node: total and maxima both find no emission
+    @pytest.mark.parametrize("command", ["total", "maxima"])
+    def test_no_emission_is_numerical_error(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, {"beta": 0.5})
+        out = tmp_path / "result.json"
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: no ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "extra",
         [

@@ -136,7 +136,9 @@ def check_contract(command, doc):
             if suffix == ".csv":
                 assert_finite_csv(artifact.read_text())
             else:
-                json.loads(artifact.read_text(), parse_constant=reject_constant)
+                result = json.loads(artifact.read_text(), parse_constant=reject_constant)
+                if command == "total":  # a total of 0 is no emission: exit 3
+                    assert result["result"]["pairs_per_pulse"] > 0.0
 
 
 CONTRACT = settings(
