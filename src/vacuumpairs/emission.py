@@ -157,14 +157,17 @@ _EXP_ZERO_ARG = -745.2
 def _form_exp(x):
     """np.exp(x), which the form factors take, with the bits of np.exp on every element.
 
-    On an array, exp runs only where x > _EXP_ZERO_ARG or x is nan, and every
-    other element is the +0.0 that exp would round to: numpy's exp takes a
-    path an order of magnitude slower on those arguments.  A float goes to
-    plain np.exp.
+    An array x is the caller's own temporary, which exp overwrites, unless an
+    element is at or below _EXP_ZERO_ARG: then exp runs only on the others (and
+    nan) and those are the +0.0 that exp would round them to, as numpy's exp is
+    an order of magnitude slower on them.  A float goes to plain np.exp.
     """
     if not isinstance(x, np.ndarray):
         return np.exp(x)
-    return np.exp(x, out=np.zeros_like(x), where=~(x <= _EXP_ZERO_ARG))
+    under = x <= _EXP_ZERO_ARG
+    if not under.any():
+        return np.exp(x, out=x)
+    return np.exp(x, out=np.zeros_like(x), where=np.logical_not(under, out=under))
 
 
 def gaussian_form_factor(profile: GaussianProfile, kx, ky, kz):
@@ -173,7 +176,13 @@ def gaussian_form_factor(profile: GaussianProfile, kx, ky, kz):
     The exp is _form_exp's: exactly +0.0 at or below _EXP_ZERO_ARG.
     """
     s2 = profile.sigma * profile.sigma
-    return profile.sigma**6 * _form_exp(-s2 * (kx * kx + ky * ky + kz * kz))
+    arg = kx * kx + ky * ky
+    if not isinstance(kz, float) or kz:  # + 0.0 keeps a sum of squares: +0.0 or more, or nan
+        arg = arg + kz * kz
+    arg *= -s2
+    ff = _form_exp(arg)
+    ff *= profile.sigma**6
+    return ff
 
 
 def tanh_form_factor(profile: TanhProfile, kx, ky, kz):
@@ -184,12 +193,11 @@ def tanh_form_factor(profile: TanhProfile, kx, ky, kz):
     arg = 0.5 * math.pi * profile.sigma_x * np.asarray(kx, dtype=float)
     # np.square, not ** 2, which on a float is libm pow (see _density_kernel)
     csch2 = 1.0 / np.square(np.sinh(arg))
-    return (
-        (profile.sigma_x * profile.sigma_y * profile.sigma_z) ** 2
-        * (math.pi / 2.0)
-        * csch2
-        * _form_exp(-profile.sigma_y**2 * np.square(ky) - profile.sigma_z**2 * np.square(kz))
-    )
+    transverse = -profile.sigma_y**2 * np.square(ky)
+    if not isinstance(kz, float) or kz:  # x - 0.0 is x
+        transverse = transverse - profile.sigma_z**2 * np.square(kz)
+    csch2 *= (profile.sigma_x * profile.sigma_y * profile.sigma_z) ** 2 * (math.pi / 2.0)
+    return csch2 * _form_exp(transverse)
 
 
 def _transverse_weight(profile, ky):
@@ -320,8 +328,9 @@ def _density_kernel(
     marks the tanh cells on the csch^2 pole, evaluated at kx = 1; no cell
     is masked.  The wavelengths must be valid: they are not checked here.
 
-    Any argument may be a Python float or an array.  On floats the kernel
-    gives the bits of a 1-element array call, because every square is
+    Any argument may be a Python float or an array; cos_t1 and cos_t2
+    broadcast to the shape of the wavelengths.  On floats the kernel gives
+    the bits of a 1-element array call, because every square is x * x or
     np.square (a float ** 2 is libm pow), the products keep their order,
     and exp, hypot and sinh stay numpy's.
     """
@@ -341,25 +350,33 @@ def _density_kernel(
         else:
             csch = np.abs(kx) < KX_FLOOR
             ff = tanh_form_factor(profile, np.where(csch, 1.0, kx) if csch.any() else kx, ky, kz)
-        common = (
-            profile.eta**2
-            * math.pi**2
-            / (v_um * v_um)
-            * w1
-            * w2
-            * np.square(n1 + n2)
-            * angular
-            / (n1 * n1 * ng1 * ng1 * n2 * n2 * ng2 * ng2)
-        )
+        # each product runs in order, in place from its first factor of the wavelengths'
+        # shape (t = a * b; t *= c has the bits of a * b * c); angular and ksum may be wider
+        sq = n1 + n2
+        sq *= sq  # np.square's bits
+        common = profile.eta**2 * math.pi**2 / (v_um * v_um) * w1 * w2
+        common *= sq
+        common = common * angular
+        den = n1 * n1 * ng1 * ng1 * n2
+        for f in (n2, ng2, ng2):
+            den *= f
+        common /= den
         # inverse gradient norm of the residual over (k1x, k2x): symmetric in
         # the two photons, so the density keeps its exchange symmetry
         g1 = 1.0 - cos_t1 / (kin.beta * ng1)
         g2 = 1.0 - cos_t2 / (kin.beta * ng2)
         jac = 1.0 / np.hypot(g1, g2)
-        # the mean pair wavenumber weights the spectral density (um^-1)
-        weight = 0.5 * (k1 + k2) / TWO_PI
-        measure = k1 * k1 * k2 * k2 * jac * weight * (config.length_um / TWO_PI) / TWO_PI**5
-        return config.calibration * common * ff * measure, csch
+        # the mean pair wavenumber weights the spectral density (um^-1); the
+        # bits of 0.5 * (k1 + k2) / TWO_PI, as halving is exact
+        weight = (k1 + k2) / (2.0 * TWO_PI)
+        measure = k1 * k1 * k2
+        for f in (k2, jac, weight, config.length_um / TWO_PI):
+            measure *= f
+        measure /= TWO_PI**5
+        common *= config.calibration
+        values = common * ff
+        values *= measure
+        return values, csch
 
 
 def _row_blocks(rows: int, cells_per_row: int, cap: int | None = None) -> list[slice]:
@@ -391,7 +408,7 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
 
     One pass per block: values start as zeros, the flags are written in
     place, the hole mask is built only where the block has a bad sample or
-    the profile is tanh, and no array pass runs that cannot change a value.
+    a tanh pole, and no array pass runs that cannot change a value.
     """
     model = config.material
     tanh = isinstance(config.profile, TanhProfile)
@@ -407,12 +424,15 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
         s_total = kinematics._on_shell_sum(lam1[b], lam2, config.kin)
         # cos(theta2) = k2x / k2
         with np.errstate(invalid="ignore", divide="ignore"):
-            cos_t2 = (s_total - k1[b]) / k2
+            cos_t2 = s_total - k1[b]
+            cos_t2 /= k2
         zero = np.abs(cos_t2) > 1.0
         np.copyto(flags[b], zero)  # FLAG_FORBIDDEN is True, FLAG_OK False
-        if tanh or bad1[b].any() or bad2.any():
+        # the on-shell sum is positive: no pole where the block's least sum clears KX_FLOOR
+        pole = tanh and s_total.min() < KX_FLOOR
+        if pole or bad1[b].any() or bad2.any():
             hole = bad1[b] | bad2
-            if tanh:
+            if pole:
                 hole |= np.abs(s_total) < KX_FLOOR
             np.copyto(flags[b], FLAG_HOLE, where=hole)
             zero |= hole
@@ -422,11 +442,11 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
             span = slice(
                 cols[0] // eighth * eighth, min(lam2.size, -(-(cols[-1] + 1) // eighth) * eighth)
             )
-            cos_span = np.clip(cos_t2[:, span], -1.0, 1.0)
+            cos_span = np.clip(cos_t2[:, span], -1.0, 1.0, out=cos_t2[:, span])
             angular = cos_span * cos_span
-            # ky = k2 sin(theta2), then angular = 1 + cos(theta2)^2
+            # ky = k2 sin(theta2), then angular = 1 + cos(theta2)^2; clipped,
+            # cos(theta2)^2 is at most 1, so 1 - cos(theta2)^2 is +0.0 or more (or nan)
             ky = np.subtract(1.0, angular)
-            np.maximum(ky, 0.0, out=ky)
             np.sqrt(ky, out=ky)
             ky *= k2[:, span]
             angular += 1.0
@@ -435,8 +455,7 @@ def _grid_fields(config: EmissionConfig, lam1, lam2):
                 (s_total[:, span], ky, 0.0), 1.0, cos_span, angular,
             )
             # an ok cell keeps a density that overflowed, so callers can reject it
-            np.copyto(block, 0.0, where=zero[:, span])
-            values[b, span] = block
+            np.copyto(values[b, span], block, where=np.logical_not(zero[:, span]))
             del cos_span, angular, ky, block
         # each del frees a block's temporaries before the next block makes its
         # own, so the heap reuses them

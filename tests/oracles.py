@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from vacuumpairs import dispersion, emission, kinematics
 from vacuumpairs.emission import GaussianProfile
@@ -162,3 +162,67 @@ def grid_fields_full_blocks(config, lam1, lam2):
         # an ok cell keeps a density that overflowed, so callers can reject it
         values[b] = np.where(hole | forbidden, 0.0, block)
     return values, flags
+
+
+# ---------------------------------------------------------------------------
+# the pair total by rotational symmetry
+#
+# Fix |k1|, |k2| and s = (omega1 + omega2)/v, and let F depend on the photon
+# directions only through cos(psi), the cosine of the angle between them.
+# Then
+#   int dOmega1 dOmega2 F delta(k1x + k2x - s) 1[theta1 <= Theta]
+#     = 4 pi^2 int d(cos psi) F P_Theta / |K|,   K = k1 + k2, |K| > s only,
+# as the rigid pair's orientation is uniform on SO(3): K's direction is
+# uniform, so delta(|K| cos(alpha) - s) integrates to 1/(2 |K|), and P_Theta is
+# the share of the rotations about K that put photon 1 within Theta of +x.
+# With u = |K|, a = k1^2 + k2^2 and b = 2 k1 k2, cos(psi) = (u^2 - a)/b and
+# d(cos psi) = 2 u du / b on u in [max(|k1 - k2|, s), k1 + k2].
+
+
+def cone_share(u, k1, k2, s, half_angle):
+    """P_Theta: the share of rotations about K that put photon 1 within half_angle of +x.
+
+    K makes the angle alpha with +x, cos(alpha) = s/u, and photon 1 the angle
+    beta1 with K, cos(beta1) = (k1 + k2 cos(psi))/u; photon 1 turns about K
+    with cos(theta1) = cos(alpha) cos(beta1) + sin(alpha) sin(beta1) cos(chi),
+    chi uniform, so P = arccos(clip((cos(Theta) - cos(alpha) cos(beta1)) /
+    (sin(alpha) sin(beta1)), -1, 1)) / pi.
+    """
+    cos_psi = (u * u - k1 * k1 - k2 * k2) / (2.0 * k1 * k2)
+    cos_a, cos_b = s / u, (k1 + k2 * cos_psi) / u
+    sin_ab = math.sqrt(max(0.0, 1.0 - cos_a * cos_a) * max(0.0, 1.0 - cos_b * cos_b))
+    num = math.cos(half_angle) - cos_a * cos_b
+    x = num / sin_ab if sin_ab > 0.0 else math.copysign(math.inf, num)
+    return math.acos(min(1.0, max(-1.0, x))) / math.pi
+
+
+def rotational_pair_integral(k1, k2, s, sigma, half_angle=math.pi):
+    """int dOmega1 dOmega2 F delta(k1x + k2x - s) 1[theta1 <= half_angle], by rotational symmetry.
+
+    F = (1 + cos(psi)^2) exp(-sigma^2 |K|^2), the Gaussian form factor times
+    the angular factor of one pair.  This is the right side of the identity
+    above, 4 pi^2 (2/b) int du (1 + ((u^2 - a)/b)^2) exp(-sigma^2 u^2) P(u):
+    for the full sphere (half_angle >= pi, P = 1) in closed form, whose
+    differences of erf are taken in erfc, which keeps the digits where
+    exp(-sigma^2 u0^2) is small; for a cone by quad in u.
+    """
+    a, b = k1 * k1 + k2 * k2, 2.0 * k1 * k2
+    u0, u1 = max(abs(k1 - k2), s), k1 + k2
+    if u0 >= u1:
+        return 0.0
+    s2 = sigma * sigma
+    if half_angle < math.pi:
+        def integrand(u):
+            share = cone_share(u, k1, k2, s, half_angle)
+            return (1.0 + ((u * u - a) / b) ** 2) * math.exp(-s2 * u * u) * share
+
+        inner, _ = quad(integrand, u0, u1, epsabs=0.0, epsrel=1e-13, limit=200)
+        return 4.0 * math.pi**2 * (2.0 / b) * inner
+    # int u^2n e from u0 to u1, e = exp(-sigma^2 u^2), by parts down to int e
+    e0, e1 = math.exp(-s2 * u0 * u0), math.exp(-s2 * u1 * u1)
+    i0 = math.sqrt(math.pi) / (2.0 * sigma) * (math.erfc(sigma * u0) - math.erfc(sigma * u1))
+    i2 = (u0 * e0 - u1 * e1 + i0) / (2.0 * s2)
+    i4 = (u0**3 * e0 - u1**3 * e1 + 3.0 * i2) / (2.0 * s2)
+    # 1 + ((u^2 - a)/b)^2 = (1 + a^2/b^2) - (2a/b^2) u^2 + u^4/b^2
+    inner = (1.0 + a * a / (b * b)) * i0 - 2.0 * a / (b * b) * i2 + i4 / (b * b)
+    return 4.0 * math.pi**2 * (2.0 / b) * inner

@@ -1,5 +1,6 @@
 """Emission-density tests: oracles, scaling laws, grids."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from vacuumpairs import dispersion, emission
+from vacuumpairs import dispersion, emission, kinematics
 from vacuumpairs.dispersion import ConstantIndex, DispersionModel
 from vacuumpairs.emission import (
     FLAG_FORBIDDEN,
@@ -30,6 +31,13 @@ from vacuumpairs.kinematics import (
 from vacuumpairs.materials import get_material
 
 from oracles import density_nondispersive, grid_fields_full_blocks
+
+
+def numpy_dispatch():
+    """numpy's version and its float64 exp and sinh dispatch: their bits differ by dispatch."""
+    introspect = pytest.importorskip("numpy.lib.introspect")  # numpy >= 2.0
+    info = introspect.opt_func_info(func_name="^(exp|sinh)$", signature="float64")
+    return (np.__version__, info["exp"]["dd"]["current"], info["sinh"]["dd"]["current"])
 
 
 def silica_config(beta=10.0, sigma=1.0, eta=0.001, length_m=0.05):
@@ -478,10 +486,83 @@ def test_form_factor_exp_keeps_bits(profile):
     assert np.count_nonzero((values > 0.0) & (values < np.finfo(float).tiny)) >= 100
     assert np.isnan(values).sum() == 3
     form_factor = gaussian_form_factor if isinstance(profile, GaussianProfile) else tanh_form_factor
+    # with no argument at or below the cut (the least is the next float above it),
+    # exp runs unmasked, in place
+    above = ~(arg <= -745.2)
+    assert np.nanmin(arg[above]) == np.nextafter(-745.2, 0.0)
+    unmasked = form_factor(profile, kx[above], ky[above], kz[above])
+    assert unmasked.tobytes() == expected[above].tobytes()
+    assert np.count_nonzero((unmasked > 0.0) & (unmasked < np.finfo(float).tiny)) >= 100
+    assert np.isnan(unmasked).sum() == 3
     floats = np.array([
         form_factor(profile, x, y, z) for x, y, z in zip(kx.tolist(), ky.tolist(), kz.tolist())
     ])
     assert floats.tobytes() == values.tobytes()
+
+
+def kernel_calls(config):
+    """_density_kernel's arguments after config, in the shapes its callers use.
+
+    float: the point densities; grid: a _grid_fields block; cone_rows: a
+    _cone_rows row block; phi_nodes: tests/oracles.total_row_density_3d, whose
+    ky and angular carry a phi axis that the other arguments lack.
+    """
+    def fields(lam):
+        return dispersion.index_fields(config.material, lam)[:2]
+
+    lin = np.linspace
+    grid1, grid2 = np.geomspace(0.4, 0.8, 5)[:, None], np.geomspace(0.5, 1.0, 7)[None, :]
+    cone1, cone2 = np.geomspace(0.4, 0.8, 3)[:, None, None], lin(0.5, 1.0, 60).reshape(3, 4, 5)
+    phi2 = lin(0.5, 1.0, 20).reshape(4, 5, 1)
+    on_shell = lambda lam1, lam2: kinematics._on_shell_sum(lam1, lam2, config.kin)
+    return {
+        "float": (0.6, 0.7, (1.46, 1.48), (1.45, 1.47), (1.3, 0.4, -0.2), 0.9, -0.8, 1.5),
+        "grid": (
+            grid1, grid2, fields(grid1), fields(grid2), (on_shell(grid1, grid2),
+            lin(0.1, 3.0, 35).reshape(5, 7), 0.0), 1.0, lin(-1.0, 1.0, 35).reshape(5, 7),
+            lin(1.0, 2.0, 35).reshape(5, 7),
+        ),
+        "cone_rows": (
+            cone1, cone2, fields(cone1), fields(cone2), (on_shell(cone1, cone2), 0.0, 0.0),
+            lin(1.0, 0.8, 4)[:, None], lin(-1.0, -0.5, 5)[None, :], 1.0,
+        ),
+        "phi_nodes": (
+            0.6, phi2, (1.46, 1.48), fields(phi2), (on_shell(0.6, phi2),
+            lin(0.1, 3.0, 120).reshape(4, 5, 6), 0.0), lin(1.0, 0.8, 4)[:, None, None],
+            lin(-1.0, -0.5, 5)[None, :, None], lin(1.0, 2.0, 120).reshape(4, 5, 6),
+        ),
+    }
+
+
+def arrays_of(args):
+    """Every array in the nested tuple args, in order."""
+    if isinstance(args, tuple):
+        return [a for arg in args for a in arrays_of(arg)]
+    return [args] if isinstance(args, np.ndarray) else []
+
+
+@pytest.mark.parametrize("call", ["float", "grid", "cone_rows", "phi_nodes"])
+@pytest.mark.parametrize("profile", sorted(TestScalarKernelBits.PROFILES))
+def test_kernel_leaves_arguments(profile, call):
+    # the kernel and form factors work in place on their own temporaries only;
+    # every cell keeps the bits it has with each argument of the full shape
+    config = EmissionConfig(
+        material=get_material("fused_silica"), profile=TestScalarKernelBits.PROFILES[profile],
+        kin=PerturbationKinematics(beta=10.0), length_m=0.05,
+    )
+    form_factor = gaussian_form_factor if profile == "gaussian" else tanh_form_factor
+    args = kernel_calls(config)[call]
+    before = [a.copy() for a in arrays_of(args)]
+    values, _ = emission._density_kernel(config, *args)
+    ff = form_factor(config.profile, *args[4])
+    for a, copy in zip(arrays_of(args), before, strict=True):
+        assert a.tobytes() == copy.tobytes()
+    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays_of(args)))
+    assert np.shape(values) == shape and np.all(np.isfinite(values)) and np.all(values > 0.0)
+    full = lambda a: np.broadcast_to(a, shape).copy() if isinstance(a, np.ndarray) else a
+    wide = tuple(tuple(map(full, a)) if isinstance(a, tuple) else full(a) for a in args)
+    assert np.asarray(values).tobytes() == emission._density_kernel(config, *wide)[0].tobytes()
+    assert np.asarray(ff).tobytes() == np.asarray(form_factor(config.profile, *wide[4])).tobytes()
 
 
 class TestTanhDensity:
@@ -678,6 +759,48 @@ class TestGridBlocks:
         if case == "tanh_csch":
             lo, hi = dispersion.transparency_window(config.material)
             assert lo < window[0] and window[1] < hi
+
+    # sha1 of (values.tobytes(), flags.tobytes()) of each case's collinear_grid,
+    # recorded with numpy 2.4.6 on glibc 2.36, keyed by numpy's version and its
+    # float64 exp and sinh dispatch (see numpy_dispatch); hypot is libm's
+    GRID_SHA1 = {
+        ("2.4.6", "X86_V4", "X86_V4"): {
+            "gaussian": ("a30bfbd71ad2368d25fcbb529c6ad6957df10320",
+                         "8523388a67a9c97fb4bff32623389395021916e4"),
+            "tanh": ("3ffbf5a86e4b650b6b97d945dc9efb6650ef72a8",
+                     "8523388a67a9c97fb4bff32623389395021916e4"),
+            "fast_light": ("51f33f188f3c0512340bfa43d0add9d1ddd3965e",
+                           "32c1f1a796ad746399cb51e5193b7a02f6e1884c"),
+            "all_flags": ("14179b6c020d051eb545042b6fe17b8d08c3eca6",
+                          "c816452e8290822836e8c921ee1defb86a81ef69"),
+        },
+        # NPY_DISABLE_CPU_FEATURES without AVX-512: AVX2 exp, libm sinh
+        ("2.4.6", "X86_V3", "baseline(X86_V2)"): {
+            "gaussian": ("d26f6e2c9cd3637617bd0a51720da729265f589b",
+                         "8523388a67a9c97fb4bff32623389395021916e4"),
+            "tanh": ("bbab382ba30b68b08adaaa8d6435e1cc30ed3705",
+                     "8523388a67a9c97fb4bff32623389395021916e4"),
+            "fast_light": ("7606a512b8520b94ff8f5efdacfafc80a4ae4b4f",
+                           "32c1f1a796ad746399cb51e5193b7a02f6e1884c"),
+            "all_flags": ("408b5ab88e077cfe53c47278dc0a1279b4dabd43",
+                          "c816452e8290822836e8c921ee1defb86a81ef69"),
+        },
+    }
+
+    @pytest.mark.parametrize("case", ["gaussian", "tanh", "fast_light", "all_flags"])
+    def test_pinned_grid_bytes(self, case):
+        # test_blocking_keeps_bits compares two paths through the one kernel; these
+        # literals also catch a kernel change that moves every cell
+        pinned = self.GRID_SHA1.get(numpy_dispatch())
+        if pinned is None:
+            pytest.skip(f"no grid bytes recorded for numpy and dispatch {numpy_dispatch()}")
+        _, _, _, window, resolution = self.CASES[case]
+        grid = collinear_grid(self.config(case), window, window, resolution)
+        assert grid.flags.dtype == np.int64
+        assert (
+            hashlib.sha1(grid.values.tobytes()).hexdigest(),
+            hashlib.sha1(grid.flags.tobytes()).hexdigest(),
+        ) == pinned[case]
 
     def test_density_runs_on_spans_only(self, monkeypatch):
         cells = []
