@@ -28,6 +28,7 @@ from .emission import (
 from .kinematics import PerturbationKinematics, PhotonMode
 
 _COARSE_POINTS = 200  # log-grid points of the collinear scan of find_maximum
+_SEARCH_WINDOW_UM = (0.2, 20.0)  # the default lambda1 window of find_maximum and beta_sweep
 
 # Reference emission maximum used to pin the overall normalization once:
 # fused silica, beta = 10, sigma = 1 um, L = 5 cm, collinear geometry.
@@ -148,7 +149,7 @@ def _golden(func, xa: float, xb: float, xc: float, xtol: float):
 
 
 def find_maximum(
-    config: EmissionConfig, window: tuple[float, float] = (0.2, 20.0)
+    config: EmissionConfig, window: tuple[float, float] = _SEARCH_WINDOW_UM
 ) -> EmissionMaximum:
     """Collinear emission maximum in the given lambda1 window.
 
@@ -211,7 +212,7 @@ def find_maximum(
 def beta_sweep(
     config: EmissionConfig,
     betas: list[float],
-    window: tuple[float, float] = (0.2, 20.0),
+    window: tuple[float, float] = _SEARCH_WINDOW_UM,
 ) -> SweepResult:
     """find_maximum for every beta, with monotonicity audits.
 
@@ -254,40 +255,29 @@ def beta_sweep(
 def _simpson_rule(x: np.ndarray) -> np.ndarray:
     """Each node's weight in scipy.integrate.simpson(f, x=x), bit for bit, for increasing x.
 
-    An odd number of nodes takes the composite rule, a parabola over each
-    pair of intervals; an even number takes it up to the second-last node and
-    adds Cartwright's correction for the last interval; two nodes take the
-    trapezoid.  Node j's weight is the sum scipy forms for f one at j and zero
-    elsewhere, in its order of operations: the two parabolas that share an
-    even node add their parts, and adding scipy's zeros changes no bit.
+    x holds an odd number of nodes, at least 3: the composite rule, a
+    parabola over each pair of intervals.  Node j's weight is the sum scipy
+    forms for f one at j and zero elsewhere, in its order of operations: the
+    two parabolas that share an even node add their parts, and adding
+    scipy's zeros changes no bit.
     """
     h = np.diff(x)
-    if x.size == 2:
-        return np.full(2, 0.5 * h[0])
-    w = np.zeros(x.size)
-    m = x.size - 1 + x.size % 2  # nodes under the composite rule: odd
-    h0, h1 = h[0:m - 1:2], h[1:m - 1:2]
+    h0, h1 = h[0::2], h[1::2]
     hsum, h0divh1 = h0 + h1, h0 / h1
     sixth = hsum / 6.0
-    w[0:m - 1:2] = sixth * (2.0 - 1.0 / h0divh1)
-    w[1:m:2] = sixth * (hsum * (hsum / (h0 * h1)))
-    w[2:m:2] += sixth * (2.0 - h0divh1)
-    if m < x.size:
-        # one-element arrays, as in scipy: h1 ** 3 runs numpy's power loop,
-        # whose bits can differ from a float's ** by an ulp
-        h0, h1 = h[-2:-1], h[-1:]
-        alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-        beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-        eta = h1 ** 3 / (6 * h0 * (h0 + h1))
-        w[-3:] += np.concatenate([-eta, beta, alpha])
+    w = np.zeros(x.size)
+    w[0:-1:2] = sixth * (2.0 - 1.0 / h0divh1)
+    w[1::2] = sixth * (hsum * (hsum / (h0 * h1)))
+    w[2::2] += sixth * (2.0 - h0divh1)
     return w
 
 
 def _simpson_weights(x: np.ndarray) -> np.ndarray:
     """Rows w with f @ w[0] == simpson(f, x=x), f @ w[1] == simpson(f[::2], x=x[::2]).
 
-    Up to rounding: each weight has scipy's bits (_simpson_rule), the dot
-    product sums in its own order.
+    x holds 4m + 1 nodes, m >= 1, so both rules are composite.  Up to
+    rounding: each weight has scipy's bits (_simpson_rule), the dot product
+    sums in its own order.
     """
     weights = np.zeros((2, x.size))
     weights[0] = _simpson_rule(x)
@@ -397,9 +387,10 @@ def total_count(
     defaults start coarse and stop at the first pass that meets rel_tol.
     Raises ValueError unless 0 < cone_half_angle_rad <= pi, lam_window is two
     finite bounds with 0 < min < max, rel_tol is positive and finite,
-    base_resolution holds four integers of at least 3 (the smallest Simpson
-    rule) and max_refinements is an integer >= 0.  Raises NoEmissionError
-    when the total is 0: the density is 0 at every node of the last pass.
+    base_resolution holds four integers 4m + 1 with m >= 1 (so both rules of
+    every pass are composite) and max_refinements is an integer >= 0.
+    Raises NoEmissionError when the total is 0: the density is 0 at every
+    node of the last pass.
     """
     if not 0.0 < cone_half_angle_rad <= math.pi:  # also rejects nan
         raise ValueError(
@@ -411,7 +402,9 @@ def total_count(
     if not (isinstance(base_resolution, (tuple, list)) and len(base_resolution) == 4):
         raise ValueError(f"base_resolution must be four integers, got {base_resolution!r}")
     for n in base_resolution:
-        _check_count("each base_resolution item", n, 3)
+        _check_count("each base_resolution item", n, 1)
+        if n < 5 or n % 4 != 1:
+            raise ValueError(f"each base_resolution item must be 4m + 1 with m >= 1, got {n!r}")
     _check_count("max_refinements", max_refinements, 0)
     total, rel_err = _integrate(
         functools.partial(emission._cone_rows, config), cone_half_angle_rad, lam_window,

@@ -117,13 +117,12 @@ def _require(doc: dict, key: str):
         raise ConfigError(f"config is missing required key {key!r}") from None
 
 
-def _number(doc: dict, key: str, default=None, integer: bool = False):
-    """doc[key] as a float, or an int if integer; required when default is None.
+def _value(raw, key: str, integer: bool = False):
+    """raw, the value of key, as a float, or an int if integer.
 
     Raises ConfigError for a value that is not a number (a JSON boolean
     included), or not integral.
     """
-    raw = _require(doc, key) if default is None else doc.get(key, default)
     try:
         value = materials._float(raw)
     except (TypeError, ValueError):
@@ -132,6 +131,25 @@ def _number(doc: dict, key: str, default=None, integer: bool = False):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{key!r} must be {kind}, got {raw!r}")
     return int(value) if integer else value
+
+
+def _integer(raw, key: str) -> int:
+    return _value(raw, key, integer=True)
+
+
+def _nodes(raw, key: str):
+    """A list's items as integers; anything else as is, for the library to reject."""
+    return [_integer(n, key) for n in raw] if isinstance(raw, list) else raw
+
+
+def _number(doc: dict, key: str, default=None) -> float:
+    """doc[key] read by _value; required when default is None."""
+    return _value(_require(doc, key) if default is None else doc.get(key, default), key)
+
+
+def _given(doc: dict, **readers) -> dict:
+    """{key: read(doc[key], key)} for each key of readers in doc: the library defaults the rest."""
+    return {key: read(doc[key], key) for key, read in readers.items() if key in doc}
 
 
 def _emission_config(doc: dict) -> EmissionConfig:
@@ -147,14 +165,14 @@ def _emission_config(doc: dict) -> EmissionConfig:
     profile = _parse(_profile_from_dict, "profile", _require(doc, "profile"))
     beta = _number(doc, "beta")
     length_m = _number(doc, "L_m")
-    calibration = _number(doc, "calibration", emission.DEFAULT_CALIBRATION)
+    calibration = _given(doc, calibration=_value)
     try:
         return EmissionConfig(
             material=material,
             profile=profile,
             kin=PerturbationKinematics(beta=beta),
             length_m=length_m,
-            calibration=calibration,
+            **calibration,
         )
     except ValueError as exc:
         raise ConfigError(f"bad emission configuration: {exc}") from exc
@@ -240,8 +258,7 @@ def cmd_material(args) -> int:
 def cmd_spectrum(doc: dict, config: EmissionConfig):
     window1, window2 = (_bounds(_require(doc, key), repr(key))
                         for key in ("lambda1_window_um", "lambda2_window_um"))
-    resolution = _number(doc, "resolution", 121, integer=True)
-    grid = emission.collinear_grid(config, window1, window2, resolution)
+    grid = emission.collinear_grid(config, window1, window2, **_given(doc, resolution=_integer))
     _check_finite("density", _extremes(grid))
     lam1, lam2 = grid.lambda1_um.tolist(), grid.lambda2_um.tolist()
     values, flags = grid.values.tolist(), grid.flags.tolist()
@@ -269,9 +286,9 @@ def cmd_maxima(doc: dict, config: EmissionConfig):
     betas = doc.get("betas", [config.kin.beta])
     if not (isinstance(betas, list) and betas):
         raise ConfigError("'betas' must be a non-empty list of numbers")
-    betas = [_number({"betas": b}, "betas") for b in betas]
-    window = _window(doc, "lambda1_window_um", (0.2, 20.0))
-    sweep = analysis.beta_sweep(config, betas, window=window)
+    betas = [_value(b, "betas") for b in betas]
+    window = _window(doc, "lambda1_window_um", None)
+    sweep = analysis.beta_sweep(config, betas, **({"window": window} if window else {}))
     _check_finite(
         "maximum", (x for r in sweep.rows for x in (r.lambda1_um, r.lambda2_um, r.density))
     )
@@ -300,26 +317,11 @@ def cmd_total(doc: dict, config: EmissionConfig):
     if not 0.0 < cone_deg <= 180.0:  # also rejects nan
         raise ConfigError(f"'cone_half_angle_deg' must lie in (0, 180], got {cone_deg!r}")
     window = _window(doc, "total_lambda_window_um", (0.1, 5.0))
-    rel_tol = _number(doc, "rel_tol", 1e-3)
-    kwargs = {}
-    if "base_resolution" in doc:
-        nodes = doc["base_resolution"]
-        if isinstance(nodes, list):  # total_count rejects anything else
-            nodes = [_number({"base_resolution": n}, "base_resolution", integer=True)
-                     for n in nodes]
-        kwargs["base_resolution"] = nodes
-    if "max_refinements" in doc:
-        kwargs["max_refinements"] = _number(doc, "max_refinements", integer=True)
-    result = analysis.total_count(
-        config, math.radians(cone_deg), window, rel_tol=rel_tol, **kwargs
-    )
-    _check_finite(
-        "total", [x for x in (result.pairs_per_pulse, result.rel_error) if x is not None]
-    )
-    if result.rel_error is None:
-        error = "quadrature error not estimated"
-    else:
-        error = f"relative quadrature error {result.rel_error:.2g}"
+    kwargs = _given(doc, rel_tol=_value, base_resolution=_nodes, max_refinements=_integer)
+    result = analysis.total_count(config, math.radians(cone_deg), window, **kwargs)
+    _check_finite("total", [x for x in (result.pairs_per_pulse, result.rel_error) if x is not None])
+    error = ("quadrature error not estimated" if result.rel_error is None
+             else f"relative quadrature error {result.rel_error:.2g}")
     line = f"pairs per pulse: {result.pairs_per_pulse:.6g} ({error})"
     fields = dataclasses.asdict(result)
     return [line], [], ({"result": fields}, list(fields), [fields.values()])
@@ -334,16 +336,14 @@ def cmd_fastlight(doc: dict, config: EmissionConfig):
     amplitude = _number(raw, "amplitude", analysis.FAST_LIGHT_AMPLITUDE)
     width = _number(raw, "width_um", analysis.FAST_LIGHT_WIDTH_UM)
     window = _window(doc, "fastlight_window_um", None)
-    resolution = _number(doc, "resolution", 161, integer=True)
+    grid_kwargs = _given(doc, resolution=_integer)
     # the base maximum places the line and the window unless both are given
     base_max = None if "max_slope_at_um" in raw and window else analysis.find_maximum(config)
     at = _number(raw, "max_slope_at_um") if "max_slope_at_um" in raw else base_max.lambda1_um
     resonance = dispersion.fast_light_resonance(amplitude, width, at)
     window = window or analysis.fast_light_window(base_max)
-    study = analysis.fast_light_study(config, resonance, window=window, resolution=resolution)
-    _check_finite(
-        "density", [*_extremes(study.grid_base), *_extremes(study.grid_modified)]
-    )
+    study = analysis.fast_light_study(config, resonance, window=window, **grid_kwargs)
+    _check_finite("density", [*_extremes(study.grid_base), *_extremes(study.grid_modified)])
     _check_finite("enhancement", [study.enhancement])
     line = f"enhancement: {study.enhancement:.6g}, peaks above half maximum: {study.peak_count}"
     fields = dataclasses.asdict(resonance)

@@ -389,6 +389,13 @@ class TestTotalCount:
         with pytest.raises(NoEmissionError, match=message):
             total_count(silica_config(beta=beta), math.radians(30.0), lam_window, **kwargs)
 
+    # the README's total but for one refinement: the estimate stalls at 9.7e-1 and
+    # 8.6e-2, and stays an error until its cause is fixed
+    @pytest.mark.parametrize("beta", [0.8, 1.0])
+    def test_stall_raises(self, beta):
+        with pytest.raises(analysis.QuadratureNotConvergedError, match="stalled"):
+            total_count(silica_config(beta=beta), math.radians(30.0), (0.1, 5.0), max_refinements=1)
+
     def test_unrefined_error_not_estimated(self):
         result = total_count(
             silica_config(beta=20.0),
@@ -434,6 +441,9 @@ class TestTotalCount:
         [
             ((1, 1, 1, 1), 0),
             ((17, 9, 65, 2), 0),
+            ((17, 9, 65, 3), 0),
+            ((16, 9, 65, 33), 0),
+            ((17, 11, 65, 33), 0),
             ((17, 9, 65), 0),
             ((17, 9, 65, 33, 9), 0),
             ((17, 9, 65, 33.0), 0),
@@ -443,7 +453,8 @@ class TestTotalCount:
             ((17, 9, 65, 33), True),
         ],
         ids=[
-            "ones", "two_points", "three_axes", "five_axes", "float_axis", "scalar",
+            "ones", "two_points", "three_points", "even_axis", "four_m_plus_three",
+            "three_axes", "five_axes", "float_axis", "scalar",
             "negative_refinements", "float_refinements", "bool_refinements",
         ],
     )
@@ -549,7 +560,6 @@ class TestTotalCount:
                 tracemalloc.stop()
         return peaks
 
-    @pytest.mark.parametrize("base", [(17, 9, 65, 33), (4, 3, 6, 4)], ids=["odd", "even"])
     @pytest.mark.parametrize(
         "name, lam_window",
         [
@@ -560,9 +570,10 @@ class TestTotalCount:
         ],
         ids=["gaussian", "tanh", "fast_light_multiroot", "invalid_row"],
     )
-    def test_coarse_rule_is_pass_before(self, name, lam_window, base):
+    def test_coarse_rule_is_pass_before(self, name, lam_window):
         # the refined grid 2(n - 1) + 1 holds every node of the n-node grid
         config = {"silica_beta20": lambda: silica_config(beta=20.0), **SCAN_CASES}[name]()
+        base = (17, 9, 65, 33)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
             total, rel_err = cone_total(config, lam_window, base, math.inf, max_refinements=1)
@@ -908,7 +919,7 @@ class TestThreadedPass:
                 silica_config(beta=20.0),
                 cone_half_angle_rad=math.radians(30.0),
                 lam_window=self.WINDOW,
-                base_resolution=(5, 3, n_t2, n_phi),
+                base_resolution=(5, 5, n_t2, n_phi),
                 max_refinements=0,
             )
         assert seen == [2, 2, 1]
@@ -1006,7 +1017,8 @@ class TestPhiFactoring:
         assert all(shape[1:] == (n_phi,) and shape[0] >= 2 for shape in shapes)
         assert all(math.prod(shape) * 6 <= emission._BLAS_THREADED_MNK for shape in shapes)
 
-    @pytest.mark.parametrize("n", range(2, 301))
+    # the 4m + 1 node counts of total_count's passes
+    @pytest.mark.parametrize("n", range(5, 298, 4))
     def test_phi_weights_are_simpson(self, n):
         # linear axes as phi, theta1 and theta2 are, log-spaced ones as lambda1 is
         for x in (np.linspace(0.0, math.pi, n), np.geomspace(0.1, 5.0, n)):

@@ -1,5 +1,6 @@
 """Command-line interface tests (in-process, via main(argv))."""
 
+import inspect
 import json
 import math
 from types import SimpleNamespace
@@ -350,6 +351,30 @@ class TestTotal:
         )
         assert_config_error(capsys, ["total", "--config", config])
 
+    @pytest.mark.parametrize(
+        "nodes", [[16, 9, 65, 33], [9, 7, 17, 9], [9, 5, 17, 3]],
+        ids=["even", "four_m_plus_three", "three"],
+    )
+    def test_base_resolution_rule_named(self, tmp_path, capsys, nodes):
+        config = write_config(tmp_path, {**SMALL_TOTAL, "base_resolution": nodes})
+        out = tmp_path / "total.json"
+        line = assert_config_error(capsys, ["total", "--config", config, "--out", str(out)])
+        assert "base_resolution" in line and "4m + 1" in line
+        assert not out.exists()
+
+    # README window, library defaults but one refinement: the estimate stalls at
+    # 9.7e-1 and 8.6e-2, and stays an error until its cause is fixed
+    @pytest.mark.parametrize("beta", [0.8, 1.0])
+    def test_stalled_total_is_numerical_error(self, tmp_path, capsys, beta):
+        config = write_config(tmp_path, {"beta": beta, "max_refinements": 1})
+        out = tmp_path / "total.json"
+        assert main(["total", "--config", config, "--out", str(out)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: total-count quadrature stalled")
+        assert not out.exists()
+
     def test_bad_cone_reported_in_degrees(self, tmp_path, capsys):
         config = write_config(
             tmp_path, {**SMALL_TOTAL, "cone_half_angle_deg": -30.0, "max_refinements": 0}
@@ -425,6 +450,60 @@ class TestBadScalars:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "resolution" in lines[0]
+
+
+class Recorded(Exception):
+    """Raised by a stand-in library call once it has recorded its arguments."""
+
+
+class TestLibraryDefaults:
+    """A key the run file leaves out is no keyword: the library's signature holds each default."""
+
+    @pytest.mark.parametrize(
+        "command, module, name, extra, keywords",
+        [
+            ("spectrum", emission, "collinear_grid", GRID_WINDOWS, {}),
+            ("spectrum", emission, "collinear_grid", {**GRID_WINDOWS, "resolution": 5},
+             {"resolution": 5}),
+            ("maxima", analysis, "beta_sweep", {}, {}),
+            ("maxima", analysis, "beta_sweep", {"lambda1_window_um": [0.3, 2.0]},
+             {"window": (0.3, 2.0)}),
+            ("total", analysis, "total_count", {}, {}),
+            ("total", analysis, "total_count", {**SMALL_TOTAL, "rel_tol": 0.5},
+             {"rel_tol": 0.5, "base_resolution": [9, 5, 17, 9]}),
+            ("fastlight", analysis, "fast_light_study", FASTLIGHT_WINDOW, {"window": (0.26, 0.47)}),
+            ("fastlight", analysis, "fast_light_study", {**FASTLIGHT_WINDOW, "resolution": 9.0},
+             {"window": (0.26, 0.47), "resolution": 9}),
+        ],
+        ids=["spectrum", "spectrum_set", "maxima", "maxima_set", "total", "total_set",
+             "fastlight", "fastlight_set"],
+    )
+    def test_keywords_only_when_set(self, tmp_path, monkeypatch, command, module, name, extra,
+                                    keywords):
+        seen = []
+        signature = inspect.signature(getattr(module, name))
+
+        def recorded(*args, **kwargs):
+            # each argument passed, by position or keyword, to a parameter with a default
+            bound = signature.bind(*args, **kwargs).arguments
+            seen.append({key: value for key, value in bound.items()
+                         if signature.parameters[key].default is not inspect.Parameter.empty})
+            raise Recorded
+
+        monkeypatch.setattr(module, name, recorded)
+        out = str(tmp_path / "out.json")  # spectrum requires --out
+        with pytest.raises(Recorded):
+            main([command, "--config", write_config(tmp_path, extra), "--out", out])
+        assert seen == [keywords]
+        assert all(type(seen[0][key]) is type(value) for key, value in keywords.items())
+
+    def test_calibration_only_when_set(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "EmissionConfig", lambda **kwargs: seen.append(kwargs))
+        for doc in (BASE_CONFIG, {**BASE_CONFIG, "calibration": 2}):
+            _emission_config(doc)
+        assert "calibration" not in seen[0]
+        assert type(seen[1]["calibration"]) is float and seen[1]["calibration"] == 2.0
 
 
 class TestFastlight:

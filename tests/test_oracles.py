@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
@@ -9,7 +10,7 @@ from vacuumpairs import dispersion, kinematics
 from vacuumpairs.kinematics import PerturbationKinematics
 from vacuumpairs.materials import get_material
 
-from oracles import rotational_pair_integral
+from oracles import cone_share, rotational_pair_integral
 
 
 def direct_pair_integral(k1, k2, s, sigma, half_angle):
@@ -36,6 +37,74 @@ def direct_pair_integral(k1, k2, s, sigma, half_angle):
     return 4.0 * math.pi / k2 * value
 
 
+def fused_silica_cell(lam1, lam2, beta=10.0):
+    """(k1, k2, s) of a fused-silica pair at beta, sigma = 1 um."""
+    (n1, n2), _, _ = dispersion.index_fields(get_material("fused_silica"), [lam1, lam2])
+    s = kinematics._on_shell_sum(lam1, lam2, PerturbationKinematics(beta=beta))
+    return 2.0 * math.pi * n1 / lam1, 2.0 * math.pi * n2 / lam2, s
+
+
+# nodes of the chi sweep: its count misses P_Theta by at most half a node's share
+SWEEP_NODES = 2**16
+
+
+def swept_cone_share(u, k1, k2, s, half_angle):
+    """cone_share by counting: the share of chi nodes, uniform on [0, pi], inside the cone.
+
+    K makes the angle alpha with +x and photon 1 the angle beta1 with K,
+    from the triangle of k1, k2 and |K| = u; photon 1 turns about K with
+    cos(theta1) = cos(alpha) cos(beta1) + sin(alpha) sin(beta1) cos(chi).  That
+    falls with chi, so the rotations inside the cone are one interval from
+    chi = 0, and the count of the cell midpoints misses its length by at most
+    half a cell: 1/(2 SWEEP_NODES) of P.
+    """
+    cos_a = s / u
+    cos_b = (u * u + k1 * k1 - k2 * k2) / (2.0 * u * k1)  # the law of cosines
+    chi = (np.arange(SWEEP_NODES) + 0.5) * (math.pi / SWEEP_NODES)
+    sines = math.sqrt((1.0 - cos_a * cos_a) * (1.0 - cos_b * cos_b))
+    cos_t1 = cos_a * cos_b + sines * np.cos(chi)
+    return np.count_nonzero(cos_t1 >= math.cos(half_angle)) / SWEEP_NODES
+
+
+@pytest.mark.parametrize(
+    "u, s, half_angle_deg, share",
+    [
+        (4.5, 0.7, 30.0, 0.0),
+        (4.5, 0.7, 140.0, 1.0),
+        (4.5, 0.7, 75.0, None),
+        (3.0, 1.5, 30.0, None),
+        (2.0, 1.5, 75.0, None),
+        (4.6, 4.2, 10.0, None),
+        (4.6, 4.2, 30.0, None),
+    ],
+    ids=["clip_zero", "clip_one", "interior", "interior_narrow", "interior_low_u",
+         "near_threshold_10", "near_threshold_30"],
+)
+def test_cone_share_against_chi_sweep(u, s, half_angle_deg, share):
+    # k1 = 3, k2 = 2: |K| runs over [1, 5]; a clipped case must hit its end exactly
+    p = cone_share(u, 3.0, 2.0, s, math.radians(half_angle_deg))
+    if share is not None:
+        assert p == share
+    else:
+        assert 0.0 < p < 1.0
+    swept = swept_cone_share(u, 3.0, 2.0, s, math.radians(half_angle_deg))
+    assert p == pytest.approx(swept, rel=0.0, abs=1.0 / SWEEP_NODES)
+
+
+@pytest.mark.parametrize("half_angle_deg", [30.0, 75.0])
+@pytest.mark.parametrize("fraction", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("lam1, lam2", [(0.68, 0.78), (0.5, 0.52), (1.2, 3.0)])
+def test_cone_share_against_chi_sweep_fused_silica(lam1, lam2, fraction, half_angle_deg):
+    # u at a fraction of its span [max(|k1 - k2|, s), k1 + k2]; the 18 cases hold
+    # interior shares and both clip ends
+    k1, k2, s = fused_silica_cell(lam1, lam2)
+    u0, u1 = max(abs(k1 - k2), s), k1 + k2
+    u = u0 + fraction * (u1 - u0)
+    p = cone_share(u, k1, k2, s, math.radians(half_angle_deg))
+    swept = swept_cone_share(u, k1, k2, s, math.radians(half_angle_deg))
+    assert p == pytest.approx(swept, rel=0.0, abs=1.0 / SWEEP_NODES)
+
+
 @pytest.mark.parametrize("half_angle_deg", [180.0, 30.0, 75.0, 140.0])
 @pytest.mark.parametrize("s", [0.7, 1.5, 4.2])
 def test_rotational_identity(s, half_angle_deg):
@@ -53,10 +122,7 @@ def test_rotational_identity(s, half_angle_deg):
 def test_rotational_identity_fused_silica(lam1, lam2, half_angle_deg):
     # the (k1, k2, s) of fused-silica cells at beta = 10, sigma = 1 um: 2 k1 k2
     # is 150 to 650 um^-2, so F falls off steeply away from antiparallel photons
-    model = get_material("fused_silica")
-    (n1, n2), _, _ = dispersion.index_fields(model, [lam1, lam2])
-    k1, k2 = 2.0 * math.pi * n1 / lam1, 2.0 * math.pi * n2 / lam2
-    s = kinematics._on_shell_sum(lam1, lam2, PerturbationKinematics(beta=10.0))
+    k1, k2, s = fused_silica_cell(lam1, lam2)
     if (lam1, lam2) == (1.2, 3.0):
         # erf(sigma u1) - erf(sigma u0) would cancel here: the closed form takes erfc
         assert math.exp(-max(abs(k1 - k2), s) ** 2) < 1e-9
