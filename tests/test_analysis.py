@@ -560,6 +560,8 @@ class TestTotalCount:
                 tracemalloc.stop()
         return peaks
 
+    # the smallest base's coarse rules run on 3 nodes, one parabola per axis
+    @pytest.mark.parametrize("base", [(17, 9, 65, 33), (5, 5, 5, 5)], ids=["odd", "smallest"])
     @pytest.mark.parametrize(
         "name, lam_window",
         [
@@ -570,10 +572,9 @@ class TestTotalCount:
         ],
         ids=["gaussian", "tanh", "fast_light_multiroot", "invalid_row"],
     )
-    def test_coarse_rule_is_pass_before(self, name, lam_window):
+    def test_coarse_rule_is_pass_before(self, name, lam_window, base):
         # the refined grid 2(n - 1) + 1 holds every node of the n-node grid
         config = {"silica_beta20": lambda: silica_config(beta=20.0), **SCAN_CASES}[name]()
-        base = (17, 9, 65, 33)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", kinematics.MultipleRootsWarning)
             total, rel_err = cone_total(config, lam_window, base, math.inf, max_refinements=1)
@@ -1017,8 +1018,9 @@ class TestPhiFactoring:
         assert all(shape[1:] == (n_phi,) and shape[0] >= 2 for shape in shapes)
         assert all(math.prod(shape) * 6 <= emission._BLAS_THREADED_MNK for shape in shapes)
 
-    # the 4m + 1 node counts of total_count's passes
-    @pytest.mark.parametrize("n", range(5, 298, 4))
+    # every 4m + 1 node count up to 1025, the largest axis a refined total of
+    # the CI pin (65, 33, 257, 129) reaches in two refinements
+    @pytest.mark.parametrize("n", range(5, 1026, 4))
     def test_phi_weights_are_simpson(self, n):
         # linear axes as phi, theta1 and theta2 are, log-spaced ones as lambda1 is
         for x in (np.linspace(0.0, math.pi, n), np.geomspace(0.1, 5.0, n)):
