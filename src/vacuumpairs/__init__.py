@@ -8,6 +8,7 @@ from .dispersion import (
     DispersionModel,
     LorentzianResonance,
     NegativeRadicandError,
+    NumericalError,
     PoleProximityError,
     SellmeierModel,
     fast_light_resonance,
@@ -26,8 +27,6 @@ from .kinematics import (
     NoSignChangeError,
     PerturbationKinematics,
     PhotonMode,
-    SubluminalError,
-    cerenkov_angle,
     solve_partner,
 )
 from .emission import (

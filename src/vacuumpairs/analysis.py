@@ -38,7 +38,7 @@ REFERENCE_SIGMA_UM = 1.0
 REFERENCE_LENGTH_M = 0.05
 
 
-class AnalysisError(ValueError):
+class AnalysisError(dispersion.NumericalError):
     """Base class for analysis failures."""
 
 
@@ -181,7 +181,7 @@ def find_maximum(
     def density_at(lam1: float) -> float:
         try:
             _, rho = constraint_density(config, lam1)
-        except (kinematics.KinematicsError, emission.EmissionError, dispersion.DispersionError):
+        except dispersion.NumericalError:
             return 0.0
         return rho
 

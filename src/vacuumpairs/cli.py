@@ -10,7 +10,7 @@ reproduced from its artifact alone.  This module alone reads and writes run
 files and artifacts (``_emission_config``, ``config_to_dict`` and
 ``_write``); ``materials`` reads and writes the material documents of its
 library.  Exit codes: 0 success, 1 bad configuration, 2 unknown material,
-3 numerical failure or an array that cannot be allocated.
+3 numerical failure (a NumericalError) or an array numpy cannot allocate.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import sys
 
 import numpy as np
 
-from . import analysis, dispersion, emission, kinematics, materials
-from .dispersion import DispersionError
+from . import analysis, dispersion, emission, materials
+from .dispersion import NumericalError
 from .emission import EmissionConfig, GaussianProfile, TanhProfile
-from .kinematics import KinematicsError, PerturbationKinematics
+from .kinematics import PerturbationKinematics
 from .materials import UnknownMaterialError
 
 EXIT_OK = 0
@@ -49,7 +49,7 @@ class ConfigError(ValueError):
     """The run configuration is malformed or incomplete."""
 
 
-class NonFiniteResultError(ValueError):
+class NonFiniteResultError(NumericalError):
     """A computation gave an inf or nan, for instance from sizes that overflow."""
 
 
@@ -433,11 +433,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy refuses an array, e.g. of a huge resolution
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError, or a library's rejection of an input
         print(f"error: {exc}", file=sys.stderr)
-        numerical = (DispersionError, KinematicsError, NonFiniteResultError,
-                     emission.EmissionError, analysis.AnalysisError)
-        return EXIT_NUMERICAL if isinstance(exc, numerical) else EXIT_CONFIG
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

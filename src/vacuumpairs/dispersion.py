@@ -29,7 +29,11 @@ _WINDOW_BOUNDS = (0.02, 500.0)
 _WINDOW_POINTS = 4096
 
 
-class DispersionError(ValueError):
+class NumericalError(ValueError):
+    """Base class for every failure of a computation itself: the CLI's exit 3."""
+
+
+class DispersionError(NumericalError):
     """Base class for dispersion-evaluation failures."""
 
 

@@ -56,7 +56,7 @@ _BLOCK_CELLS = 15_000
 _BLAS_THREADED_MNK = 65536 * 4
 
 
-class EmissionError(ValueError):
+class EmissionError(dispersion.NumericalError):
     """Base class for emission-evaluation failures."""
 
 

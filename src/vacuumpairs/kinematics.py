@@ -1,7 +1,7 @@
 """Emission geometry of photon pairs from a moving index perturbation.
 
-Cerenkov cone angles, the delta-function constraint linking the two
-photons of a pair, and its numerical solution for the partner wavelength.
+The delta-function constraint linking the two photons of a pair, and its
+numerical solution for the partner wavelength.
 
 Both polar angles are measured from the propagation axis (+x) and lie in
 [0, pi]; the backward photon of a collinear pair has theta = pi.
@@ -25,12 +25,8 @@ _XTOL, _RTOL = 1e-14, 1e-15  # um and relative, partner-wavelength tolerance
 _SCAN_POINTS = 400  # log-grid points of the partner bracket scan
 
 
-class KinematicsError(ValueError):
+class KinematicsError(dispersion.NumericalError):
     """Base class for kinematic failures."""
-
-
-class SubluminalError(KinematicsError):
-    """beta * n < 1: no Cerenkov cone, no pair emission at this frequency."""
 
 
 class NoSignChangeError(KinematicsError):
@@ -71,16 +67,6 @@ class PhotonMode:
             raise ValueError("theta must lie in [0, pi]")
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
-
-
-def cerenkov_angle(wavelength: float, kin: PerturbationKinematics, model) -> float:
-    """Cone angle arccos(1/(beta n)); raises SubluminalError below threshold."""
-    bn = kin.beta * dispersion.refractive_index(model, wavelength)
-    if bn < 1.0:
-        raise SubluminalError(
-            f"beta*n = {bn:.6g} < 1 at {wavelength} um: no Cerenkov cone"
-        )
-    return math.acos(1.0 / bn)
 
 
 def constraint_residual(lam1, n1, cos_t1, lam2, n2, cos_t2, kin: PerturbationKinematics):

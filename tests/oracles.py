@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, simpson
+from scipy.special import erfc
 
 from vacuumpairs import dispersion, emission, kinematics
 from vacuumpairs.emission import GaussianProfile
@@ -226,3 +227,69 @@ def rotational_pair_integral(k1, k2, s, sigma, half_angle=math.pi):
     # 1 + ((u^2 - a)/b)^2 = (1 + a^2/b^2) - (2a/b^2) u^2 + u^4/b^2
     inner = (1.0 + a * a / (b * b)) * i0 - 2.0 * a / (b * b) * i2 + i4 / (b * b)
     return 4.0 * math.pi**2 * (2.0 / b) * inner
+
+
+def pair_integral_sphere(k1, k2, s, sigma):
+    """rotational_pair_integral on the full sphere, cell by cell: broadcasting arrays.
+
+    The same closed form in erfc, in numpy; a cell with u0 >= u1, where
+    s >= k1 + k2 leaves no photon directions, is exactly 0.
+    """
+    a, b = k1 * k1 + k2 * k2, 2.0 * k1 * k2
+    u0, u1 = np.maximum(np.abs(k1 - k2), s), k1 + k2
+    s2 = sigma * sigma
+    e0, e1 = np.exp(-s2 * u0 * u0), np.exp(-s2 * u1 * u1)
+    i0 = math.sqrt(math.pi) / (2.0 * sigma) * (erfc(sigma * u0) - erfc(sigma * u1))
+    i2 = (u0 * e0 - u1 * e1 + i0) / (2.0 * s2)
+    i4 = (u0**3 * e0 - u1**3 * e1 + 3.0 * i2) / (2.0 * s2)
+    inner = (1.0 + a * a / (b * b)) * i0 - 2.0 * a / (b * b) * i2 + i4 / (b * b)
+    return np.where(u0 < u1, 4.0 * math.pi**2 * (2.0 / b) * inner, 0.0)
+
+
+# lambda1 rows per block of mode_sum_total: a block's temporaries stay a few MB
+_MODE_SUM_ROWS = 64
+
+
+def mode_sum_total(config, lam_window, resolution):
+    """Pairs per pulse on the full sphere: the mode sum with the delta consumed exactly.
+
+    N = int dlam1 dlam2 |dk1/dlam1| |dk2/dlam2| k1^2 k2^2 (2 pi)^-6 (L/2 pi) G0
+    * pair_integral_sphere(k1, k2, s, sigma), with |dk/dlam| = 2 pi |n_g|/lam^2,
+    s = (omega1 + omega2)/v and G0 = calibration eta^2 pi^2/v^2 omega1 omega2
+    (n1 + n2)^2/(n1 n_g1 n2 n_g2)^2 sigma^6, the Gaussian kernel's part that
+    does not depend on the photon directions.  Taking G0 (1 + cos(psi)^2)
+    exp(-sigma^2 |K|^2) as the pair's |M|^2 is an assumption of this oracle,
+    not a derivation.  lam1 runs over lam_window and lam2 over the
+    transparency window, both on resolution log-spaced nodes and each by
+    Simpson's rule in ln(lam); a cell is 0 where a wavelength is bad or
+    |n_g| < NG_FLOOR.  Written from the formulas, not from the kernel.
+    """
+    profile = config.profile
+    assert isinstance(profile, GaussianProfile)
+    model, sigma = config.material, profile.sigma
+    v = config.kin.beta * C_UM_S
+
+    def axis(lo, hi):
+        lam = np.geomspace(lo, hi, resolution)
+        n, ng, bad = dispersion.index_fields(model, lam)
+        bad = bad | (np.abs(ng) < emission.NG_FLOOR)
+        n, ng = np.where(bad, 1.0, n), np.where(bad, 1.0, ng)
+        dk_dlam = TWO_PI * np.abs(ng) / (lam * lam)
+        # lam * dk/dlam: the integrand's measure in ln(lam)
+        return lam, n, ng, np.where(bad, 0.0, lam * dk_dlam), TWO_PI * C_UM_S / lam
+
+    lam1, n1, ng1, w1, omega1 = axis(*lam_window)
+    lam2, n2, ng2, w2, omega2 = axis(*dispersion.transparency_window(model))
+    k1, k2 = TWO_PI * n1 / lam1, TWO_PI * n2 / lam2
+    rows = np.empty(resolution)
+    for start in range(0, resolution, _MODE_SUM_ROWS):
+        b = slice(start, start + _MODE_SUM_ROWS)
+        o1, o2 = omega1[b, None], omega2[None, :]
+        g0 = (config.calibration * profile.eta**2 * math.pi**2 / (v * v) * o1 * o2
+              * (n1[b, None] + n2) ** 2 / (n1[b, None] * ng1[b, None] * n2 * ng2) ** 2
+              * sigma**6)
+        pair = pair_integral_sphere(k1[b, None], k2[None, :], (o1 + o2) / v, sigma)
+        cells = (w1[b, None] * w2 * k1[b, None] ** 2 * k2**2 / TWO_PI**6
+                 * (config.length_um / TWO_PI) * g0 * pair)
+        rows[b] = simpson(cells, x=np.log(lam2), axis=1)
+    return float(simpson(rows, x=np.log(lam1)))

@@ -5,21 +5,30 @@ Every run configuration, however malformed, ends in a documented exit code
 no traceback, and a run that exits 0 prints and writes only finite numbers.
 The configs start small and valid and are mutated by dropping keys, changing
 types and inserting NaN, +-inf and negatives, and the sizes also by huge
-finite values.
+finite values.  Every exception class the package defines has one of those
+codes, by the family it belongs to.
 """
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
 import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vacuumpairs.cli import main
+import vacuumpairs
+from vacuumpairs import analysis
+from vacuumpairs.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_UNKNOWN_MATERIAL, ConfigError, main
+from vacuumpairs.dispersion import NumericalError
+from vacuumpairs.materials import UnknownMaterialError
 
 BASE = {
     "material": "fused_silica",
@@ -182,3 +191,57 @@ def test_base_configs_run():
             out = str(Path(tmp) / "out.json")
             code, _, err = run([command, "--config", str(config), "--out", out])
             assert code == 0, err
+
+
+# ---------------------------------------------------------------------------
+# the exit code of each exception class the package defines
+
+def package_errors():
+    """Every exception class defined in a module of the package, by name.
+
+    Warnings are left out: the package issues them, it does not raise them.
+    """
+    found = {}
+    for info in pkgutil.iter_modules(vacuumpairs.__path__):
+        module = importlib.import_module(f"vacuumpairs.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if (cls.__module__ == module.__name__ and issubclass(cls, Exception)
+                    and not issubclass(cls, Warning)):
+                found[cls.__name__] = cls
+    return [found[name] for name in sorted(found)]
+
+
+PACKAGE_ERRORS = package_errors()
+
+# a class's exit code follows from the first of these families it belongs to
+FAMILIES = (
+    (NumericalError, EXIT_NUMERICAL),
+    (ConfigError, EXIT_CONFIG),
+    (UnknownMaterialError, EXIT_UNKNOWN_MATERIAL),
+)
+
+
+def exit_code(cls):
+    return next((code for family, code in FAMILIES if issubclass(cls, family)), None)
+
+
+def test_every_error_class_has_an_exit_code():
+    without = [cls.__name__ for cls in PACKAGE_ERRORS if exit_code(cls) is None]
+    assert without == []
+    # every family is found, so the collection reaches the modules that define them
+    assert {exit_code(cls) for cls in PACKAGE_ERRORS} == {code for _, code in FAMILIES}
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_main_exits_with_the_code_of_the_raised_class(monkeypatch, tmp_path, cls):
+    def raise_it(*args, **kwargs):
+        raise cls("raised by the test")
+
+    monkeypatch.setattr(analysis, "total_count", raise_it)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(CONFIGS["total"]))
+    artifact = tmp_path / "total.csv"
+    code, out, err = run(["total", "--config", str(config), "--out", str(artifact)])
+    assert code == exit_code(cls)
+    assert (out, err) == ("", "error: raised by the test\n")
+    assert not artifact.exists()

@@ -1,4 +1,4 @@
-"""Pair-kinematics tests: closed forms, symmetry, thresholds, cones."""
+"""Pair-kinematics tests: closed forms, symmetry, thresholds."""
 
 import math
 import warnings
@@ -17,8 +17,6 @@ from vacuumpairs.kinematics import (
     NoSignChangeError,
     PerturbationKinematics,
     PhotonMode,
-    SubluminalError,
-    cerenkov_angle,
     constraint_residual,
     constraint_tolerance,
     MultipleRootsWarning,
@@ -48,31 +46,6 @@ def closed_form_partner(lam1, beta, n0):
     """Collinear partner for a dispersionless medium."""
     bn = beta * n0
     return lam1 * (bn + 1.0) / (bn - 1.0)
-
-
-class TestCerenkov:
-    def test_angle_closed_form(self):
-        kin = PerturbationKinematics(beta=2.0)
-        angle = cerenkov_angle(1.0, kin, constant(1.5))
-        assert angle == pytest.approx(math.acos(1.0 / 3.0))
-
-    def test_subluminal_raises(self):
-        kin = PerturbationKinematics(beta=0.5)
-        with pytest.raises(SubluminalError):
-            cerenkov_angle(1.0, kin, constant(1.5))
-
-    @given(
-        st.floats(min_value=1.01, max_value=50.0),
-        st.floats(min_value=1.0, max_value=3.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_angle_grows_with_speed(self, beta, n0):
-        if beta * n0 <= 1.0:
-            return
-        model = constant(n0)
-        a1 = cerenkov_angle(1.0, PerturbationKinematics(beta=beta), model)
-        a2 = cerenkov_angle(1.0, PerturbationKinematics(beta=beta * 1.5), model)
-        assert a2 > a1
 
 
 class TestResidual:

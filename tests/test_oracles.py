@@ -1,4 +1,4 @@
-"""Self-checks of the oracles: the pair integral by rotational symmetry."""
+"""Self-checks of the oracles: the pair integral by rotational symmetry and the mode sum."""
 
 import math
 
@@ -7,10 +7,11 @@ import pytest
 from scipy.integrate import dblquad
 
 from vacuumpairs import dispersion, kinematics
+from vacuumpairs.emission import EmissionConfig, GaussianProfile
 from vacuumpairs.kinematics import PerturbationKinematics
-from vacuumpairs.materials import get_material
+from vacuumpairs.materials import get_material, model_from_dict
 
-from oracles import cone_share, rotational_pair_integral
+from oracles import cone_share, mode_sum_total, pair_integral_sphere, rotational_pair_integral
 
 
 def direct_pair_integral(k1, k2, s, sigma, half_angle):
@@ -132,3 +133,47 @@ def test_rotational_identity_fused_silica(lam1, lam2, half_angle_deg):
     assert rotational_pair_integral(k1, k2, s, 1.0, half_angle) == pytest.approx(
         expected, rel=1e-10, abs=0.0
     )
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
+def test_pair_integral_sphere_matches_the_scalar_form(sigma):
+    # one array call over cells of both kinds: k1 = 3, k2 = 2 with s below,
+    # inside and beyond |K|'s span [1, 5], and the fused-silica cells above
+    cells = [(3.0, 2.0, s) for s in (0.7, 1.5, 4.2, 5.5)]
+    cells += [fused_silica_cell(*lams) for lams in [(0.68, 0.78), (0.5, 0.52), (1.2, 3.0)]]
+    k1, k2, s = (np.array(column) for column in zip(*cells))
+    values = pair_integral_sphere(k1, k2, s, sigma)
+    expected = [rotational_pair_integral(*cell, sigma) for cell in cells]
+    assert values[3] == expected[3] == 0.0
+    assert values.tolist() == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def silica_config(beta=10.0):
+    """The README's run: fused silica, Gaussian, eta = 0.001, sigma = 1 um, L = 5 cm."""
+    return EmissionConfig(
+        material=get_material("fused_silica"),
+        profile=GaussianProfile(eta=0.001, sigma=1.0),
+        kin=PerturbationKinematics(beta=beta),
+        length_m=0.05,
+    )
+
+
+def constant_index_config(n0_beta, n0=1.5):
+    return EmissionConfig(
+        material=model_from_dict({"constant_index": n0}),
+        profile=GaussianProfile(eta=0.001, sigma=1.0),
+        kin=PerturbationKinematics(beta=n0_beta / n0),
+        length_m=0.05,
+    )
+
+
+def test_mode_sum_threshold_on_a_constant_index():
+    # s = (k1 + k2)/(n0 beta): below n0 beta = 1 no cell has photon directions
+    assert mode_sum_total(constant_index_config(0.99), (0.1, 5.0), 257) == 0.0
+    assert mode_sum_total(constant_index_config(1.01), (0.1, 5.0), 257) > 0.0
+
+
+def test_mode_sum_converges_on_the_readme_config():
+    totals = [mode_sum_total(silica_config(), (0.1, 5.0), n) for n in (257, 513, 1025)]
+    assert totals[0] > 0.0
+    assert abs(totals[1] - totals[2]) <= abs(totals[0] - totals[1])
